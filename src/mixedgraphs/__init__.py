@@ -18,11 +18,7 @@ from .core import (
     arc,
     arrow,
     classify,
-    direction_preserving_cycles,
-    find_ribbons,
-    graph_equal,
     line,
-    make_graph,
 )
 from .independence import (
     GroundMismatch,
@@ -61,7 +57,6 @@ from .project import (
     project_sg,
     render_trace,
     rg_to_sg,
-    rg_to_sg_heuristic,
     sg_to_ag,
     table1_closure,
 )

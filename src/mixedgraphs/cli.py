@@ -8,6 +8,7 @@ clean), 1 negative verdict (connected, class missing, counterexample found),
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -89,17 +90,12 @@ def _cmd_msep(args):
     print("separated" if separated else "connected")
     if not separated and args.witness:
         allowed = graph.node_set - A - B - C
-        for a in sorted(A):
-            found = None
-            for b in sorted(B):
-                paths = enumerate_connecting_paths(
-                    graph, ConnectionQuery(a, b, allowed, C), limit=1
-                )
-                if paths:
-                    found = paths.paths[0]
-                    break
-            if found:
-                print(found.render())
+        for a, b in itertools.product(sorted(A), sorted(B)):
+            paths = enumerate_connecting_paths(
+                graph, ConnectionQuery(a, b, allowed, C), limit=1
+            )
+            if paths:
+                print(paths[0].render())
                 break
     return 0 if separated else 1
 

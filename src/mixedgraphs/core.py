@@ -108,6 +108,20 @@ def signature_edge(mark_a, mark_b, a, b) -> Edge:
     return arrow(b, a)
 
 
+def reach(step, seeds) -> set:
+    """Nodes reachable from seeds in one or more steps, where step[n] holds
+    the nodes one step from n (parents for ancestry, children for descent).
+    A seed is included only when some cycle leads back to it."""
+    seen = set()
+    stack = list(seeds)
+    while stack:
+        for n in step[stack.pop()]:
+            if n not in seen:
+                seen.add(n)
+                stack.append(n)
+    return seen
+
+
 class RibbonReport(NamedTuple):
     """A collider V <h, inner, j> violating ribbonlessness.
 
@@ -261,32 +275,12 @@ class MixedGraph:
         the targets only through directed cycles."""
         targets = set(targets)
         self._check_nodes(targets)
-        seen = set()
-        frontier = list(targets)
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for p in self._parents[t]:
-                    if p not in seen:
-                        seen.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(reach(self._parents, targets))
 
     def descendants(self, targets) -> frozenset:
         targets = set(targets)
         self._check_nodes(targets)
-        seen = set()
-        frontier = list(targets)
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for c in self._children[t]:
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(reach(self._children, targets))
 
     @cached_property
     def cycle_nodes(self) -> frozenset:
@@ -304,7 +298,7 @@ class MixedGraph:
 
     @cached_property
     def ribbons(self) -> tuple:
-        return tuple(_find_ribbons(self))
+        return tuple(_ribbon_reports(self))
 
     @cached_property
     def is_ribbonless(self) -> bool:
@@ -313,20 +307,6 @@ class MixedGraph:
     @cached_property
     def class_tags(self) -> frozenset:
         return _classify(self)
-
-
-def make_graph(nodes: Iterable[str], edges: Iterable[Edge] = ()) -> MixedGraph:
-    """Build a canonical, deduplicated mixed graph."""
-    return MixedGraph(nodes, edges)
-
-
-def graph_equal(g1: MixedGraph, g2: MixedGraph) -> bool:
-    """Labeled-graph equality: identical node sets and canonical edge sets."""
-    return g1 == g2
-
-
-def direction_preserving_cycles(g: MixedGraph) -> frozenset:
-    return g.cycle_nodes
 
 
 def collider_vs(g: MixedGraph):
@@ -366,7 +346,7 @@ def _ribbon_blocker(e1, h, e2, j, g: MixedGraph) -> bool:
     return arrow(h, j) in g.edges  # h -> inner <-> j needs an h -> j arrow
 
 
-def _find_ribbons(g: MixedGraph):
+def _ribbon_reports(g: MixedGraph):
     reports = []
     for h, e1, t, e2, j in collider_vs(g):
         if _ribbon_blocker(e1, h, e2, j, g):
@@ -386,11 +366,6 @@ def _ribbon_witness(g: MixedGraph, inner):
         if d in g.cycle_nodes:
             return ("cycle", d)
     return None
-
-
-def find_ribbons(g: MixedGraph) -> tuple:
-    """Exhaustively list ribbons; empty exactly when g is ribbonless."""
-    return g.ribbons
 
 
 def _classify(g: MixedGraph) -> frozenset:

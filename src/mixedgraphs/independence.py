@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .core import MixedGraph, MixedGraphError
-from .msep import NotDisjoint, _iter_paths, _walk_reach
+from .msep import NotDisjoint, _connected
 
 
 class TooLarge(MixedGraphError):
@@ -135,35 +135,27 @@ def independence_model(g: MixedGraph, limit: int = 8) -> IndependenceModel:
     n = len(nodes)
     if n > limit:
         raise TooLarge(f"{n} nodes exceeds enumeration limit {limit}")
-    ribbonless = g.is_ribbonless
+    index = {v: k for k, v in enumerate(nodes)}
     statements = []
     for cmask in range(1 << n):
         C = frozenset(nodes[k] for k in _bits(cmask))
         collider_set = C | g.ancestors(C)
-        out_idx = [k for k in range(n) if not (cmask >> k) & 1]
-        sep = {k: 0 for k in out_idx}
-        for pos, ai in enumerate(out_idx):
-            a = nodes[ai]
-            reached = _walk_reach(g, a, collider_set, None, C)
-            for bi in out_idx[pos + 1 :]:
-                b = nodes[bi]
-                connected = b in reached
-                if connected and not ribbonless:
-                    connected = (
-                        next(
-                            iter(_iter_paths(g, a, b, collider_set, None, C)), None
-                        )
-                        is not None
-                    )
-                if not connected:
-                    sep[ai] |= 1 << bi
-                    sep[bi] |= 1 << ai
+        allowed = g.node_set - C
+        out = [v for v in nodes if v not in C]
+        conn = [0] * n
+        for pos in range(len(out) - 1):
+            a = out[pos]
+            ai = index[a]
+            for b in _connected(g, a, out[pos + 1 :], collider_set, allowed):
+                bi = index[b]
+                conn[ai] |= 1 << bi
+                conn[bi] |= 1 << ai
         out_mask = ((1 << n) - 1) & ~cmask
         amask = out_mask
         while amask:
             common = out_mask & ~amask
             for k in _bits(amask):
-                common &= sep[k]
+                common &= ~conn[k]
             if common:
                 bmask = common
                 while bmask:

@@ -1,19 +1,27 @@
 """m-separation queries on loopless mixed graphs.
 
 A path m-connects given M and C when every collider inner node is in
-C ∪ an(C) and every non-collider inner node is in M. The fast engine runs a
-BFS over walk states (node, arrival mark); on ribbonless graphs a legal walk
-exists iff a legal path does (connecting-walk concatenation only shortcuts
-through configurations that ribbonlessness forces to carry an
-endpoint-identical edge), so the walk verdict is exact there. On other
-graphs walks can over-connect — e.g. a->t<-b with a line t--x admits the
-walk a->t--x--t<-b but no connecting path — so a "connected" walk verdict is
-re-checked by exhaustive simple-path search before it is trusted.
+C ∪ an(C) and every non-collider inner node is in M (the `allowed` set).
+Every query runs on two kernels over the same step rule:
+
+- `_walk` searches walk states (node, arrived with a head). On ribbonless
+  graphs a legal walk exists iff a legal path does (connecting-walk
+  concatenation only shortcuts through configurations that ribbonlessness
+  forces to carry an endpoint-identical edge), so the walk verdict is exact
+  there, in time linear in the edges. Its arrival marks are also the Lemma-1
+  connection signatures.
+- `_paths` enumerates simple paths depth-first. On other graphs walks can
+  over-connect — e.g. a->t<-b with a line t--x admits the walk
+  a->t--x--t<-b but no connecting path — so `_connected` re-checks each
+  walk hit with `_paths` before trusting it. It is also the exhaustive
+  witness enumeration and, with inner nodes restricted to colliders in
+  an(endpoints), the primitive-inducing-path search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import HEAD, TAIL, MixedGraph, MixedGraphError, signature_edge
 
@@ -50,11 +58,18 @@ class ConnectionQuery:
 
 @dataclass(frozen=True)
 class PathWitness:
-    """A connecting path: node sequence, chosen edges, per-inner collider flags."""
+    """A connecting path: its node sequence and the edge chosen at each step."""
 
     nodes: tuple
     edges: tuple
-    colliders: tuple
+
+    @property
+    def colliders(self):
+        """Per inner node, whether both of its path edges point into it."""
+        return tuple(
+            e1.mark_at(v) == HEAD and e2.mark_at(v) == HEAD
+            for v, e1, e2 in zip(self.nodes[1:-1], self.edges, self.edges[1:])
+        )
 
     def render(self):
         parts = []
@@ -70,88 +85,74 @@ class PathWitness:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class PathEnumeration:
-    paths: tuple
-    truncated: bool
-
-    def __iter__(self):
-        return iter(self.paths)
-
-    def __len__(self):
-        return len(self.paths)
-
-    def __bool__(self):
-        return bool(self.paths)
-
-
-def _walk_reach(g: MixedGraph, source, collider_set, allowed, blocked):
-    """All nodes reachable from source along legal m-connecting walks.
-
-    Non-collider inner nodes must lie in `allowed` when given, otherwise
-    merely outside `blocked`.
-    """
-    reached = set()
-    seen = set()
-    frontier = []
-    for o, _mh, mo, _e in g.flows(source):
-        reached.add(o)
-        state = (o, mo == HEAD)
-        if state not in seen:
-            seen.add(state)
-            frontier.append(state)
-    while frontier:
-        nxt = []
-        for t, arrived_head in frontier:
-            for o, mh, mo, _e in g.flows(t):
-                if arrived_head and mh == HEAD:
-                    if t not in collider_set:
-                        continue
-                elif allowed is not None:
-                    if t not in allowed:
-                        continue
-                elif t in blocked:
-                    continue
-                reached.add(o)
-                state = (o, mo == HEAD)
-                if state not in seen:
-                    seen.add(state)
-                    nxt.append(state)
-        frontier = nxt
-    return reached
-
-
-def _iter_paths(g: MixedGraph, source, target, collider_set, allowed, blocked):
-    """All m-connecting simple paths, depth-first in canonical node order."""
+def _walk(g: MixedGraph, source, collider_set, allowed, first_mark=None):
+    """Every state (node, arrived with a head) that an m-connecting walk out
+    of source reaches, optionally only walks whose first edge carries
+    `first_mark` at the source. Leaving an inner node t is legal through a
+    collider when t is in collider_set, and otherwise when t is in allowed."""
     flows = g.flows
+    states = set()
+    stack = []
+    for o, mh, mo, _e in flows(source):
+        if first_mark is None or mh == first_mark:
+            state = (o, mo == HEAD)
+            if state not in states:
+                states.add(state)
+                stack.append(state)
+    while stack:
+        t, arrived_head = stack.pop()
+        tail_ok = t in allowed
+        head_ok = t in collider_set if arrived_head else tail_ok
+        if not (head_ok or tail_ok):
+            continue
+        for o, mh, mo, _e in flows(t):
+            if head_ok if mh == HEAD else tail_ok:
+                state = (o, mo == HEAD)
+                if state not in states:
+                    states.add(state)
+                    stack.append(state)
+    return states
 
-    def rec(t, arrived_head, visited, nodes, edges, flags):
+
+def _paths(g: MixedGraph, source, target, collider_set, allowed):
+    """Every m-connecting simple path from source to target as (nodes,
+    edges) tuples, depth-first in canonical edge order. Same step rule as
+    `_walk`; a node that no edge may leave is never entered."""
+    flows = g.flows
+    nodes, edges, visited = [source], [], {source}
+
+    def rec(t, head_ok, tail_ok):
         for o, mh, mo, e in flows(t):
-            if o in visited:
+            if o in visited or not (head_ok if mh == HEAD else tail_ok):
                 continue
-            if t != source:
-                is_coll = arrived_head and mh == HEAD
-                if is_coll:
-                    if t not in collider_set:
-                        continue
-                elif allowed is not None:
-                    if t not in allowed:
-                        continue
-                elif t in blocked:
-                    continue
-                new_flags = flags + (is_coll,)
-            else:
-                new_flags = flags
-            new_nodes = nodes + (o,)
-            new_edges = edges + (e,)
+            nodes.append(o)
+            edges.append(e)
             if o == target:
-                yield PathWitness(new_nodes, new_edges, new_flags)
+                yield tuple(nodes), tuple(edges)
             else:
-                visited.add(o)
-                yield from rec(o, mo == HEAD, visited, new_nodes, new_edges, new_flags)
-                visited.discard(o)
+                o_tail = o in allowed
+                o_head = o in collider_set if mo == HEAD else o_tail
+                if o_head or o_tail:
+                    visited.add(o)
+                    yield from rec(o, o_head, o_tail)
+                    visited.discard(o)
+            nodes.pop()
+            edges.pop()
 
-    yield from rec(source, False, {source}, (source,), (), ())
+    yield from rec(source, True, True)
+
+
+def _connected(g: MixedGraph, source, targets, collider_set, allowed):
+    """The targets that some m-connecting path joins to source, in sorted
+    order: walk hits, each re-checked by `_paths` unless g is ribbonless."""
+    reached = {node for node, _head in _walk(g, source, collider_set, allowed)}
+    exact = g.is_ribbonless
+    for t in sorted(targets):
+        if t in reached and (
+            exact
+            or next(_paths(g, source, t, collider_set, allowed), None) is not None
+        ):
+            yield t
 
 
 def _query_sets(g: MixedGraph, query: ConnectionQuery):
@@ -166,36 +167,21 @@ def _query_sets(g: MixedGraph, query: ConnectionQuery):
 def connecting_path_exists(g: MixedGraph, query: ConnectionQuery) -> bool:
     """Whether some path m-connects source and target given the query sets."""
     collider_set = _query_sets(g, query)
-    allowed = query.allowed_noncolliders
-    if query.target not in _walk_reach(g, query.source, collider_set, allowed, None):
-        return False
-    if g.is_ribbonless:
-        return True
-    paths = _iter_paths(g, query.source, query.target, collider_set, allowed, None)
-    return next(iter(paths), None) is not None
+    hits = _connected(
+        g, query.source, (query.target,), collider_set, query.allowed_noncolliders
+    )
+    return next(hits, None) is not None
 
 
 def enumerate_connecting_paths(
     g: MixedGraph, query: ConnectionQuery, limit: int = 1_000_000
-) -> PathEnumeration:
-    """Exhaustive oracle: all m-connecting simple paths, truncated at limit."""
+) -> tuple:
+    """Exhaustive oracle: the first `limit` m-connecting simple paths."""
     collider_set = _query_sets(g, query)
-    out = []
-    truncated = False
-    for witness in _iter_paths(
-        g, query.source, query.target, collider_set, query.allowed_noncolliders, None
-    ):
-        if len(out) >= limit:
-            truncated = True
-            break
-        out.append(witness)
-    return PathEnumeration(tuple(out), truncated)
-
-
-def _pair_path_connected(g, a, b, collider_set, allowed, blocked):
-    return next(
-        iter(_iter_paths(g, a, b, collider_set, allowed, blocked)), None
-    ) is not None
+    paths = _paths(
+        g, query.source, query.target, collider_set, query.allowed_noncolliders
+    )
+    return tuple(PathWitness(nodes, edges) for nodes, edges in islice(paths, limit))
 
 
 def m_separated(g: MixedGraph, A, B, C) -> bool:
@@ -208,51 +194,11 @@ def m_separated(g: MixedGraph, A, B, C) -> bool:
     if not A or not B:
         return True
     collider_set = C | g.ancestors(C)
-    allowed_paper = g.node_set - A - B - C
-    ribbonless = g.is_ribbonless
-    for a in sorted(A):
-        reached = _walk_reach(g, a, collider_set, None, C)
-        hits = reached & B
-        if not hits:
-            continue
-        if ribbonless:
-            return False
-        for b in sorted(hits):
-            if _pair_path_connected(g, a, b, collider_set, allowed_paper, None):
-                return False
-    return True
-
-
-def _walk_signature_reach(g, source, first_mark, collider_set, allowed):
-    """Arrival marks realized at each node by m-connecting walks out of
-    source whose first edge carries `first_mark` at the source."""
-    arrivals = {}
-    seen = set()
-    frontier = []
-    for o, mh, mo, _e in g.flows(source):
-        if mh != first_mark:
-            continue
-        arrivals.setdefault(o, set()).add(mo)
-        state = (o, mo == HEAD)
-        if state not in seen:
-            seen.add(state)
-            frontier.append(state)
-    while frontier:
-        nxt = []
-        for t, arrived_head in frontier:
-            for o, mh, mo, _e in g.flows(t):
-                if arrived_head and mh == HEAD:
-                    if t not in collider_set:
-                        continue
-                elif t not in allowed:
-                    continue
-                arrivals.setdefault(o, set()).add(mo)
-                state = (o, mo == HEAD)
-                if state not in seen:
-                    seen.add(state)
-                    nxt.append(state)
-        frontier = nxt
-    return arrivals
+    allowed = g.node_set - A - B - C
+    return not any(
+        next(_connected(g, a, B, collider_set, allowed), None) is not None
+        for a in sorted(A)
+    )
 
 
 def endpoint_identical_connection(g: MixedGraph, i, j, M, C) -> frozenset:
@@ -275,9 +221,10 @@ def endpoint_identical_connection(g: MixedGraph, i, j, M, C) -> frozenset:
     collider_set = C | g.ancestors(C)
     signatures = set()
     for first in (TAIL, HEAD):
-        arrivals = _walk_signature_reach(g, i, first, collider_set, M)
-        for mark in arrivals.get(j, ()):
-            signatures.add((first, mark))
+        states = _walk(g, i, collider_set, M, first)
+        for mark in (TAIL, HEAD):
+            if (j, mark == HEAD) in states:
+                signatures.add((first, mark))
     return frozenset(signatures)
 
 

@@ -29,6 +29,7 @@ from .core import (
     arrow,
     edge_sort_key,
     line,
+    reach,
     signature_edge,
 )
 
@@ -118,20 +119,6 @@ def _edge_role(e: Edge, at):
     return "IN" if e.b == at else "OUT"
 
 
-def _ancestors_in(parents, seeds):
-    seen = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for p in parents.get(t, ()):
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return seen
-
-
 def _incidence(nodes, edges):
     inc = {n: [] for n in nodes}
     for e in edges:
@@ -155,7 +142,7 @@ def table1_closure(h: MixedGraph, spec: ProjectionSpec):
     parents = {n: set(h.parents(n)) for n in nodes}
     trace = []
     while True:
-        enabler = _ancestors_in(parents, spec.cond)
+        enabler = spec.cond | reach(parents, spec.cond)
         candidates = []
         inc = _incidence(nodes, edges)
         for t in nodes:
@@ -273,16 +260,13 @@ def sg_to_ag_traced(h: MixedGraph, force: bool = False):
     parents = {n: set(h.parents(n)) for n in nodes}
     trace = []
 
-    def anc_of(node):
-        return _ancestors_in(parents, parents[node])
-
     while True:
         grew = False
         # collider Vs with an arc towards the endpoint the inner node leads to
         while True:
             candidates = []
             inc = _incidence(nodes, edges)
-            anc = {n: anc_of(n) for n in nodes}
+            anc = {n: reach(parents, (n,)) for n in nodes}
             for k in nodes:
                 head_edges = [e for e in inc[k] if e.mark_at(k) == HEAD]
                 for e1, e2 in itertools.combinations(head_edges, 2):
@@ -322,12 +306,10 @@ def sg_to_ag_traced(h: MixedGraph, force: bool = False):
             for e in sorted(edges, key=edge_sort_key):
                 if e.kind != ARC:
                     continue
-                anc_b = _ancestors_in(parents, (e.b,))
-                if e.a in anc_b:
+                if e.a in reach(parents, (e.b,)):
                     pending = (e, arrow(e.a, e.b))
                     break
-                anc_a = _ancestors_in(parents, (e.a,))
-                if e.b in anc_a:
+                if e.b in reach(parents, (e.a,)):
                     pending = (e, arrow(e.b, e.a))
                     break
             if pending is None:
@@ -345,7 +327,9 @@ def sg_to_ag_traced(h: MixedGraph, force: bool = False):
             break
     result = MixedGraph(nodes, edges)
     if "AG" not in result.class_tags:
-        raise AssertionError("ancestral closure did not reach an ancestral graph")
+        raise NotAncestralGraph(
+            f"the ancestral closure of {h!r} is not an ancestral graph"
+        )
     return result, trace
 
 
@@ -374,19 +358,3 @@ PROJECTORS_TRACED = {
     "sg": project_sg_traced,
     "ag": project_ag_traced,
 }
-
-
-def rg_to_sg_heuristic(h: MixedGraph) -> MixedGraph:
-    """Experimental: summary graph for an RG without knowing the generating
-    DAG, by stripping arrowheads pointing at line endpoints, at nodes on
-    direction-preserving cycles (cycles must dissolve for the output to be a
-    summary graph at all), or at ancestors of either, to fixpoint. Validated
-    by model equality only."""
-    g = h
-    while True:
-        ends = {n for n in g.nodes if g.neighbours(n)} | set(g.cycle_nodes)
-        targets = ends | g.ancestors(ends)
-        nxt = rg_to_sg(g, targets)
-        if nxt == g:
-            return g
-        g = nxt

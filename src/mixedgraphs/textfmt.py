@@ -17,13 +17,13 @@ endpoints) and byte-stable, regardless of input order.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, replace
 
 from .core import (
     ARC,
     ARROW,
     LINE,
+    _LABEL_RE,
     Edge,
     MixedGraph,
     MixedGraphError,
@@ -32,7 +32,6 @@ from .core import (
 )
 
 _TOKEN_KIND = {"->": ARROW, "<->": ARC, "--": LINE}
-_LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
 class ParseError(MixedGraphError):

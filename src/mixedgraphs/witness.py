@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .core import (
     ARC,
     ARROW,
-    HEAD,
     LINE,
     Edge,
     MixedGraph,
@@ -27,11 +26,12 @@ from .core import (
     arrow,
     edge_sort_key,
     line,
+    reach,
     signature_edge,
 )
 from .core import MixedGraphError
 from .independence import TooLarge
-from .msep import m_separated
+from .msep import _paths, m_separated
 from .project import NotRibbonless, ProjectionSpec
 
 
@@ -106,18 +106,8 @@ def _smallest_cycle_arrow(arrows):
         children.setdefault(t, set()).add(h)
         children.setdefault(h, set())
     for t, h in sorted(arrows):
-        seen = set()
-        frontier = [h]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for c in children[x]:
-                    if c == t:
-                        return (t, h)
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-            frontier = nxt
+        if t in reach(children, (h,)):
+            return (t, h)
     return None
 
 
@@ -198,33 +188,10 @@ def _iter_pips(g: MixedGraph):
     nodes = g.nodes
     for pos, i in enumerate(nodes):
         for j in nodes[pos + 1 :]:
-            if g.adjacent(i, j):
-                continue
-            anc = g.ancestors({i, j})
-            yield from _pip_dfs(g, i, j, anc)
-
-
-def _pip_dfs(g, start, goal, anc):
-    flows = g.flows
-
-    def rec(t, arrived_head, visited, nodes, edges):
-        for o, mh, mo, e in flows(t):
-            if o in visited:
-                continue
-            if t != start:
-                if not (arrived_head and mh == HEAD and t in anc):
-                    continue
-            if o == goal:
-                if len(nodes) >= 2:
-                    yield PrimitiveInducingPath(nodes + (o,), edges + (e,))
-                continue
-            if mo != HEAD:
-                continue  # next inner node must be a collider
-            visited.add(o)
-            yield from rec(o, True, visited, nodes + (o,), edges + (e,))
-            visited.discard(o)
-
-    yield from rec(start, False, {start}, (start,), ())
+            if not g.adjacent(i, j):
+                anc = g.ancestors({i, j})
+                for path in _paths(g, i, j, anc, frozenset()):
+                    yield PrimitiveInducingPath(*path)
 
 
 def primitive_inducing_paths(g: MixedGraph) -> list:

@@ -12,7 +12,6 @@ from collections import defaultdict
 
 from mixedgraphs.core import ARROW, MixedGraph, arc, arrow, line
 from mixedgraphs.independence import independence_model
-from mixedgraphs.msep import ConnectionQuery, enumerate_connecting_paths
 from mixedgraphs.project import ProjectionSpec
 
 
@@ -94,11 +93,87 @@ def moral_separated(dag: MixedGraph, A, B, C):
     return not (seen & B)
 
 
+def _mark(e, v):
+    """'head' or 'tail': how edge e meets its endpoint v."""
+    if e.kind == "line":
+        return "tail"
+    if e.kind == "arc":
+        return "head"
+    return "head" if v == e.b else "tail"
+
+
+def _ancestors(g, targets):
+    """an(targets) by repeated scans of the arrow list."""
+    anc = set()
+    grew = True
+    while grew:
+        grew = False
+        for e in g.edges:
+            if e.kind == ARROW and (e.b in targets or e.b in anc) and e.a not in anc:
+                anc.add(e.a)
+                grew = True
+    return anc
+
+
+def simple_paths(g, a, b):
+    """Every simple path from a to b as (nodes, edges), straight from the
+    edge set: no library traversal is involved."""
+    incident = defaultdict(list)
+    for e in sorted(g.edges):
+        incident[e.a].append((e.b, e))
+        incident[e.b].append((e.a, e))
+    out = []
+
+    def extend(nodes, edges):
+        if nodes[-1] == b:
+            out.append((nodes, edges))
+            return
+        for o, e in incident[nodes[-1]]:
+            if o not in nodes:
+                extend(nodes + (o,), edges + (e,))
+
+    extend((a,), ())
+    return out
+
+
+def _is_collider(nodes, edges, k):
+    return _mark(edges[k - 1], nodes[k]) == "head" and _mark(edges[k], nodes[k]) == "head"
+
+
+def connecting_paths(g, a, b, M, C):
+    """The simple a-b paths whose collider inner nodes lie in C ∪ an(C) and
+    whose other inner nodes lie in M."""
+    enablers = set(C) | _ancestors(g, set(C))
+    return [
+        (nodes, edges)
+        for nodes, edges in simple_paths(g, a, b)
+        if all(
+            nodes[k] in (enablers if _is_collider(nodes, edges, k) else M)
+            for k in range(1, len(nodes) - 1)
+        )
+    ]
+
+
+def primitive_inducing_paths_oracle(g):
+    """Every path between non-adjacent i < j whose inner nodes are all
+    colliders and ancestors of i or j, as (nodes, edges)."""
+    out = []
+    for i, j in itertools.combinations(g.nodes, 2):
+        if any({e.a, e.b} == {i, j} for e in g.edges):
+            continue
+        anc = _ancestors(g, {i, j})
+        for nodes, edges in simple_paths(g, i, j):
+            if all(
+                _is_collider(nodes, edges, k) and nodes[k] in anc
+                for k in range(1, len(nodes) - 1)
+            ):
+                out.append((nodes, edges))
+    return out
+
+
 def path_connects(g, a, b, M, C):
     """Strict simple-path m-connection with an explicit non-collider set."""
-    return bool(
-        enumerate_connecting_paths(g, ConnectionQuery(a, b, frozenset(M), frozenset(C)), limit=1)
-    )
+    return bool(connecting_paths(g, a, b, set(M), set(C)))
 
 
 def pairwise_path_separated_paper(g, A, B, C):
@@ -117,11 +192,10 @@ def pairwise_path_separated_loose(g, A, B, C):
 def path_signatures(g, i, j, M, C):
     """End-mark signatures over strict simple paths (the reading under which
     the edge characterization is *not* exact on multi-edge graphs)."""
-    query = ConnectionQuery(i, j, frozenset(M), frozenset(C))
-    sigs = set()
-    for w in enumerate_connecting_paths(g, query):
-        sigs.add((w.edges[0].mark_at(i), w.edges[-1].mark_at(j)))
-    return frozenset(sigs)
+    return frozenset(
+        (_mark(edges[0], i), _mark(edges[-1], j))
+        for _nodes, edges in connecting_paths(g, i, j, set(M), set(C))
+    )
 
 
 def replay_trace(graph: MixedGraph, spec: ProjectionSpec, trace):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mixedgraphs
 from mixedgraphs.cli import main
 from mixedgraphs.independence import model_from_json
 from mixedgraphs.textfmt import parse_graph
@@ -282,3 +286,22 @@ def test_flags_override_file_marks_with_warning(tmp_path, capsys):
     code, out, err = run(capsys, "project", f, "--type", "rg")
     assert (code, err) == (0, "")
     assert out == "nodes: 2 3\n2 -- 3\n3 -> 2\n"
+
+
+def test_forced_ag_projection_failure_is_a_domain_error(tmp_path):
+    # a line meeting an arrowhead is outside the SG class, so the forced
+    # ancestral closure cannot land in AG; that must be a domain error (exit
+    # 3), not an internal assertion escaping as a traceback
+    f = tmp_path / "g.mg"
+    f.write_text("a -- b\na -> b\n", encoding="utf-8")
+    src = Path(mixedgraphs.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixedgraphs.cli", "project", str(f), "--type", "ag", "--force"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "NotAncestralGraph" in proc.stderr
+    assert "Traceback" not in proc.stderr

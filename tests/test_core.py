@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 
 from mixedgraphs.core import (
     LoopEdge,
+    MixedGraph,
     RibbonReport,
     UnknownNode,
     arc,
     arrow,
     classify,
-    direction_preserving_cycles,
-    find_ribbons,
-    graph_equal,
     line,
-    make_graph,
 )
 from mixedgraphs.generators import random_lmg
 
@@ -24,24 +21,24 @@ from .helpers import mk
 
 
 def test_make_graph_basic():
-    g = make_graph({"a", "b"}, [arrow("a", "b")])
+    g = MixedGraph({"a", "b"}, [arrow("a", "b")])
     assert g.nodes == ("a", "b")
     assert g.edges == frozenset({arrow("a", "b")})
 
 
 def test_make_graph_dedups_repeated_edge():
-    g = make_graph({"a", "b"}, [arrow("a", "b"), arrow("a", "b")])
+    g = MixedGraph({"a", "b"}, [arrow("a", "b"), arrow("a", "b")])
     assert len(g.edges) == 1
 
 
 def test_make_graph_rejects_loop():
     with pytest.raises(LoopEdge):
-        make_graph({"a"}, [arrow("a", "a")])
+        MixedGraph({"a"}, [arrow("a", "a")])
 
 
 def test_make_graph_rejects_unknown_endpoint():
     with pytest.raises(UnknownNode):
-        make_graph({"a"}, [arrow("a", "b")])
+        MixedGraph({"a"}, [arrow("a", "b")])
 
 
 def test_symmetric_edges_are_canonicalized():
@@ -65,7 +62,7 @@ def test_two_cycle_parents():
 
 
 def test_isolated_node_has_empty_sets():
-    g = make_graph({"a"})
+    g = MixedGraph({"a"})
     assert g.parents("a") == g.neighbours("a") == g.spouses("a") == frozenset()
 
 
@@ -91,49 +88,49 @@ def test_ancestors_on_directed_cycle_meet_targets():
 
 
 def test_direction_preserving_cycles():
-    assert direction_preserving_cycles(mk("a -> b\nb -> c")) == frozenset()
-    assert direction_preserving_cycles(mk("a -> b\nb -> a")) == {"a", "b"}
+    assert mk("a -> b\nb -> c").cycle_nodes == frozenset()
+    assert mk("a -> b\nb -> a").cycle_nodes == {"a", "b"}
     g = mk("a -> b\nb -> c\nc -> a\nd -> a")
-    assert direction_preserving_cycles(g) == {"a", "b", "c"}
+    assert g.cycle_nodes == {"a", "b", "c"}
 
 
 def test_induced_subgraph():
     g = mk("a -> b\nb -> c")
     assert g.induced_subgraph({"a", "b"}) == mk("a -> b")
-    assert g.induced_subgraph(set()) == make_graph(set())
+    assert g.induced_subgraph(set()) == MixedGraph(set())
     h = mk("a <-> b\na -- c")
     assert h.induced_subgraph({"a", "c"}) == mk("a -- c")
 
 
 def test_graph_equality_is_labeled():
-    assert graph_equal(mk("a -> b"), mk("a -> b"))
-    assert not graph_equal(mk("a -> b"), mk("b -> a"))
+    assert mk("a -> b") == mk("a -> b")
+    assert mk("a -> b") != mk("b -> a")
     # isomorphic but differently labeled graphs are not equal
-    g1 = make_graph({"a", "b", "c"}, [arrow("a", "b")])
-    g2 = make_graph({"a", "b", "c"}, [arrow("a", "c")])
-    assert not graph_equal(g1, g2)
+    g1 = MixedGraph({"a", "b", "c"}, [arrow("a", "b")])
+    g2 = MixedGraph({"a", "b", "c"}, [arrow("a", "c")])
+    assert g1 != g2
 
 
 def test_ribbon_detected():
     g = mk("h -> i\nj -> i\ni -- k")
-    reports = find_ribbons(g)
+    reports = g.ribbons
     assert [(r.h, r.inner, r.j) for r in reports] == [("h", "i", "j")]
     assert reports[0] == RibbonReport("h", "i", "j", "line", "i")
 
 
 def test_ribbon_blocked_by_endpoint_identical_line():
     g = mk("h -> i\nj -> i\ni -- k\nh -- j")
-    assert find_ribbons(g) == ()
+    assert g.ribbons == ()
 
 
 def test_dag_has_no_ribbons():
     g = mk("a -> b\nb -> c\na -> c")
-    assert find_ribbons(g) == ()
+    assert g.ribbons == ()
 
 
 def test_ribbon_via_cycle_witness():
     g = mk("h -> i\nj -> i\ni -> d\nd -> i")
-    reports = find_ribbons(g)
+    reports = g.ribbons
     assert any(r.witness_kind == "cycle" for r in reports)
 
 
@@ -156,7 +153,7 @@ def test_classify_dag_chain():
 
 
 def test_classify_empty_graph_is_in_every_class():
-    assert classify(make_graph({"a", "b"})) == {
+    assert classify(MixedGraph({"a", "b"})) == {
         "LMG",
         "UG",
         "BG",
@@ -190,7 +187,7 @@ def build(edge_specs):
         if x == y:
             continue
         edges.append({"line": line, "arc": arc, "arrow": arrow}[kind](x, y))
-    return make_graph(nodes, edges)
+    return MixedGraph(nodes, edges)
 
 
 @given(st.lists(edge_strategy, max_size=14), st.sets(names), st.sets(names))
@@ -210,7 +207,7 @@ def test_dag_tag_iff_arrows_only_acyclic(edge_specs):
 
 
 def _bruteforce_ribbons(g):
-    """Ribbons straight from the definition, independent of find_ribbons:
+    """Ribbons straight from the definition, independent of MixedGraph.ribbons:
     scan ordered triples, classify the V by raw mark lookup, then check the
     endpoint-identical blocker and the descendant witness by exhaustion."""
     found = set()
@@ -245,7 +242,7 @@ def test_find_ribbons_matches_bruteforce():
     for _ in range(300):
         g = random_lmg(rng, rng.randint(2, 6), p=rng.uniform(0.05, 0.35))
         got = {
-            (r.inner, frozenset((r.h, r.j))) for r in find_ribbons(g)
+            (r.inner, frozenset((r.h, r.j))) for r in g.ribbons
         }
         want = {(t, pair) for t, pair, _k1, _k2 in _bruteforce_ribbons(g)}
         assert got == want, g
@@ -261,4 +258,4 @@ def test_classify_consistency_on_random_lmgs():
             assert "SG" in tags
         if "SG" in tags:
             assert "RG" in tags
-        assert ("RG" in tags) == (not find_ribbons(g))
+        assert ("RG" in tags) == (not g.ribbons)

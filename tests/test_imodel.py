@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mixedgraphs.core import make_graph
+from mixedgraphs.core import MixedGraph
 from mixedgraphs.generators import random_lmg, random_spec
 from mixedgraphs.independence import (
     GroundMismatch,
@@ -44,7 +44,7 @@ def test_statement_requires_disjoint_sides():
 
 
 def test_model_of_two_isolated_nodes():
-    g = make_graph({"a", "b"})
+    g = MixedGraph({"a", "b"})
     assert independence_model(g).statements == {S("a", "b")}
 
 
@@ -58,7 +58,7 @@ def test_model_of_collider():
 
 
 def test_model_enumeration_bound():
-    g = make_graph({f"n{k}" for k in range(9)})
+    g = MixedGraph({f"n{k}" for k in range(9)})
     with pytest.raises(TooLarge):
         independence_model(g)
     assert len(independence_model(g, limit=9).ground) == 9

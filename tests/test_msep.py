@@ -15,11 +15,17 @@ from mixedgraphs.msep import (
     m_separated,
 )
 
+from mixedgraphs.witness import primitive_inducing_paths
+
 from .helpers import (
+    all_mixed_graphs,
+    connecting_paths,
     mk,
     moral_separated,
     pairwise_path_separated_loose,
     pairwise_path_separated_paper,
+    path_connects,
+    primitive_inducing_paths_oracle,
 )
 
 
@@ -56,8 +62,8 @@ def test_enumerate_chain():
     g = mk("a -> m\nm -> b")
     result = enumerate_connecting_paths(g, q("a", "b", M={"m"}))
     assert [w.nodes for w in result] == [("a", "m", "b")]
-    assert result.paths[0].colliders == (False,)
-    assert not result.truncated
+    assert result[0].colliders == (False,)
+    assert len(enumerate_connecting_paths(g, q("a", "b", M={"m"}), limit=2)) == 1
 
 
 def test_enumerate_blocked_collider_is_empty():
@@ -67,7 +73,7 @@ def test_enumerate_blocked_collider_is_empty():
 
 def test_witness_collider_flags():
     g = mk("a -> c\nb -> c")
-    (w,) = enumerate_connecting_paths(g, q("a", "b", C={"c"})).paths
+    (w,) = enumerate_connecting_paths(g, q("a", "b", C={"c"}))
     assert w.nodes == ("a", "c", "b")
     assert w.colliders == (True,)
 
@@ -80,8 +86,10 @@ def test_enumerate_two_parallel_routes():
 
 def test_enumerate_respects_limit():
     g = mk("a -> m1\nm1 -> b\na -> m2\nm2 -> b")
-    result = enumerate_connecting_paths(g, q("a", "b", M={"m1", "m2"}), limit=1)
-    assert len(result) == 1 and result.truncated
+    query = q("a", "b", M={"m1", "m2"})
+    everything = enumerate_connecting_paths(g, query)
+    assert len(everything) == 2
+    assert enumerate_connecting_paths(g, query, limit=1) == everything[:1]
 
 
 def test_m_separated_chain():
@@ -207,5 +215,30 @@ def test_signature_validation():
 
 def test_witness_render():
     g = mk("a -> m\nm -> b")
-    w = enumerate_connecting_paths(g, q("a", "b", M={"m"})).paths[0]
+    w = enumerate_connecting_paths(g, q("a", "b", M={"m"}))[0]
     assert w.render() == "a -> m -> b"
+
+
+def test_every_three_node_multigraph_matches_definition_oracles():
+    # the helpers enumerate paths from the edge set alone, so this checks the
+    # walk kernel and the simple-path DFS against the definitions on all
+    # 4,096 three-node multigraphs
+    for g in all_mixed_graphs(("a", "b", "c"), multi=True):
+        pips = sorted((p.nodes, p.edges) for p in primitive_inducing_paths(g))
+        assert pips == sorted(primitive_inducing_paths_oracle(g)), g
+        for s, t in itertools.combinations(g.nodes, 2):
+            (x,) = set(g.nodes) - {s, t}
+            connects = {}
+            for M, C in (((), ()), ((x,), ()), ((), (x,))):
+                query = q(s, t, M, C)
+                want = sorted(connecting_paths(g, s, t, set(M), set(C)))
+                got = sorted((w.nodes, w.edges) for w in enumerate_connecting_paths(g, query))
+                assert got == want, (g, s, t, M, C)
+                assert connecting_path_exists(g, query) == bool(want), (g, s, t, M, C)
+                connects[M, C] = bool(want)
+            # m-separation of a pair allows exactly the other nodes as
+            # non-colliders
+            assert m_separated(g, {s}, {t}, ()) != connects[(x,), ()], g
+            assert m_separated(g, {s}, {t}, {x}) != connects[(), (x,)], g
+            joint = connects[(), ()] or path_connects(g, s, x, (), ())
+            assert m_separated(g, {s}, {t, x}, ()) != joint, g

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from mixedgraphs.core import arc, arrow, classify, line, make_graph
+from mixedgraphs.core import MixedGraph, arc, arrow, classify, line
 from mixedgraphs.generators import random_dag, random_rg, random_spec
-from mixedgraphs.independence import independence_model, model_equal
 from mixedgraphs.msep import endpoint_identical_connection, signature_edges
 from mixedgraphs.project import (
     NotAncestralGraph,
@@ -20,7 +19,6 @@ from mixedgraphs.project import (
     project_sg_traced,
     render_trace,
     rg_to_sg,
-    rg_to_sg_heuristic,
     sg_to_ag,
     table1_closure,
 )
@@ -263,7 +261,7 @@ def test_closure_walk_signature_divergence_regression():
     g = mk("a <-> d\nb <-> d\na -> b\nd -> a\nd -> e\ne -> b")
     assert "RG" in classify(g)
     s = spec(marg={"c"}, cond={"a"})
-    g = make_graph(set(g.nodes) | {"c"}, g.edges)
+    g = MixedGraph(set(g.nodes) | {"c"}, g.edges)
     out = project_rg(g, s)
     assert arrow("d", "b") in out.edges
     walk_sigs = endpoint_identical_connection(g, "b", "d", {"c"}, {"a"})
@@ -312,11 +310,3 @@ def test_separation_stability_theorems():
             right = m_separated(g, A, B, s.cond | C1)
             assert left == right, (cls, g, s, A, B, C1)
 
-
-def test_rg_to_sg_heuristic_preserves_model_and_lands_in_sg():
-    rng = random.Random(15)
-    for _ in range(150):
-        g = random_rg(rng, rng.randint(2, 6))
-        h = rg_to_sg_heuristic(g)
-        assert "SG" in classify(h), (g, h)
-        assert model_equal(independence_model(g), independence_model(h)), (g, h)

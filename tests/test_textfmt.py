@@ -111,7 +111,7 @@ raw_edges = st.lists(
 
 @given(raw_edges)
 def test_serialization_is_canonical_for_any_graph(specs):
-    from mixedgraphs.core import make_graph
+    from mixedgraphs.core import MixedGraph
 
     edges = []
     for token, x, y in specs:
@@ -119,7 +119,7 @@ def test_serialization_is_canonical_for_any_graph(specs):
             continue
         kind = {"--": line, "<->": arc, "->": arrow}[token]
         edges.append(kind(x, y))
-    g = make_graph(set("abcde"), edges)
+    g = MixedGraph(set("abcde"), edges)
     text = serialize(g)
     assert serialize(parse_graph(text).graph()) == text
 

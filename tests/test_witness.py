@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mixedgraphs.core import arc, arrow, classify, line, make_graph
+from mixedgraphs.core import MixedGraph, arc, arrow, classify, line
 from mixedgraphs.generators import random_rg, random_sg
 from mixedgraphs.independence import independence_model, model_equal
 from mixedgraphs.msep import m_separated
@@ -138,7 +138,7 @@ def test_ag_round_trip_random():
 
 def test_no_pips_in_complete_graph():
     nodes = "abc"
-    g = make_graph(set(nodes), [arrow(x, y) for x, y in itertools.combinations(nodes, 2)])
+    g = MixedGraph(set(nodes), [arrow(x, y) for x, y in itertools.combinations(nodes, 2)])
     assert primitive_inducing_paths(g) == []
     assert is_maximal(g)
 
@@ -228,10 +228,10 @@ def test_pip_criterion_fails_off_the_ribbonless_class():
 
 
 def test_literal_check_bound():
-    from mixedgraphs.core import make_graph
+    from mixedgraphs.core import MixedGraph
     from mixedgraphs.independence import TooLarge
 
-    g = make_graph({f"n{k}" for k in range(9)})
+    g = MixedGraph({f"n{k}" for k in range(9)})
     with pytest.raises(TooLarge):
         is_maximal_literal(g)
     assert is_maximal_literal(g, limit=9)
