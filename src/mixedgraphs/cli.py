@@ -18,6 +18,7 @@ from .msep import ConnectionQuery, enumerate_connecting_paths, m_separated
 from .project import PROJECTORS_TRACED, ProjectionSpec, render_trace
 from .suites import SUITES
 from .textfmt import (
+    ParseError,
     document_for,
     document_to_json,
     parse_graph,
@@ -28,8 +29,25 @@ from .witness import dagify, maximalize
 
 
 def _load(path):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        before = exc.object[: exc.start]
+        bad = exc.object[exc.start]
+        lineno = before.count(b"\n") + 1
+        col = len(before) - before.rfind(b"\n")
+        raise ParseError(f"invalid UTF-8 byte 0x{bad:02x}", lineno, col) from None
     return parse_graph(text, name=Path(path).stem)
+
+
+def _non_negative(value):
+    try:
+        count = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative: {count}")
+    return count
 
 
 def _csv(value):
@@ -175,7 +193,11 @@ def build_parser():
     p.add_argument("--type", required=True, choices=["rg", "sg", "ag"])
     p.add_argument("--marg", help="comma-separated marginalised nodes")
     p.add_argument("--cond", help="comma-separated conditioned nodes")
-    p.add_argument("--trace", action="store_true", help="emit closure trace to stderr")
+    p.add_argument(
+        "--trace",
+        action="store_true",
+        help="emit to stderr the Table-1 step behind each generated edge",
+    )
     p.add_argument("--force", action="store_true", help="skip the class gate")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of graph text")
     p.add_argument("--json", action="store_true", help="emit the graph as JSON")
@@ -222,7 +244,7 @@ def build_parser():
         required=True,
         choices=["stability", "composition", "correspondence", "lemma1", "maximality"],
     )
-    p.add_argument("--seeds", type=int, default=20)
+    p.add_argument("--seeds", type=_non_negative, default=20)
     p.set_defaults(func=_cmd_check)
 
     return parser

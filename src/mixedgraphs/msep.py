@@ -9,7 +9,8 @@ Every query runs on two kernels over the same step rule:
   concatenation only shortcuts through configurations that ribbonlessness
   forces to carry an endpoint-identical edge), so the walk verdict is exact
   there, in time linear in the edges. Its arrival marks are also the Lemma-1
-  connection signatures.
+  connection signatures, from which `project` builds the projections of
+  ribbonless graphs.
 - `_paths` enumerates simple paths depth-first. On other graphs walks can
   over-connect — e.g. a->t<-b with a line t--x admits the walk
   a->t--x--t<-b but no connecting path — so `_connected` re-checks each
@@ -89,18 +90,23 @@ def _walk(g: MixedGraph, source, collider_set, allowed, first_mark=None):
     """Every state (node, arrived with a head) that an m-connecting walk out
     of source reaches, optionally only walks whose first edge carries
     `first_mark` at the source. Leaving an inner node t is legal through a
-    collider when t is in collider_set, and otherwise when t is in allowed."""
+    collider when t is in collider_set, and otherwise when t is in allowed.
+
+    Returns {state: predecessor}: the state whose step first reached it, or
+    None for a state one edge from the source. The walk may re-enter the
+    source as an inner node."""
     flows = g.flows
-    states = set()
+    reached = {}
     stack = []
     for o, mh, mo, _e in flows(source):
         if first_mark is None or mh == first_mark:
             state = (o, mo == HEAD)
-            if state not in states:
-                states.add(state)
+            if state not in reached:
+                reached[state] = None
                 stack.append(state)
     while stack:
-        t, arrived_head = stack.pop()
+        here = stack.pop()
+        t, arrived_head = here
         tail_ok = t in allowed
         head_ok = t in collider_set if arrived_head else tail_ok
         if not (head_ok or tail_ok):
@@ -108,10 +114,10 @@ def _walk(g: MixedGraph, source, collider_set, allowed, first_mark=None):
         for o, mh, mo, _e in flows(t):
             if head_ok if mh == HEAD else tail_ok:
                 state = (o, mo == HEAD)
-                if state not in states:
-                    states.add(state)
+                if state not in reached:
+                    reached[state] = here
                     stack.append(state)
-    return states
+    return reached
 
 
 def _paths(g: MixedGraph, source, target, collider_set, allowed):
@@ -215,6 +221,8 @@ def endpoint_identical_connection(g: MixedGraph, i, j, M, C) -> frozenset:
     M, C = frozenset(M), frozenset(C)
     if M & C:
         raise NotDisjoint("M and C must be disjoint")
+    if i == j:
+        raise OverlapError("endpoints must differ")
     if {i, j} & (M | C):
         raise OverlapError("endpoints may not lie in M or C")
     g._check_nodes({i, j} | M | C)

@@ -1,13 +1,22 @@
 """Latent projection: the RG/SG/AG generating functions.
 
-All three are fixpoint closures. The common first stage generates, for every
-V-configuration whose inner node is marginalised (non-collider case) or lies
-in C ∪ an(C) (collider case), the endpoint-identical edge between the V's
-endpoints, repeating until stable; an(C) is recomputed as edges are added,
-since generated arrows can create new ancestors of C. Nodes in M ∪ C are
-then removed. The summary-graph stage strips arrowheads pointing into the
-surviving part of an(C); the ancestral stage resolves arcs whose endpoint is
-an ancestor of the other end.
+All three share a first stage that generates, for every V-configuration
+whose inner node is marginalised (non-collider case) or lies in C ∪ an(C)
+(collider case), the endpoint-identical edge between the V's endpoints,
+repeating until stable, and then removes the nodes in M ∪ C. The
+summary-graph stage strips arrowheads pointing into the surviving part of
+an(C), taken in the closed graph; the ancestral stage resolves arcs whose
+endpoint is an ancestor of the other end.
+
+On ribbonless inputs the first stage runs by Lemma 1: the closure joins two
+survivors by an edge with end marks (m_i, m_j) exactly when some
+m-connecting walk between them has those end marks and is a single edge or
+passes a third node. So one `msep._walk` search per survivor and first
+mark yields the surviving edges, the survivors in an(C) and, for the trace,
+the Table-1 step behind each generated edge. `table1_closure`, the fixpoint
+itself, is the route for forced inputs that are not ribbonless, where walks
+and the closure can differ, and for the rare ribbonless input whose search
+cannot show a third node for some edge. It is also the tests' oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from .core import (
     ARROW,
     HEAD,
     LINE,
+    TAIL,
     Edge,
     MixedGraph,
     MixedGraphError,
@@ -32,6 +42,7 @@ from .core import (
     reach,
     signature_edge,
 )
+from .msep import _walk
 
 
 class SpecInvalid(MixedGraphError):
@@ -134,7 +145,9 @@ def table1_closure(h: MixedGraph, spec: ProjectionSpec):
 
     Returns (closed graph, trace). Scan order is (rule id, inner node,
     endpoints); the fixpoint itself is order-independent because adding an
-    edge never destroys a V.
+    edge never destroys a V. Each round rebuilds the incidence lists and
+    rescans every V, so projections use it only for inputs that are not
+    ribbonless; on the others it is the oracle for the signature route.
     """
     spec.validate_for(h)
     nodes = h.nodes
@@ -185,11 +198,93 @@ def _gate(h, tag, exc, what, force):
         warnings.warn(f"projecting a graph that is not {what}", stacklevel=3)
 
 
+def _witness_step(h: MixedGraph, marg, gen, i, first, pred):
+    """The trace step for an edge generated between i and j, from the search
+    out of i with first mark `first` that stepped to j from the state `pred`
+    (t, arrived with a head): the V <i, t, j> closing the witness walk, whose
+    first edge carries the signature of the walk's prefix to t and whose
+    second edge is in h. None when t is i.
+
+    A walk reduces to one closure edge exactly when it is a single edge or
+    passes a node other than its ends, since Table 1 never joins a node to
+    itself. The walk to j passes t. The prefix to t is the search's first
+    route there, so it is a single edge or passes a third node: a route that
+    bounces from t through i back to t reaches no state that t's first
+    visit did not."""
+    t, t_head = pred
+    if t == i:
+        return None
+    j = gen.other(i)
+    # by the walk's step rule a node of M leaves through either mark, and
+    # any other node as a collider, through a head; a tail at t comes first
+    # because it is legal whenever t is in M
+    last = min(
+        (
+            e
+            for o, mt, mo, e in h.flows(t)
+            if o == j and mo == gen.mark_at(j) and (mt == HEAD or t in marg)
+        ),
+        key=lambda e: e.mark_at(t) == HEAD,
+    )
+    prefix = signature_edge(first, HEAD if t_head else TAIL, i, t)
+    roles = tuple(sorted((_edge_role(prefix, t), _edge_role(last, t))))
+    return TraceStep(f"{_RULE_ID[roles]}", t, gen)
+
+
+def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
+    """Stage one on a ribbonless h by Lemma 1, or None when the searches
+    leave some generated edge without a witness V.
+
+    One walk search per survivor and first mark gives every survivor edge
+    and every arrow from a survivor into C; the survivors in an(C) of the
+    closed graph are those that such arrows lead into C. A walk that only
+    bounces along parallel edges between its ends (i -> j <-> i <- j)
+    carries a signature the closure cannot generate, and such an edge has
+    no witness V."""
+    collider_set = spec.cond | h.ancestors(spec.cond)
+    edges, into_cond, steps = set(), set(), {}
+    for i in sorted(survivors):
+        for first in (TAIL, HEAD):
+            reached = _walk(h, i, collider_set, spec.marg, first)
+            for (j, head), pred in reached.items():
+                if j in survivors and j != i:
+                    gen = signature_edge(first, HEAD if head else TAIL, i, j)
+                    edges.add(gen)
+                    if pred is not None and gen not in steps:
+                        witness = _witness_step(h, spec.marg, gen, i, first, pred)
+                        if witness is not None:
+                            steps[gen] = witness
+                elif head and first == TAIL and j in spec.cond:
+                    into_cond.add(i)
+    generated = sorted(edges - h.edges, key=edge_sort_key)
+    if any(e not in steps for e in generated):
+        return None
+    projected = MixedGraph(survivors, edges)
+    anc_c = into_cond | projected.ancestors(into_cond)
+    return projected, anc_c, [steps[e] for e in generated]
+
+
+def _generate(h: MixedGraph, spec: ProjectionSpec):
+    """Stage one of every projection: (the generated graph on the survivors,
+    the survivors in an(C) of the closed graph, trace). Ribbonless inputs go
+    through the Lemma-1 signatures. Forced other inputs, where walks and the
+    closure can differ, and the rare ribbonless input with an edge that no
+    witness V shows, go through the closure itself."""
+    spec.validate_for(h)
+    survivors = h.node_set - spec.removed
+    if h.is_ribbonless:
+        result = _signature_projection(h, spec, survivors)
+        if result is not None:
+            return result
+    closed, trace = table1_closure(h, spec)
+    anc_c = closed.ancestors(spec.cond) & survivors
+    return closed.induced_subgraph(survivors), anc_c, trace
+
+
 def project_rg_traced(h: MixedGraph, spec: ProjectionSpec, force: bool = False):
     _gate(h, "RG", NotRibbonless, "ribbonless", force)
-    closed, trace = table1_closure(h, spec)
-    survivors = h.node_set - spec.removed
-    return closed.induced_subgraph(survivors), trace
+    projected, _anc_c, trace = _generate(h, spec)
+    return projected, trace
 
 
 def project_rg(h: MixedGraph, spec: ProjectionSpec, force: bool = False) -> MixedGraph:
@@ -233,10 +328,7 @@ def rg_to_sg(h: MixedGraph, anc_c) -> MixedGraph:
 
 
 def _project_sg_pipeline(h: MixedGraph, spec: ProjectionSpec):
-    closed, trace = table1_closure(h, spec)
-    survivors = h.node_set - spec.removed
-    anc_c = closed.ancestors(spec.cond) & survivors
-    restricted = closed.induced_subgraph(survivors)
+    restricted, anc_c, trace = _generate(h, spec)
     result, sg_trace = rg_to_sg_traced(restricted, anc_c)
     return result, trace + sg_trace
 

@@ -27,7 +27,13 @@ from mixedgraphs.msep import (
     enumerate_connecting_paths,
     signature_edges,
 )
-from mixedgraphs.project import PROJECTORS, ProjectionSpec, project_rg, project_sg
+from mixedgraphs.project import (
+    PROJECTORS,
+    ProjectionSpec,
+    project_rg,
+    project_sg,
+    table1_closure,
+)
 from mixedgraphs.textfmt import serialize
 from mixedgraphs.witness import (
     dag_realizable,
@@ -94,15 +100,21 @@ def test_criterion_3_lemma1_oracle():
         g = random_rg(rng, rng.randint(2, 6))
         spec = random_spec(rng, g)
         projected = project_rg(g, spec)
+        closed = table1_closure(g, spec)[0].induced_subgraph(projected.node_set)
         for i, j in itertools.combinations(projected.nodes, 2):
             expected = signature_edges(
                 endpoint_identical_connection(g, i, j, spec.marg, spec.cond), i, j
             )
             actual = {e for e in projected.edges if {e.a, e.b} == {i, j}}
             assert expected == actual, (g, spec, i, j)
+        assert projected == closed, (g, spec)
         checked += 1
     assert checked == 300
-    report(3, "PASS edge signatures match the connection oracle on 300 RGs")
+    report(
+        3,
+        "PASS edge signatures match the connection oracle and the Table-1 "
+        "closure on 300 RGs",
+    )
 
 
 def test_criterion_4_class_closure(stability_corpus):

@@ -275,6 +275,21 @@ def test_usage_errors_exit_2(capsys):
     assert main(["model", "no_such_file.mg"]) == 2
 
 
+def test_undecodable_graph_file_is_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "latin1.mg"
+    f.write_bytes("a -> b\nc -> d\u00e9\n".encode("latin-1"))
+    code, out, err = run(capsys, "validate", f)
+    assert (code, out) == (3, "")
+    assert err == "ParseError: line 2, col 7: invalid UTF-8 byte 0xe9\n"
+
+
+def test_negative_seed_count_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(fixture("chain.mg")), "--suite", "lemma1", "--seeds", "-3"])
+    assert exc.value.code == 2
+    assert "--seeds: must be non-negative: -3" in capsys.readouterr().err
+
+
 def test_flags_override_file_marks_with_warning(tmp_path, capsys):
     f = tmp_path / "marked.mg"
     f.write_text("nodes: 1 2 3\n2 -> 1\n3 -> 1\n3 -> 2\ncond: 1\n", encoding="utf-8")

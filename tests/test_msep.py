@@ -213,6 +213,14 @@ def test_signature_validation():
         endpoint_identical_connection(g, "a", "b", {"a"}, set())
 
 
+def test_signatures_reject_equal_endpoints():
+    # a walk out of a comes back to a through a -> b <-> c -> a, but a
+    # signature of a with itself would stand for the loop a <-> a
+    g = mk("a -> b\nb <-> c\nc -> a")
+    with pytest.raises(OverlapError):
+        endpoint_identical_connection(g, "a", "a", {"b", "c"}, set())
+
+
 def test_witness_render():
     g = mk("a -> m\nm -> b")
     w = enumerate_connecting_paths(g, q("a", "b", M={"m"}))[0]

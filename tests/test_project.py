@@ -1,14 +1,16 @@
+import itertools
 import random
 
 import pytest
 
 from mixedgraphs.core import MixedGraph, arc, arrow, classify, line
-from mixedgraphs.generators import random_dag, random_rg, random_spec
+from mixedgraphs.generators import RANDOM_BY_CLASS, random_dag, random_rg, random_spec
 from mixedgraphs.msep import endpoint_identical_connection, signature_edges
 from mixedgraphs.project import (
     NotAncestralGraph,
     NotRibbonless,
     NotSummaryGraph,
+    PROJECTORS,
     ProjectionSpec,
     SpecInvalid,
     project_ag,
@@ -23,7 +25,7 @@ from mixedgraphs.project import (
     table1_closure,
 )
 
-from .helpers import closure_random_order, mk, path_signatures, replay_trace
+from .helpers import all_dags, closure_random_order, mk, path_signatures, replay_trace
 
 
 def spec(marg=(), cond=()):
@@ -310,3 +312,130 @@ def test_separation_stability_theorems():
             right = m_separated(g, A, B, s.cond | C1)
             assert left == right, (cls, g, s, A, B, C1)
 
+
+
+# --- the signature route against the Table-1 closure ------------------------
+
+
+def closure_pipeline(h, s):
+    """The projections by the closure alone: the closure, restriction to the
+    survivors, an(C) in the closed graph, the SG strip, the AG closure."""
+    closed, _trace = table1_closure(h, s)
+    survivors = h.node_set - s.removed
+    rg = closed.induced_subgraph(survivors)
+    sg = rg_to_sg(rg, closed.ancestors(s.cond) & survivors)
+    return {"rg": rg, "sg": sg, "ag": sg_to_ag(sg) if "AG" in h.class_tags else None}
+
+
+def all_splits(nodes):
+    """Every disjoint (M, C) pair over the nodes."""
+    for roles in itertools.product("kmc", repeat=len(nodes)):
+        yield spec(
+            marg={n for n, r in zip(nodes, roles) if r == "m"},
+            cond={n for n, r in zip(nodes, roles) if r == "c"},
+        )
+
+
+def removal_spec(rng, g, fraction):
+    removed = rng.sample(g.nodes, round(fraction * len(g.nodes)))
+    marg = {x for x in removed if rng.random() < 0.5}
+    return spec(marg, set(removed) - marg)
+
+
+def assert_projections_match_closure(g, s):
+    """project_rg, the SG projection (forced where g is no SG) and, for an
+    AG, project_ag of a ribbonless g equal the closure pipeline."""
+    want = closure_pipeline(g, s)
+    assert project_rg(g, s) == want["rg"], (g, s)
+    assert project_sg(g, s, force=True) == want["sg"], (g, s)
+    if "AG" in g.class_tags:
+        assert project_ag(g, s) == want["ag"], (g, s)
+
+
+@pytest.mark.filterwarnings("ignore:projecting a graph that is not a summary graph")
+def test_projections_equal_the_closure_pipeline():
+    for g in all_dags(("a", "b", "c")):
+        for s in all_splits(g.nodes):
+            assert_projections_match_closure(g, s)
+    # with t marginalised, j -- t -> c generates j -> c: j is in an(C) of the
+    # closed graph though no ancestor of c in the input, so x -> j loses its
+    # head in the SG stage
+    assert_projections_match_closure(mk("x -> j\nj -- t\nt -> c"), spec("t", "c"))
+    rng = random.Random(23)
+    for k in range(2100):
+        g = RANDOM_BY_CLASS[("rg", "sg", "ag")[k % 3]](rng, rng.randint(2, 7))
+        assert_projections_match_closure(g, random_spec(rng, g))
+    g = random_dag(rng, 80, p=2.5 / 79)
+    assert_projections_match_closure(g, removal_spec(rng, g, 0.7))
+
+
+def test_bouncing_walk_signature_is_not_projected():
+    # b -> c <-> b <- c m-connects b and c with tails at both ends (b and c
+    # are colliders in an(C)), but every V on it has equal ends, so the
+    # closure never generates b -- c and neither may the projection
+    g = mk("b <-> c\nb -> c\nc -> b\nc -> a")
+    s = spec(cond={"a"})
+    assert ("tail", "tail") in endpoint_identical_connection(g, "b", "c", (), {"a"})
+    want = mk("b <-> c\nb -> c\nc -> b")
+    assert project_rg(g, s) == closure_pipeline(g, s)["rg"] == want
+
+
+# Table-1 rule ids by the roles of the V's two edges at its inner node.
+TABLE1_ROLES = {
+    1: ("IN", "OUT"),
+    2: ("LINE", "OUT"),
+    3: ("ARC", "LINE"),
+    4: ("OUT", "OUT"),
+    5: ("ARC", "OUT"),
+    6: ("IN", "LINE"),
+    7: ("LINE", "LINE"),
+    8: ("ARC", "IN"),
+    9: ("ARC", "ARC"),
+    10: ("IN", "IN"),
+}
+
+
+def role_at(e, t):
+    if e.kind in ("line", "arc"):
+        return e.kind.upper()
+    return "IN" if e.b == t else "OUT"
+
+
+def is_table1_v(step, h, closed, s, enablers):
+    """Whether step records a V <x, t, y> of the closed graph, with its
+    first edge in the closure and its second in h, that generates its edge."""
+    gen, t, rule = step.generated, step.inner, int(step.rule)
+    if t not in (enablers if rule >= 8 else s.marg):
+        return False
+    for x, y in ((gen.a, gen.b), (gen.b, gen.a)):
+        firsts = [e for e in closed.edges if {e.a, e.b} == {x, t}]
+        seconds = [e for e in h.edges if {e.a, e.b} == {t, y}]
+        for e1, e2 in itertools.product(firsts, seconds):
+            roles = tuple(sorted((role_at(e1, t), role_at(e2, t))))
+            if (
+                e1.mark_at(x) == gen.mark_at(x)
+                and e2.mark_at(y) == gen.mark_at(y)
+                and roles == TABLE1_ROLES[rule]
+            ):
+                return True
+    return False
+
+
+def test_trace_steps_are_table1_vs_of_the_closed_graph():
+    rng = random.Random(29)
+    cases = [(g, s) for g in all_dags(("a", "b", "c")) for s in all_splits(g.nodes)]
+    for k in range(1500):
+        g = RANDOM_BY_CLASS[("dag", "rg", "sg")[k % 3]](rng, rng.randint(2, 7))
+        cases.append((g, random_spec(rng, g)))
+    for n in (40, 80):
+        g = random_dag(rng, n, p=2.5 / (n - 1))
+        cases.append((g, removal_spec(rng, g, 0.7)))
+    steps = 0
+    for g, s in cases:
+        closed, _trace = table1_closure(g, s)
+        enablers = s.cond | closed.ancestors(s.cond)
+        _out, trace = project_rg_traced(g, s)
+        for step in trace:
+            assert is_table1_v(step, g, closed, s, enablers), (g, s, step.render())
+            steps += 1
+    assert steps > 300  # the corpus generates 450 edges
