@@ -75,14 +75,12 @@ from .textfmt import (
 from .witness import (
     DagifyResult,
     NotDagRealizable,
-    PrimitiveInducingPath,
     dag_realizable,
     dagify,
     is_maximal,
     is_maximal_literal,
     maximalize,
     maximalize_report,
-    primitive_inducing_paths,
     unrealizable_pairs,
 )
 

@@ -335,25 +335,18 @@ def _orient_collider(e1, h, t, e2, j):
     return (h, e1, t, e2, j)
 
 
-def _ribbon_blocker(e1, h, e2, j, g: MixedGraph) -> bool:
-    """Whether the endpoint-identical h-j edge for this collider V exists."""
-    arrow1 = e1.kind == ARROW
-    arrow2 = e2.kind == ARROW
-    if arrow1 and arrow2:
-        return line(h, j) in g.edges
-    if not arrow1 and not arrow2:
-        return arc(h, j) in g.edges
-    return arrow(h, j) in g.edges  # h -> inner <-> j needs an h -> j arrow
-
-
 def _ribbon_reports(g: MixedGraph):
+    # the inner nodes with a witness: they or a descendant touch a line or
+    # lie on a direction-preserving cycle
+    touching = {n for n in g.nodes if g.neighbours(n)} | g.cycle_nodes
+    candidates = touching | g.ancestors(touching)
     reports = []
     for h, e1, t, e2, j in collider_vs(g):
-        if _ribbon_blocker(e1, h, e2, j, g):
-            continue
-        witness = _ribbon_witness(g, t)
-        if witness is not None:
-            reports.append(RibbonReport(h, t, j, witness[0], witness[1]))
+        if t in candidates and (
+            signature_edge(e1.mark_at(h), e2.mark_at(j), h, j) not in g.edges
+        ):
+            kind, node = _ribbon_witness(g, t)
+            reports.append(RibbonReport(h, t, j, kind, node))
     return reports
 
 
@@ -362,10 +355,7 @@ def _ribbon_witness(g: MixedGraph, inner):
     for d in reach:
         if g.neighbours(d):
             return ("line", d)
-    for d in reach:
-        if d in g.cycle_nodes:
-            return ("cycle", d)
-    return None
+    return next(("cycle", d) for d in reach if d in g.cycle_nodes)
 
 
 def _classify(g: MixedGraph) -> frozenset:

@@ -10,13 +10,13 @@ Every query runs on two kernels over the same step rule:
   forces to carry an endpoint-identical edge), so the walk verdict is exact
   there, in time linear in the edges. Its arrival marks are also the Lemma-1
   connection signatures, from which `project` builds the projections of
-  ribbonless graphs.
+  ribbonless graphs, and the end marks of primitive inducing paths, from
+  which `witness` decides maximality.
 - `_paths` enumerates simple paths depth-first. On other graphs walks can
   over-connect — e.g. a->t<-b with a line t--x admits the walk
   a->t--x--t<-b but no connecting path — so `_connected` re-checks each
   walk hit with `_paths` before trusting it. It is also the exhaustive
-  witness enumeration and, with inner nodes restricted to colliders in
-  an(endpoints), the primitive-inducing-path search.
+  witness enumeration behind `msep --witness`.
 """
 
 from __future__ import annotations
@@ -122,30 +122,37 @@ def _walk(g: MixedGraph, source, collider_set, allowed, first_mark=None):
 
 def _paths(g: MixedGraph, source, target, collider_set, allowed):
     """Every m-connecting simple path from source to target as (nodes,
-    edges) tuples, depth-first in canonical edge order. Same step rule as
-    `_walk`; a node that no edge may leave is never entered."""
-    flows = g.flows
+    edges) tuples, depth-first in canonical edge order on an explicit stack
+    (no recursion limit). Same step rule as `_walk`; a node that no edge may
+    leave is never entered."""
+    flows = g._flows
     nodes, edges, visited = [source], [], {source}
-
-    def rec(t, head_ok, tail_ok):
-        for o, mh, mo, e in flows(t):
-            if o in visited or not (head_ok if mh == HEAD else tail_ok):
+    # per node on the path, the edges it may still be left through
+    pending = [iter(flows[source])]
+    while True:
+        for o, _mh, mo, e in pending[-1]:
+            if o in visited:
                 continue
-            nodes.append(o)
-            edges.append(e)
             if o == target:
-                yield tuple(nodes), tuple(edges)
-            else:
-                o_tail = o in allowed
-                o_head = o in collider_set if mo == HEAD else o_tail
-                if o_head or o_tail:
-                    visited.add(o)
-                    yield from rec(o, o_head, o_tail)
-                    visited.discard(o)
-            nodes.pop()
+                yield (*nodes, o), (*edges, e)
+                continue
+            o_tail = o in allowed
+            o_head = o in collider_set if mo == HEAD else o_tail
+            if o_head or o_tail:
+                nodes.append(o)
+                edges.append(e)
+                visited.add(o)
+                exits = flows[o]
+                if o_head != o_tail:
+                    exits = [x for x in exits if (x[1] == HEAD) == o_head]
+                pending.append(iter(exits))
+                break
+        else:
+            if not edges:
+                return
+            pending.pop()
+            visited.discard(nodes.pop())
             edges.pop()
-
-    yield from rec(source, True, True)
 
 
 def _connected(g: MixedGraph, source, targets, collider_set, allowed):
@@ -208,15 +215,22 @@ def m_separated(g: MixedGraph, A, B, C) -> bool:
 
 
 def endpoint_identical_connection(g: MixedGraph, i, j, M, C) -> frozenset:
-    """Mark signatures (at i, at j) realized by m-connecting walks given M, C.
+    """Mark signatures (at i, at j) realized by m-connecting walks given M, C
+    that are a single edge or pass a node other than i and j.
 
     Each signature corresponds to the edge type a connection of that shape
     would generate: tail/tail a line, head/head an arc, and a mixed pair the
     arrow into the head end. Walks rather than simple paths: on multi-edge
     graphs a connecting walk may revisit an endpoint and realize a signature
     no simple path carries (d -> a <-> d <-> b realizes tail-at-d/head-at-b
-    when a enables the collider), and it is the walk reading under which
-    generated projection edges match connection signatures exactly.
+    when a enables the collider). A walk that only bounces between i and j
+    (b -> c <-> b <- c) does not count, as the Table-1 closure never joins a
+    node to itself; so generated projection edges match signatures exactly.
+
+    The walk that first reached j (read back through `_walk`'s predecessors)
+    settles a signature unless it bounces. Then a walk through some t not in
+    {i, j} is sought: a walk out of i and a reversed walk out of j meet at t,
+    a collider in C ∪ an(C) if both arrive with a head, else in M.
     """
     M, C = frozenset(M), frozenset(C)
     if M & C:
@@ -229,10 +243,25 @@ def endpoint_identical_connection(g: MixedGraph, i, j, M, C) -> frozenset:
     collider_set = C | g.ancestors(C)
     signatures = set()
     for first in (TAIL, HEAD):
-        states = _walk(g, i, collider_set, M, first)
-        for mark in (TAIL, HEAD):
-            if (j, mark == HEAD) in states:
-                signatures.add((first, mark))
+        out = _walk(g, i, collider_set, M, first)
+        for last in (TAIL, HEAD):
+            state = (j, last == HEAD)
+            if state not in out:
+                continue
+            pred = via = out[state]
+            while via is not None and via[0] in (i, j):
+                via = out[via]
+            if pred is None or via is not None:
+                signatures.add((first, last))
+                continue
+            back = _walk(g, j, collider_set, M, last)
+            if any(
+                (t, h2) in back and (t in collider_set if h1 and h2 else t in M)
+                for t, h1 in out
+                if t != i and t != j
+                for h2 in (False, True)
+            ):
+                signatures.add((first, last))
     return frozenset(signatures)
 
 

@@ -8,8 +8,9 @@ one arrow at a time through a fresh conditioned/marginalised pair.
 
 Maximality is characterized by primitive inducing paths: paths between
 non-adjacent endpoints whose inner nodes are all colliders and all ancestors
-of an endpoint. maximalize() inserts the endpoint-identical edge for each
-such path until none remain.
+of an endpoint. Only their end marks matter, and the `msep` walk kernel
+gives those for each pair directly. maximalize() inserts the
+endpoint-identical edge for each such path until none remain.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from dataclasses import dataclass
 from .core import (
     ARC,
     ARROW,
+    HEAD,
     LINE,
-    Edge,
+    TAIL,
     MixedGraph,
     arc,
     arrow,
@@ -31,7 +33,7 @@ from .core import (
 )
 from .core import MixedGraphError
 from .independence import TooLarge
-from .msep import _paths, m_separated
+from .msep import _walk, m_separated
 from .project import NotRibbonless, ProjectionSpec
 
 
@@ -59,28 +61,6 @@ class DagifyResult:
 
     def spec(self) -> ProjectionSpec:
         return ProjectionSpec(self.marg, self.cond)
-
-
-@dataclass(frozen=True)
-class PrimitiveInducingPath:
-    """A path with every inner node a collider and an ancestor of an endpoint."""
-
-    nodes: tuple
-    edges: tuple
-
-    @property
-    def ends(self):
-        return (self.nodes[0], self.nodes[-1])
-
-    def end_marks(self):
-        return (
-            self.edges[0].mark_at(self.nodes[0]),
-            self.edges[-1].mark_at(self.nodes[-1]),
-        )
-
-    def endpoint_identical_edge(self) -> Edge:
-        mi, mj = self.end_marks()
-        return signature_edge(mi, mj, self.nodes[0], self.nodes[-1])
 
 
 class _FreshNames:
@@ -184,25 +164,28 @@ def dagify(h: MixedGraph) -> DagifyResult:
     return DagifyResult(dag, frozenset(marg), frozenset(cond), origin)
 
 
-def _iter_pips(g: MixedGraph):
+def _pip_edges(g: MixedGraph):
+    """The endpoint-identical edge of every primitive inducing path, once
+    per non-adjacent pair i < j and end-mark signature. A walk out of i whose
+    inner nodes are all colliders in an({i, j}) - {i, j} contains such a path
+    with its end marks: cutting each repeat of a node from its first arrival
+    to its last departure keeps that node a collider and keeps both ends."""
     nodes = g.nodes
     for pos, i in enumerate(nodes):
         for j in nodes[pos + 1 :]:
-            if not g.adjacent(i, j):
-                anc = g.ancestors({i, j})
-                for path in _paths(g, i, j, anc, frozenset()):
-                    yield PrimitiveInducingPath(*path)
-
-
-def primitive_inducing_paths(g: MixedGraph) -> list:
-    """All primitive inducing paths, one orientation per path (from the
-    lexicographically smaller endpoint)."""
-    return list(_iter_pips(g))
+            if g.adjacent(i, j):
+                continue
+            colliders = g.ancestors({i, j}) - {i, j}
+            for first in (TAIL, HEAD):
+                reached = _walk(g, i, colliders, frozenset(), first)
+                for last in (TAIL, HEAD):
+                    if (j, last == HEAD) in reached:
+                        yield signature_edge(first, last, i, j)
 
 
 def is_maximal(g: MixedGraph) -> bool:
     """Maximality via the primitive-inducing-path criterion."""
-    return next(_iter_pips(g), None) is None
+    return next(_pip_edges(g), None) is None
 
 
 def is_maximal_literal(g: MixedGraph, limit: int = 8) -> bool:
@@ -236,10 +219,7 @@ def maximalize_report(g: MixedGraph):
     current = g
     sweeps = 0
     while True:
-        additions = {
-            pip.endpoint_identical_edge()
-            for pip in _iter_pips(current)
-        } - current.edges
+        additions = set(_pip_edges(current)) - current.edges
         if not additions:
             return current, sweeps
         sweeps += 1

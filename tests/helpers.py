@@ -171,6 +171,20 @@ def primitive_inducing_paths_oracle(g):
     return out
 
 
+def pip_edges_oracle(g):
+    """The endpoint-identical edge of every oracle PIP: a line for tails at
+    both ends, an arc for heads at both, else the arrow into the head end."""
+    out = set()
+    for nodes, edges in primitive_inducing_paths_oracle(g):
+        i, j = nodes[0], nodes[-1]
+        mi, mj = _mark(edges[0], i), _mark(edges[-1], j)
+        if mi == mj:
+            out.add((line if mi == "tail" else arc)(i, j))
+        else:
+            out.add(arrow(i, j) if mj == "head" else arrow(j, i))
+    return out
+
+
 def path_connects(g, a, b, M, C):
     """Strict simple-path m-connection with an explicit non-collider set."""
     return bool(connecting_paths(g, a, b, set(M), set(C)))

@@ -320,3 +320,33 @@ def test_forced_ag_projection_failure_is_a_domain_error(tmp_path):
     assert proc.returncode == 3
     assert "NotAncestralGraph" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_lemma1_suite_passes_on_a_bouncing_walk(tmp_path, capsys):
+    # b -> c <-> b <- c passes no third node, so it is no Lemma-1 connection
+    # and the projection's missing b -- c is right
+    f = tmp_path / "bounce.mg"
+    f.write_text("b <-> c\nb -> c\nc -> b\nc -> a\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", f, "--suite", "lemma1")
+    assert (code, err) == (0, "")
+    assert out == "suite=lemma1 checked=20 result=ok\n"
+
+
+def test_long_paths_give_verdicts_without_a_traceback(tmp_path, capsys):
+    # a ribbon sends the verdict through the simple-path search, whose depth
+    # is then the path length
+    ribbon = tmp_path / "ribbon.mg"
+    ribbon.write_text(
+        "h -> t\nj -> t\nt -- x0\n"
+        + "".join(f"x{k} -- x{k + 1}\n" for k in range(1500)),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "msep", ribbon, "--A", "x1500", "--B", "h")
+    assert (code, out) == (1, "connected\n")
+    assert "Traceback" not in err
+    chain = tmp_path / "chain.mg"
+    chain.write_text("".join(f"a{k} -> a{k + 1}\n" for k in range(1200)), encoding="utf-8")
+    code, out, err = run(capsys, "msep", chain, "--witness", "--A", "a0", "--B", "a1200")
+    assert code == 1
+    assert out == "connected\n" + " -> ".join(f"a{k}" for k in range(1201)) + "\n"
+    assert "Traceback" not in err

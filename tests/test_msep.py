@@ -14,8 +14,7 @@ from mixedgraphs.msep import (
     enumerate_connecting_paths,
     m_separated,
 )
-
-from mixedgraphs.witness import primitive_inducing_paths
+from mixedgraphs.witness import _pip_edges
 
 from .helpers import (
     all_mixed_graphs,
@@ -25,7 +24,7 @@ from .helpers import (
     pairwise_path_separated_loose,
     pairwise_path_separated_paper,
     path_connects,
-    primitive_inducing_paths_oracle,
+    pip_edges_oracle,
 )
 
 
@@ -221,6 +220,14 @@ def test_signatures_reject_equal_endpoints():
         endpoint_identical_connection(g, "a", "a", {"b", "c"}, set())
 
 
+def test_signature_found_past_a_bouncing_first_walk():
+    # the first tail-tail walk from b to c bounces (b -> c <-> b <- c), but
+    # b -> a <- c passes a, a collider in C, so b -- c is still generated
+    g = mk("b <-> c\nb -> c\nc -> b\nb -> a\nc -> a")
+    for i, j in (("b", "c"), ("c", "b")):
+        assert (TAIL, TAIL) in endpoint_identical_connection(g, i, j, (), {"a"})
+
+
 def test_witness_render():
     g = mk("a -> m\nm -> b")
     w = enumerate_connecting_paths(g, q("a", "b", M={"m"}))[0]
@@ -232,8 +239,7 @@ def test_every_three_node_multigraph_matches_definition_oracles():
     # walk kernel and the simple-path DFS against the definitions on all
     # 4,096 three-node multigraphs
     for g in all_mixed_graphs(("a", "b", "c"), multi=True):
-        pips = sorted((p.nodes, p.edges) for p in primitive_inducing_paths(g))
-        assert pips == sorted(primitive_inducing_paths_oracle(g)), g
+        assert set(_pip_edges(g)) == pip_edges_oracle(g), g
         for s, t in itertools.combinations(g.nodes, 2):
             (x,) = set(g.nodes) - {s, t}
             connects = {}
@@ -250,3 +256,15 @@ def test_every_three_node_multigraph_matches_definition_oracles():
             assert m_separated(g, {s}, {t}, {x}) != connects[(), (x,)], g
             joint = connects[(), ()] or path_connects(g, s, x, (), ())
             assert m_separated(g, {s}, {t, x}, ()) != joint, g
+
+
+def test_walk_pip_edges_match_the_path_oracle():
+    # the walk's inner nodes must be colliders in an({i, j}) other than i and
+    # j; checked on every four-node simple graph and on random multigraphs,
+    # ribbons included
+    for g in all_mixed_graphs(("a", "b", "c", "d"), multi=False):
+        assert set(_pip_edges(g)) == pip_edges_oracle(g), g
+    rng = random.Random(79)
+    for _ in range(2000):
+        g = random_lmg(rng, rng.randint(4, 7), p=rng.choice((0.12, 0.2)))
+        assert set(_pip_edges(g)) == pip_edges_oracle(g), g
