@@ -50,6 +50,18 @@ def _non_negative(value):
     return count
 
 
+# The worst-case model grows about 4x per node: 10 isolated nodes give
+# 465,751 statements, and a sparse 12-node DAG about 1.8 million.
+MAX_MODEL_LIMIT = 10
+
+
+def _model_limit(value):
+    count = _non_negative(value)
+    if count > MAX_MODEL_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_MODEL_LIMIT}: {count}")
+    return count
+
+
 def _csv(value):
     return [tok for tok in value.replace(",", " ").split() if tok]
 
@@ -214,7 +226,9 @@ def build_parser():
     p = sub.add_parser("model", help="enumerate the induced independence model")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--limit", type=int, default=8, help="node-count enumeration bound")
+    p.add_argument(
+        "--limit", type=_model_limit, default=8, help="node-count enumeration bound"
+    )
     p.set_defaults(func=_cmd_model)
 
     p = sub.add_parser("marginalise", help="marginalise/condition the induced model")
@@ -222,7 +236,7 @@ def build_parser():
     p.add_argument("--marg")
     p.add_argument("--cond")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--limit", type=int, default=8)
+    p.add_argument("--limit", type=_model_limit, default=8)
     p.set_defaults(func=_cmd_marginalise)
 
     p = sub.add_parser("dagify", help="DAG + roles that project back onto the input")

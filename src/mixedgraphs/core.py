@@ -375,11 +375,10 @@ def _classify(g: MixedGraph) -> frozenset:
     )
     if no_head_at_line and acyclic:
         tags.add("SG")
-        simple = all(len(g.edges_between(e.a, e.b)) == 1 for e in g.edges)
+        simple = len({frozenset((e.a, e.b)) for e in g.edges}) == len(g.edges)
+        # acyclic, so no node is an ancestor of its own parents
         ancestral = all(
-            n not in g.ancestors(g.parents(n) | g.spouses(n))
-            for n in g.nodes
-            if g.parents(n) or g.spouses(n)
+            n not in g.ancestors(g.spouses(n)) for n in g.nodes if g.spouses(n)
         )
         if simple and ancestral:
             tags.add("AG")

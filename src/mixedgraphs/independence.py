@@ -4,6 +4,10 @@ operator over triples <A, B | C>.
 Models are stored extensionally. Statements with an empty side are implicit
 (always true) and never stored; <A,B|C> and <B,A|C> are the same statement
 and kept with the lexicographically smaller side first.
+
+`independence_model` enumerates over bit-mask tables of node sets, with one
+`msep` walk search per node and C, and `model_to_json` writes the canonical
+JSON layout directly.
 """
 
 from __future__ import annotations
@@ -111,22 +115,20 @@ class IndependenceModel:
         )
 
     def sorted_statements(self):
-        return sorted(self.statements)
-
-
-def _bits(mask):
-    out = []
-    k = 0
-    while mask:
-        if mask & 1:
-            out.append(k)
-        mask >>= 1
-        k += 1
-    return out
+        return sorted(self.statements, key=lambda s: s._key)
 
 
 def independence_model(g: MixedGraph, limit: int = 8) -> IndependenceModel:
     """Enumerate J_m(g): every triple <A,B|C> with A m-separated from B by C.
+
+    Node sets are bit masks over the sorted nodes, and `members[m]` holds the
+    nodes of mask m. Per C, `conn[k]` is the mask of nodes m-connected to
+    node k given C: its neighbours (one edge always m-connects its ends),
+    plus what one walk out of k finds among the later non-adjacent nodes.
+    The sets A run through the submasks of the nodes outside C in increasing
+    order, so the union of `conn` over A extends the union over A minus its
+    lowest node. B ranges over the nodes above that lowest one that lie
+    outside A and its union, so each statement is found once.
 
     Exponential in the node count; refuses graphs above `limit` nodes (pass a
     larger limit to override).
@@ -136,40 +138,41 @@ def independence_model(g: MixedGraph, limit: int = 8) -> IndependenceModel:
     if n > limit:
         raise TooLarge(f"{n} nodes exceeds enumeration limit {limit}")
     index = {v: k for k, v in enumerate(nodes)}
+    members = [frozenset()]
+    for v in nodes:
+        members += [m | {v} for m in members]
+    adjacent = [0] * n
+    for e in g.edges:
+        a, b = index[e.a], index[e.b]
+        adjacent[a] |= 1 << b
+        adjacent[b] |= 1 << a
     statements = []
-    for cmask in range(1 << n):
-        C = frozenset(nodes[k] for k in _bits(cmask))
+    for cmask, C in enumerate(members):
         collider_set = C | g.ancestors(C)
         allowed = g.node_set - C
-        out = [v for v in nodes if v not in C]
-        conn = [0] * n
-        for pos in range(len(out) - 1):
-            a = out[pos]
-            ai = index[a]
-            for b in _connected(g, a, out[pos + 1 :], collider_set, allowed):
-                bi = index[b]
-                conn[ai] |= 1 << bi
-                conn[bi] |= 1 << ai
-        out_mask = ((1 << n) - 1) & ~cmask
-        amask = out_mask
+        out = ((1 << n) - 1) & ~cmask
+        conn = adjacent[:]
+        for k, a in enumerate(nodes):
+            later = out & ~adjacent[k] & ~((2 << k) - 1)
+            if out >> k & 1 and later:
+                for b in _connected(g, a, members[later], collider_set, allowed):
+                    j = index[b]
+                    conn[k] |= 1 << j
+                    conn[j] |= 1 << k
+        union = [0] * len(members)
+        # the nonempty submasks of out in increasing order
+        amask = -out & out
         while amask:
-            common = out_mask & ~amask
-            for k in _bits(amask):
-                common &= ~conn[k]
-            if common:
-                bmask = common
-                while bmask:
-                    combined = amask | bmask
-                    if (combined & -combined) & amask:
-                        statements.append(
-                            IndependenceStatement(
-                                (nodes[k] for k in _bits(amask)),
-                                (nodes[k] for k in _bits(bmask)),
-                                C,
-                            )
-                        )
-                    bmask = (bmask - 1) & common
-            amask = (amask - 1) & out_mask
+            low = amask & -amask
+            union[amask] = union[amask ^ low] | conn[low.bit_length() - 1]
+            common = out & ~amask & ~union[amask] & ~(low - 1)
+            bmask = common
+            while bmask:
+                statements.append(
+                    IndependenceStatement(members[amask], members[bmask], C)
+                )
+                bmask = (bmask - 1) & common
+            amask = (amask - out) & out
     return IndependenceModel(g.node_set, statements)
 
 
@@ -218,15 +221,31 @@ def conforms(J: IndependenceModel, g: MixedGraph) -> bool:
     return True
 
 
+def _json_list(labels, indent):
+    if not labels:
+        return "[]"
+    items = ",\n".join(" " * (indent + 2) + json.dumps(v) for v in labels)
+    return f"[\n{items}\n{' ' * indent}]"
+
+
 def model_to_json(J: IndependenceModel) -> str:
-    payload = {
-        "ground": sorted(J.ground),
-        "statements": [
-            {"A": list(s.key[0]), "B": list(s.key[1]), "C": list(s.key[2])}
-            for s in J.sorted_statements()
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """J in the `json.dumps(payload, indent=2, sort_keys=True)` layout,
+    statements in key order. Written directly: an indent sends `json` to its
+    pure-Python encoder, and each distinct side list is rendered only once."""
+    ordered = J.sorted_statements()
+    sides = {}
+    for s in ordered:
+        for labels in s._key:
+            if labels not in sides:
+                sides[labels] = _json_list(labels, 6)
+    statements = ",\n".join(
+        f'    {{\n      "A": {sides[ka]},\n      "B": {sides[kb]},\n'
+        f'      "C": {sides[kc]}\n    }}'
+        for ka, kb, kc in (s._key for s in ordered)
+    )
+    body = f"[\n{statements}\n  ]" if ordered else "[]"
+    ground = _json_list(sorted(J.ground), 2)
+    return f'{{\n  "ground": {ground},\n  "statements": {body}\n}}\n'
 
 
 def model_from_json(text: str) -> IndependenceModel:

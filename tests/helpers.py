@@ -8,10 +8,16 @@ meaningful.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import defaultdict
 
 from mixedgraphs.core import ARROW, MixedGraph, arc, arrow, line
-from mixedgraphs.independence import independence_model
+from mixedgraphs.independence import (
+    IndependenceModel,
+    IndependenceStatement,
+    independence_model,
+)
+from mixedgraphs.msep import m_separated
 from mixedgraphs.project import ProjectionSpec
 
 
@@ -59,6 +65,30 @@ def model_fingerprint(g_or_model):
         else independence_model(g_or_model)
     )
     return frozenset(s.key for s in model.statements)
+
+
+def model_oracle(g: MixedGraph):
+    """J_m(g) with one `m_separated` call per assignment of every node to A,
+    B, C or neither: 4^n assignments, no masks."""
+    nodes = g.nodes
+    statements = []
+    for roles in itertools.product(range(4), repeat=len(nodes)):
+        A, B, C = ({v for v, r in zip(nodes, roles) if r == k} for k in range(3))
+        if A and B and m_separated(g, A, B, C):
+            statements.append(IndependenceStatement(A, B, C))
+    return IndependenceModel(g.node_set, statements)
+
+
+def model_json_oracle(J: IndependenceModel):
+    """`model --json` as one indented stdlib `json.dumps`."""
+    payload = {
+        "ground": sorted(J.ground),
+        "statements": [
+            {"A": list(s.key[0]), "B": list(s.key[1]), "C": list(s.key[2])}
+            for s in sorted(J.statements)
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def moral_separated(dag: MixedGraph, A, B, C):
@@ -113,6 +143,37 @@ def _ancestors(g, targets):
                 anc.add(e.a)
                 grew = True
     return anc
+
+
+def class_tags_oracle(g):
+    """Class tags with the AG test node by node: every node with a parent or
+    spouse is checked against the ancestors of both (by arrow-list scans),
+    and simplicity takes one `edges_between` count per edge."""
+    tags = {"LMG"}
+    kinds = {e.kind for e in g.edges}
+    acyclic = not g.cycle_nodes
+    if kinds <= {"line"}:
+        tags.add("UG")
+    if kinds <= {"arc"}:
+        tags.add("BG")
+    if kinds <= {ARROW} and acyclic:
+        tags.add("DAG")
+    if g.is_ribbonless:
+        tags.add("RG")
+    no_head_at_line = all(
+        not (g.neighbours(n) and (g.parents(n) or g.spouses(n))) for n in g.nodes
+    )
+    if no_head_at_line and acyclic:
+        tags.add("SG")
+        simple = all(len(g.edges_between(e.a, e.b)) == 1 for e in g.edges)
+        ancestral = all(
+            n not in _ancestors(g, g.parents(n) | g.spouses(n))
+            for n in g.nodes
+            if g.parents(n) or g.spouses(n)
+        )
+        if simple and ancestral:
+            tags.add("AG")
+    return frozenset(tags)
 
 
 def simple_paths(g, a, b):

@@ -195,6 +195,13 @@ def test_model_text_and_json(capsys):
     assert json.loads(out)["statements"] == [{"A": ["a"], "B": ["b"], "C": ["m"]}]
 
 
+def test_model_json_golden_transcript(capsys):
+    code, out, _ = run(capsys, "model", fixture("same_arc_different_sg_a.mg"), "--json")
+    assert code == 0
+    golden = fixture("same_arc_different_sg_a.model.golden")
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_marginalise_command(capsys):
     code, out, _ = run(
         capsys, "marginalise", fixture("chain.mg"), "--marg", "m"
@@ -288,6 +295,21 @@ def test_negative_seed_count_is_a_usage_error(capsys):
         main(["check", str(fixture("chain.mg")), "--suite", "lemma1", "--seeds", "-3"])
     assert exc.value.code == 2
     assert "--seeds: must be non-negative: -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["model", "marginalise"])
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("11", "--limit: must be at most 10: 11"),
+        ("-1", "--limit: must be non-negative: -1"),
+    ],
+)
+def test_out_of_range_model_limit_is_a_usage_error(capsys, command, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(fixture("chain.mg")), "--limit", value])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_flags_override_file_marks_with_warning(tmp_path, capsys):

@@ -15,9 +15,9 @@ from mixedgraphs.core import (
     classify,
     line,
 )
-from mixedgraphs.generators import random_lmg
+from mixedgraphs.generators import random_ag, random_dag, random_lmg, random_sg
 
-from .helpers import mk
+from .helpers import all_mixed_graphs, class_tags_oracle, mk
 
 
 def test_make_graph_basic():
@@ -259,3 +259,15 @@ def test_classify_consistency_on_random_lmgs():
         if "SG" in tags:
             assert "RG" in tags
         assert ("RG" in tags) == (not g.ribbons)
+
+
+def test_class_tags_match_the_per_node_formulation():
+    rng = random.Random(2718)
+    draws = (random_lmg, random_dag, random_sg, random_ag)
+    graphs = itertools.chain(
+        all_mixed_graphs(("a", "b", "c")),
+        all_mixed_graphs(("a", "b", "c", "d"), multi=False),
+        (rng.choice(draws)(rng, rng.randint(2, 12)) for _ in range(4000)),
+    )
+    for g in graphs:
+        assert g.class_tags == class_tags_oracle(g), g

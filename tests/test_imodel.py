@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from mixedgraphs.independence import (
 )
 from mixedgraphs.msep import NotDisjoint, m_separated
 
-from .helpers import mk
+from .helpers import all_mixed_graphs, mk, model_json_oracle, model_oracle
 
 
 def S(A, B, C=()):
@@ -178,3 +179,56 @@ def test_json_round_trip_and_stability():
     text = model_to_json(J)
     assert model_equal(model_from_json(text), J)
     assert model_to_json(model_from_json(text)) == text
+
+
+def test_enumeration_matches_the_per_assignment_oracle(monkeypatch):
+    built = []
+    init = IndependenceStatement.__init__
+
+    def counting_init(self, *sides):
+        built.append(sides)
+        init(self, *sides)
+
+    monkeypatch.setattr(IndependenceStatement, "__init__", counting_init)
+    # multi-edge and non-ribbonless graphs included: the random draws fill
+    # each of the four edge slots per pair independently
+    rng = random.Random(61)
+    graphs = itertools.chain(
+        all_mixed_graphs(("a", "b", "c")),
+        (
+            random_lmg(rng, rng.randint(4, 6), p=rng.uniform(0.05, 0.35))
+            for _ in range(300)
+        ),
+    )
+    for g in graphs:
+        built.clear()
+        J = independence_model(g)
+        assert len(built) == len(J), g  # each statement is found once
+        assert J == model_oracle(g), g
+
+
+def test_model_json_matches_the_stdlib_layout():
+    rng = random.Random(67)
+    escaped = model_from_json(
+        json.dumps(
+            {
+                "ground": ["\u00e9", 'a"b', "x\ny", "z"],
+                "statements": [
+                    {"A": ["\u00e9", "z"], "B": ['a"b'], "C": ["x\ny"]},
+                    {"A": ["x\ny"], "B": ["z"], "C": []},
+                ],
+            }
+        )
+    )
+    models = itertools.chain(
+        [IndependenceModel((), ()), independence_model(mk("a -> b")), escaped],
+        map(independence_model, all_mixed_graphs(("a", "b", "c"))),
+        (
+            independence_model(
+                random_lmg(rng, rng.randint(6, 8), p=rng.uniform(0.1, 0.4))
+            )
+            for _ in range(200)
+        ),
+    )
+    for J in models:
+        assert model_to_json(J) == model_json_oracle(J)
