@@ -375,12 +375,13 @@ def _classify(g: MixedGraph) -> frozenset:
     )
     if no_head_at_line and acyclic:
         tags.add("SG")
-        simple = len({frozenset((e.a, e.b)) for e in g.edges}) == len(g.edges)
-        # acyclic, so no node is an ancestor of its own parents
-        ancestral = all(
-            n not in g.ancestors(g.spouses(n)) for n in g.nodes if g.spouses(n)
-        )
-        if simple and ancestral:
+        # Acyclic, so no node is an ancestor of its own parents: an AG needs
+        # only that none is an ancestor of a spouse. Simplicity needs no test
+        # of its own. A line has no head at either end here, so it is the
+        # only edge between its ends, and acyclicity leaves one arrow per
+        # pair. The only possible parallel pair is a <-> b with a -> b, where
+        # a is an ancestor of its spouse b, which the ancestral test rejects.
+        if all(n not in g.ancestors(g.spouses(n)) for n in g.nodes if g.spouses(n)):
             tags.add("AG")
     return frozenset(tags)
 

@@ -11,7 +11,10 @@ Every query runs on two kernels over the same step rule:
   there, in time linear in the edges. Its arrival marks are also the Lemma-1
   connection signatures, from which `project` builds the projections of
   ribbonless graphs, and the end marks of primitive inducing paths, from
-  which `witness` decides maximality.
+  which `witness` decides maximality. `_walk_steps` and `_walk_reach` hold
+  the same search as successor bitsets over the walk states, built once per
+  pair of sets and shared by every source: `independence` enumerates models
+  on them.
 - `_paths` enumerates simple paths depth-first. On other graphs walks can
   over-connect — e.g. a->t<-b with a line t--x admits the walk
   a->t--x--t<-b but no connecting path — so `_connected` re-checks each
@@ -117,6 +120,57 @@ def _walk(g: MixedGraph, source, collider_set, allowed, first_mark=None):
                 if state not in reached:
                     reached[state] = here
                     stack.append(state)
+    return reached
+
+
+def _state_exits(g: MixedGraph):
+    """Per node k of `g.nodes`, the walk states one edge away as bitsets
+    (head exits, tail exits): the edges carrying a head, or a tail, at k.
+    State (o, arrived with a head) is bit n + o, (o, arrived with a tail)
+    bit o, for node indices o among the n nodes."""
+    n = len(g.nodes)
+    index = {v: k for k, v in enumerate(g.nodes)}
+    exits = []
+    for v in g.nodes:
+        head = tail = 0
+        for o, mh, mo, _e in g.flows(v):
+            bit = 1 << (index[o] + n if mo == HEAD else index[o])
+            if mh == HEAD:
+                head |= bit
+            else:
+                tail |= bit
+        exits.append((head, tail))
+    return exits
+
+
+def _walk_steps(exits, collider_mask, allowed_mask):
+    """`_walk`'s step rule as one successor bitset per walk state, for the
+    collider set and allowed set given as node masks. It depends on those
+    sets and not on the source, so every source of a query can share it."""
+    n = len(exits)
+    steps = [0] * (2 * n)
+    for k, (head, tail) in enumerate(exits):
+        if allowed_mask >> k & 1:
+            steps[k] = head | tail
+            steps[n + k] = head | tail if collider_mask >> k & 1 else tail
+        elif collider_mask >> k & 1:
+            steps[n + k] = head
+    return steps
+
+
+def _walk_reach(steps, start):
+    """The walk states reachable from the state bitset `start` in zero or
+    more steps; from a source's head and tail exits, the states `_walk`
+    reaches."""
+    reached = frontier = start
+    while frontier:
+        new = 0
+        while frontier:
+            low = frontier & -frontier
+            new |= steps[low.bit_length() - 1]
+            frontier ^= low
+        frontier = new & ~reached
+        reached |= new
     return reached
 
 

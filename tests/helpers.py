@@ -79,6 +79,21 @@ def model_oracle(g: MixedGraph):
     return IndependenceModel(g.node_set, statements)
 
 
+def marginalise_oracle(J: IndependenceModel, M, C):
+    """α(J, M, C) statement by statement: <A,B|D> for every <A,B|D ∪ C> in
+    J with A ∪ B ∪ D clear of M ∪ C."""
+    M, C = frozenset(M), frozenset(C)
+    drop = M | C
+    return IndependenceModel(
+        J.ground - drop,
+        [
+            IndependenceStatement(s.A, s.B, s.C - C)
+            for s in J.statements
+            if C <= s.C and not (s.A | s.B | (s.C - C)) & drop
+        ],
+    )
+
+
 def model_json_oracle(J: IndependenceModel):
     """`model --json` as one indented stdlib `json.dumps`."""
     payload = {

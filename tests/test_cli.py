@@ -344,6 +344,26 @@ def test_forced_ag_projection_failure_is_a_domain_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_package_runs_as_a_module():
+    src = Path(mixedgraphs.__file__).resolve().parent.parent
+    chain = str(fixture("chain.mg"))
+    runs = (
+        (["msep", chain, "--A", "a", "--B", "b", "--C", "m"], 0, "separated\n"),
+        (["msep", chain, "--A", "a", "--B", "b"], 1, "connected\n"),
+        (["msep", chain, "--no-such-flag"], 2, ""),
+    )
+    for argv, code, out in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixedgraphs", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_lemma1_suite_passes_on_a_bouncing_walk(tmp_path, capsys):
     # b -> c <-> b <- c passes no third node, so it is no Lemma-1 connection
     # and the projection's missing b -- c is right

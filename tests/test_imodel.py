@@ -22,7 +22,13 @@ from mixedgraphs.independence import (
 )
 from mixedgraphs.msep import NotDisjoint, m_separated
 
-from .helpers import all_mixed_graphs, mk, model_json_oracle, model_oracle
+from .helpers import (
+    all_mixed_graphs,
+    marginalise_oracle,
+    mk,
+    model_json_oracle,
+    model_oracle,
+)
 
 
 def S(A, B, C=()):
@@ -131,6 +137,47 @@ def test_decomposition_closure():
                             assert S(A2, B2, s.C) in J.statements
 
 
+def _random_graphs(rng, count):
+    """Every three-node multigraph, then random 4-7-node multigraphs, ribbons
+    included."""
+    yield from all_mixed_graphs(("a", "b", "c"))
+    for _ in range(count):
+        yield random_lmg(rng, rng.randint(4, 7), p=rng.uniform(0.05, 0.35))
+
+
+def test_marginalise_condition_matches_the_statement_filter():
+    rng = random.Random(71)
+    for g in _random_graphs(rng, 150):
+        J = independence_model(g)
+        # a sample of J is a model that no graph need induce
+        sample = IndependenceModel(
+            J.ground, [s for s in J.statements if rng.random() < 0.5]
+        )
+        for model in (J, sample):
+            spec = random_spec(rng, g)
+            for M, C in ((spec.marg, spec.cond), ((), ()), ((), spec.marg)):
+                got = marginalise_condition(model, M, C)
+                want = marginalise_oracle(model, M, C)
+                assert got == want and got.statements == want.statements, (g, M, C)
+
+
+def test_rebuilt_models_equal_the_enumerated_one():
+    rng = random.Random(73)
+    for g in _random_graphs(rng, 150):
+        J = independence_model(g)
+        for rebuilt in (
+            IndependenceModel(g.node_set, J.statements),
+            model_from_json(model_to_json(J)),
+        ):
+            assert rebuilt == J and hash(rebuilt) == hash(J), g
+            assert model_equal(rebuilt, J) and len(rebuilt) == len(J), g
+            assert rebuilt.statements == J.statements, g
+        assert all(s in J for s in J.statements), g
+        for e in g.edges:
+            assert S(e.a, e.b) not in J, g
+        assert S("a", "zz") not in J and "a" not in J
+
+
 def test_model_equal_and_diff():
     J1 = IndependenceModel({"a", "b"}, [])
     J2 = IndependenceModel({"a", "b"}, [S("a", "b")])
@@ -182,14 +229,14 @@ def test_json_round_trip_and_stability():
 
 
 def test_enumeration_matches_the_per_assignment_oracle(monkeypatch):
-    built = []
-    init = IndependenceStatement.__init__
+    emitted = []
+    from_masks = IndependenceModel._from_masks
 
-    def counting_init(self, *sides):
-        built.append(sides)
-        init(self, *sides)
+    def capturing(nodes, triples):
+        emitted.append(list(triples))
+        return from_masks(nodes, triples)
 
-    monkeypatch.setattr(IndependenceStatement, "__init__", counting_init)
+    monkeypatch.setattr(IndependenceModel, "_from_masks", staticmethod(capturing))
     # multi-edge and non-ribbonless graphs included: the random draws fill
     # each of the four edge slots per pair independently
     rng = random.Random(61)
@@ -201,9 +248,13 @@ def test_enumeration_matches_the_per_assignment_oracle(monkeypatch):
         ),
     )
     for g in graphs:
-        built.clear()
+        emitted.clear()
         J = independence_model(g)
-        assert len(built) == len(J), g  # each statement is found once
+        (triples,) = emitted
+        # each statement is found once: no triple repeats, with A and B taken
+        # either way round
+        found = {(frozenset((a, b)), c) for a, b, c in triples}
+        assert len(triples) == len(found) == len(J), g
         assert J == model_oracle(g), g
 
 

@@ -9,6 +9,10 @@ from mixedgraphs.msep import (
     ConnectionQuery,
     NotDisjoint,
     OverlapError,
+    _state_exits,
+    _walk,
+    _walk_reach,
+    _walk_steps,
     connecting_path_exists,
     endpoint_identical_connection,
     enumerate_connecting_paths,
@@ -268,3 +272,40 @@ def test_walk_pip_edges_match_the_path_oracle():
     for _ in range(2000):
         g = random_lmg(rng, rng.randint(4, 7), p=rng.choice((0.12, 0.2)))
         assert set(_pip_edges(g)) == pip_edges_oracle(g), g
+
+
+def _bitset_walk_agrees(g, collider_set, allowed):
+    nodes = g.nodes
+    n = len(nodes)
+    mask = {v: 1 << k for k, v in enumerate(nodes)}
+    exits = _state_exits(g)
+    steps = _walk_steps(
+        exits, sum(mask[v] for v in collider_set), sum(mask[v] for v in allowed)
+    )
+    for k, source in enumerate(nodes):
+        reached = _walk_reach(steps, exits[k][0] | exits[k][1])
+        states = {(nodes[s % n], s >= n) for s in range(2 * n) if reached >> s & 1}
+        want = set(_walk(g, source, collider_set, allowed))
+        assert states == want, (g, source, collider_set, allowed)
+
+
+def test_bitset_walk_reaches_the_walk_states():
+    # every C with non-colliders outside C, as the model enumeration asks,
+    # on all 4,096 three-node multigraphs; then independent collider and
+    # allowed sets on random multigraphs, ribbons included
+    for g in all_mixed_graphs(("a", "b", "c"), multi=True):
+        for r in range(4):
+            for C in itertools.combinations(g.nodes, r):
+                C = set(C)
+                _bitset_walk_agrees(g, C | g.ancestors(C), g.node_set - C)
+    rng = random.Random(83)
+    ribbons = 0
+    for _ in range(500):
+        g = random_lmg(rng, rng.randint(4, 8), p=rng.uniform(0.05, 0.35))
+        ribbons += not g.is_ribbonless
+        for _ in range(6):
+            C = {v for v in g.nodes if rng.random() < 0.3}
+            M = {v for v in g.nodes if rng.random() < 0.6}
+            _bitset_walk_agrees(g, C | g.ancestors(C), M)
+            _bitset_walk_agrees(g, C | g.ancestors(C), g.node_set - C)
+    assert ribbons >= 50
