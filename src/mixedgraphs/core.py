@@ -3,6 +3,13 @@
 The graph value is immutable: every operation returns a new graph, and all
 derived structure (adjacency maps, ribbon reports, class tags) is cached on
 the instance, so graphs are safe to share between threads.
+
+`MixedGraph(nodes, edges)` checks every label and endpoint and canonicalises
+every edge. Graphs the library builds from edges it made itself (closures,
+projections, subgraphs) go through the private `MixedGraph._trusted`, which
+skips those checks. Construction indexes the adjacency sets in one pass over
+the edges; the per-node walk index `_flows` is built on first use, and
+`cycle_nodes` comes from one strongly-connected-components pass.
 """
 
 from __future__ import annotations
@@ -84,7 +91,7 @@ def arrow(tail, head) -> Edge:
 def canonical_edge(edge: Edge) -> Edge:
     """Normalize endpoint order for symmetric edges; reject loops."""
     kind, a, b = edge
-    if kind not in KIND_RANK:
+    if not isinstance(kind, str) or kind not in KIND_RANK:
         raise InvalidLabel(f"unknown edge kind {kind!r}")
     if a == b:
         raise LoopEdge(f"loop at node {a!r}")
@@ -152,46 +159,61 @@ class MixedGraph:
             node_set.add(n)
         canon = set()
         for e in edges:
-            e = canonical_edge(e)
-            if e.a not in node_set:
-                raise UnknownNode(f"edge endpoint {e.a!r} not a declared node")
-            if e.b not in node_set:
-                raise UnknownNode(f"edge endpoint {e.b!r} not a declared node")
-            canon.add(e)
-        self._nodes = tuple(sorted(node_set))
-        self._node_set = frozenset(node_set)
-        self._edges = frozenset(canon)
+            try:
+                kind, a, b = e
+            except (TypeError, ValueError):
+                raise InvalidLabel(f"bad edge {e!r}") from None
+            # membership first: only declared labels are safe to compare
+            for end in (a, b):
+                if not isinstance(end, str) or end not in node_set:
+                    raise UnknownNode(f"edge endpoint {end!r} not a declared node")
+            canon.add(canonical_edge(e))
+        self._index(node_set, canon)
 
-        parents = {n: set() for n in self._nodes}
-        children = {n: set() for n in self._nodes}
-        spouses = {n: set() for n in self._nodes}
-        neighbours = {n: set() for n in self._nodes}
-        incident = {n: [] for n in self._nodes}
-        for e in canon:
-            incident[e.a].append(e)
-            incident[e.b].append(e)
-            if e.kind == ARROW:
-                parents[e.b].add(e.a)
-                children[e.a].add(e.b)
-            elif e.kind == ARC:
-                spouses[e.a].add(e.b)
-                spouses[e.b].add(e.a)
+    @classmethod
+    def _trusted(cls, nodes, edges) -> "MixedGraph":
+        """The graph over edges the library built itself, unchecked: every
+        label valid, every endpoint among nodes, no loops, and every edge
+        canonical (lines and arcs with sorted endpoints)."""
+        g = cls.__new__(cls)
+        g._index(nodes, edges)
+        return g
+
+    def _index(self, nodes, edges):
+        self._node_set = frozenset(nodes)
+        self._nodes = tuple(sorted(self._node_set))
+        self._edges = frozenset(edges)
+        # per node, the sets of adjacent nodes by edge kind; private and
+        # never mutated, so the accessors hand out frozen copies
+        self._parents = parents = {n: set() for n in self._nodes}
+        self._children = children = {n: set() for n in self._nodes}
+        self._spouses = spouses = {n: set() for n in self._nodes}
+        self._neighbours = neighbours = {n: set() for n in self._nodes}
+        for kind, a, b in self._edges:
+            if kind == ARROW:
+                parents[b].add(a)
+                children[a].add(b)
             else:
-                neighbours[e.a].add(e.b)
-                neighbours[e.b].add(e.a)
-        self._parents = {n: frozenset(s) for n, s in parents.items()}
-        self._children = {n: frozenset(s) for n, s in children.items()}
-        self._spouses = {n: frozenset(s) for n, s in spouses.items()}
-        self._neighbours = {n: frozenset(s) for n, s in neighbours.items()}
-        # (other endpoint, mark here, mark there, edge), in canonical order;
-        # this is the walk structure used by the separation engine.
-        self._flows = {
-            n: tuple(
-                (e.other(n), e.mark_at(n), e.mark_at(e.other(n)), e)
-                for e in sorted(incident[n], key=edge_sort_key)
-            )
-            for n in self._nodes
-        }
+                links = spouses if kind == ARC else neighbours
+                links[a].add(b)
+                links[b].add(a)
+
+    @cached_property
+    def _flows(self) -> dict:
+        """Per node, (other endpoint, mark here, mark there, edge) in
+        canonical edge order: the walk structure of the separation engine,
+        built on first use. One sort of the edges orders every node's list."""
+        flows = {n: [] for n in self._nodes}
+        for e in sorted(self._edges, key=edge_sort_key):
+            kind, a, b = e
+            if kind == ARROW:
+                flows[a].append((b, TAIL, HEAD, e))
+                flows[b].append((a, HEAD, TAIL, e))
+            else:
+                mark = HEAD if kind == ARC else TAIL
+                flows[a].append((b, mark, mark, e))
+                flows[b].append((a, mark, mark, e))
+        return {n: tuple(f) for n, f in flows.items()}
 
     # --- basic accessors -------------------------------------------------
 
@@ -237,19 +259,19 @@ class MixedGraph:
 
     def parents(self, node) -> frozenset:
         self._check_node(node)
-        return self._parents[node]
+        return frozenset(self._parents[node])
 
     def children(self, node) -> frozenset:
         self._check_node(node)
-        return self._children[node]
+        return frozenset(self._children[node])
 
     def spouses(self, node) -> frozenset:
         self._check_node(node)
-        return self._spouses[node]
+        return frozenset(self._spouses[node])
 
     def neighbours(self, node) -> frozenset:
         self._check_node(node)
-        return self._neighbours[node]
+        return frozenset(self._neighbours[node])
 
     def adjacent(self, i, j) -> bool:
         self._check_node(i)
@@ -284,13 +306,51 @@ class MixedGraph:
 
     @cached_property
     def cycle_nodes(self) -> frozenset:
-        """Nodes lying on some direction-preserving cycle."""
-        return frozenset(n for n in self._nodes if n in self.ancestors({n}))
+        """Nodes lying on some direction-preserving cycle: those in strongly
+        connected components of the arrows with more than one node, from one
+        iterative pass of Tarjan's algorithm."""
+        children = self._children
+        # index and low-link per visited node; `at` holds the stack position
+        # of every node still on the component stack. A node without
+        # children is a component of its own and is never entered.
+        index, low, at, stack, cyclic = {}, {}, {}, [], []
+        for root in self._nodes:
+            if root in index or not children[root]:
+                continue
+            index[root] = low[root] = len(index)
+            at[root] = len(stack)
+            stack.append(root)
+            work = [(root, iter(children[root]))]
+            while work:
+                v, succ = work[-1]
+                for w in succ:
+                    if w not in index:
+                        if not children[w]:
+                            continue
+                        index[w] = low[w] = len(index)
+                        at[w] = len(stack)
+                        stack.append(w)
+                        work.append((w, iter(children[w])))
+                        break
+                    if w in at and index[w] < low[v]:
+                        low[v] = index[w]
+                else:
+                    work.pop()
+                    if work and low[v] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[v]
+                    if low[v] == index[v]:
+                        k = at[v]
+                        if len(stack) - k > 1:
+                            cyclic.extend(stack[k:])
+                        for w in stack[k:]:
+                            del at[w]
+                        del stack[k:]
+        return frozenset(cyclic)
 
     def induced_subgraph(self, keep) -> "MixedGraph":
         keep = set(keep)
         self._check_nodes(keep)
-        return MixedGraph(
+        return MixedGraph._trusted(
             keep, [e for e in self._edges if e.a in keep and e.b in keep]
         )
 
@@ -316,10 +376,7 @@ def collider_vs(g: MixedGraph):
     collider the arrow endpoint is listed first.
     """
     for t in g.nodes:
-        head_edges = sorted(
-            (e for (_o, mt, _mo, e) in g.flows(t) if mt == HEAD),
-            key=edge_sort_key,
-        )
+        head_edges = [e for (_o, mt, _mo, e) in g.flows(t) if mt == HEAD]
         for e1, e2 in itertools.combinations(head_edges, 2):
             o1, o2 = e1.other(t), e2.other(t)
             if o1 == o2:
@@ -338,7 +395,9 @@ def _orient_collider(e1, h, t, e2, j):
 def _ribbon_reports(g: MixedGraph):
     # the inner nodes with a witness: they or a descendant touch a line or
     # lie on a direction-preserving cycle
-    touching = {n for n in g.nodes if g.neighbours(n)} | g.cycle_nodes
+    touching = {n for n in g.nodes if g._neighbours[n]} | g.cycle_nodes
+    if not touching:
+        return []
     candidates = touching | g.ancestors(touching)
     reports = []
     for h, e1, t, e2, j in collider_vs(g):
@@ -353,7 +412,7 @@ def _ribbon_reports(g: MixedGraph):
 def _ribbon_witness(g: MixedGraph, inner):
     reach = sorted({inner} | g.descendants({inner}))
     for d in reach:
-        if g.neighbours(d):
+        if g._neighbours[d]:
             return ("line", d)
     return next(("cycle", d) for d in reach if d in g.cycle_nodes)
 
@@ -370,8 +429,9 @@ def _classify(g: MixedGraph) -> frozenset:
         tags.add("DAG")
     if g.is_ribbonless:
         tags.add("RG")
+    parents, spouses, neighbours = g._parents, g._spouses, g._neighbours
     no_head_at_line = all(
-        not (g.neighbours(n) and (g.parents(n) or g.spouses(n))) for n in g.nodes
+        not (neighbours[n] and (parents[n] or spouses[n])) for n in g.nodes
     )
     if no_head_at_line and acyclic:
         tags.add("SG")
@@ -381,7 +441,7 @@ def _classify(g: MixedGraph) -> frozenset:
         # only edge between its ends, and acyclicity leaves one arrow per
         # pair. The only possible parallel pair is a <-> b with a -> b, where
         # a is an ancestor of its spouse b, which the ancestral test rejects.
-        if all(n not in g.ancestors(g.spouses(n)) for n in g.nodes if g.spouses(n)):
+        if all(n not in g.ancestors(spouses[n]) for n in g.nodes if spouses[n]):
             tags.add("AG")
     return frozenset(tags)
 

@@ -27,6 +27,7 @@ from functools import cached_property
 
 from .core import MixedGraph, MixedGraphError
 from .msep import NotDisjoint, _paths, _state_exits, _walk_reach, _walk_steps
+from .textfmt import ParseError, _json_field, _json_payload
 
 
 class TooLarge(MixedGraphError):
@@ -354,11 +355,15 @@ def model_to_json(J: IndependenceModel) -> str:
 
 
 def model_from_json(text: str) -> IndependenceModel:
-    payload = json.loads(text)
-    return IndependenceModel(
-        payload["ground"],
-        [
-            IndependenceStatement(s["A"], s["B"], s.get("C", ()))
-            for s in payload["statements"]
-        ],
-    )
+    payload = _json_payload(text)
+    ground = _json_field(payload, "ground", "model", "labels")
+    statements = []
+    for k, s in enumerate(_json_field(payload, "statements", "model", "objects")):
+        where = f"statements[{k}]"
+        A, B = (_json_field(s, side, where, "labels") for side in "AB")
+        if not A or not B:
+            raise ParseError(f"{where}: sides A and B must be nonempty", 0)
+        statements.append(
+            IndependenceStatement(A, B, _json_field(s, "C", where, "labels", []))
+        )
+    return IndependenceModel(ground, statements)

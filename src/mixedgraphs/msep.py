@@ -98,10 +98,10 @@ def _walk(g: MixedGraph, source, collider_set, allowed, first_mark=None):
     Returns {state: predecessor}: the state whose step first reached it, or
     None for a state one edge from the source. The walk may re-enter the
     source as an inner node."""
-    flows = g.flows
+    flows = g._flows
     reached = {}
     stack = []
-    for o, mh, mo, _e in flows(source):
+    for o, mh, mo, _e in flows[source]:
         if first_mark is None or mh == first_mark:
             state = (o, mo == HEAD)
             if state not in reached:
@@ -114,7 +114,7 @@ def _walk(g: MixedGraph, source, collider_set, allowed, first_mark=None):
         head_ok = t in collider_set if arrived_head else tail_ok
         if not (head_ok or tail_ok):
             continue
-        for o, mh, mo, _e in flows(t):
+        for o, mh, mo, _e in flows[t]:
             if head_ok if mh == HEAD else tail_ok:
                 state = (o, mo == HEAD)
                 if state not in reached:
@@ -130,10 +130,11 @@ def _state_exits(g: MixedGraph):
     bit o, for node indices o among the n nodes."""
     n = len(g.nodes)
     index = {v: k for k, v in enumerate(g.nodes)}
+    flows = g._flows
     exits = []
     for v in g.nodes:
         head = tail = 0
-        for o, mh, mo, _e in g.flows(v):
+        for o, mh, mo, _e in flows[v]:
             bit = 1 << (index[o] + n if mo == HEAD else index[o])
             if mh == HEAD:
                 head |= bit

@@ -152,7 +152,7 @@ def table1_closure(h: MixedGraph, spec: ProjectionSpec):
     spec.validate_for(h)
     nodes = h.nodes
     edges = set(h.edges)
-    parents = {n: set(h.parents(n)) for n in nodes}
+    parents = {n: set(ps) for n, ps in h._parents.items()}
     trace = []
     while True:
         enabler = spec.cond | reach(parents, spec.cond)
@@ -188,7 +188,7 @@ def table1_closure(h: MixedGraph, spec: ProjectionSpec):
             if gen.kind == ARROW:
                 parents[gen.b].add(gen.a)
             trace.append(TraceStep(f"{rule}", t, gen))
-    return MixedGraph(nodes, edges), trace
+    return MixedGraph._trusted(nodes, edges), trace
 
 
 def _gate(h, tag, exc, what, force):
@@ -259,7 +259,7 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
     generated = sorted(edges - h.edges, key=edge_sort_key)
     if any(e not in steps for e in generated):
         return None
-    projected = MixedGraph(survivors, edges)
+    projected = MixedGraph._trusted(survivors, edges)
     anc_c = into_cond | projected.ancestors(into_cond)
     return projected, anc_c, [steps[e] for e in generated]
 
@@ -318,7 +318,7 @@ def rg_to_sg_traced(h: MixedGraph, anc_c):
                 generated = replacement
             trace.append(TraceStep("sg-step-2", None, generated, removed=e))
             changed = True
-    return MixedGraph(h.nodes, edges), trace
+    return MixedGraph._trusted(h.nodes, edges), trace
 
 
 def rg_to_sg(h: MixedGraph, anc_c) -> MixedGraph:
@@ -349,8 +349,16 @@ def sg_to_ag_traced(h: MixedGraph, force: bool = False):
     _gate(h, "SG", NotSummaryGraph, "a summary graph", force)
     nodes = h.nodes
     edges = set(h.edges)
-    parents = {n: set(h.parents(n)) for n in nodes}
+    parents = {n: set(ps) for n, ps in h._parents.items()}
     trace = []
+    # ancestors per node, computed when asked for and dropped whenever an
+    # arrow is added
+    anc = {}
+
+    def is_ancestor(k, n):
+        if n not in anc:
+            anc[n] = reach(parents, (n,))
+        return k in anc[n]
 
     while True:
         grew = False
@@ -358,7 +366,6 @@ def sg_to_ag_traced(h: MixedGraph, force: bool = False):
         while True:
             candidates = []
             inc = _incidence(nodes, edges)
-            anc = {n: reach(parents, (n,)) for n in nodes}
             for k in nodes:
                 head_edges = [e for e in inc[k] if e.mark_at(k) == HEAD]
                 for e1, e2 in itertools.combinations(head_edges, 2):
@@ -366,16 +373,16 @@ def sg_to_ag_traced(h: MixedGraph, force: bool = False):
                     if o1 == o2:
                         continue
                     if e1.kind == ARC and e2.kind == ARC:
-                        if k in anc[o1] or k in anc[o2]:
+                        if is_ancestor(k, o1) or is_ancestor(k, o2):
                             gen = arc(o1, o2)
                         else:
                             continue
                     elif e1.kind == ARC:
-                        if k not in anc[o1]:
+                        if not is_ancestor(k, o1):
                             continue
                         gen = arrow(o2, o1)
                     elif e2.kind == ARC:
-                        if k not in anc[o2]:
+                        if not is_ancestor(k, o2):
                             continue
                         gen = arrow(o1, o2)
                     else:
@@ -390,6 +397,7 @@ def sg_to_ag_traced(h: MixedGraph, force: bool = False):
                 edges.add(gen)
                 if gen.kind == ARROW:
                     parents[gen.b].add(gen.a)
+                    anc.clear()
                 trace.append(TraceStep("ag-step-2", k, gen))
             grew = True
         # arcs with one endpoint an ancestor of the other become arrows
@@ -398,10 +406,10 @@ def sg_to_ag_traced(h: MixedGraph, force: bool = False):
             for e in sorted(edges, key=edge_sort_key):
                 if e.kind != ARC:
                     continue
-                if e.a in reach(parents, (e.b,)):
+                if is_ancestor(e.a, e.b):
                     pending = (e, arrow(e.a, e.b))
                     break
-                if e.b in reach(parents, (e.a,)):
+                if is_ancestor(e.b, e.a):
                     pending = (e, arrow(e.b, e.a))
                     break
             if pending is None:
@@ -413,11 +421,12 @@ def sg_to_ag_traced(h: MixedGraph, force: bool = False):
                 edges.add(repl)
                 generated = repl
             parents[repl.b].add(repl.a)
+            anc.clear()
             trace.append(TraceStep("ag-step-3", None, generated, removed=e))
             grew = True
         if not grew:
             break
-    result = MixedGraph(nodes, edges)
+    result = MixedGraph._trusted(nodes, edges)
     if "AG" not in result.class_tags:
         raise NotAncestralGraph(
             f"the ancestral closure of {h!r} is not an ancestral graph"

@@ -35,8 +35,10 @@ _TOKEN_KIND = {"->": ARROW, "<->": ARC, "--": LINE}
 
 
 class ParseError(MixedGraphError):
+    """A malformed document; lineno 0 for a JSON field, which has no line."""
+
     def __init__(self, message, lineno, col=1):
-        super().__init__(f"line {lineno}, col {col}: {message}")
+        super().__init__(f"line {lineno}, col {col}: {message}" if lineno else message)
         self.lineno = lineno
         self.col = col
 
@@ -202,21 +204,59 @@ def document_to_json(doc: GraphDocument) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+_REQUIRED = object()
+_JSON_KINDS = {
+    "string": "a string",
+    "labels": "a list of strings",
+    "objects": "a list of objects",
+}
+
+
+def _json_payload(text: str) -> dict:
+    """The top-level object of a JSON document."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    if not isinstance(payload, dict):
+        raise ParseError("the document must be a JSON object", 0)
+    return payload
+
+
+def _json_field(obj: dict, key, where, kind, default=_REQUIRED):
+    """obj[key] from a JSON document, checked to be of `kind` (a key of
+    _JSON_KINDS). An absent or null field gives `default`, and is an error
+    where there is none. `where` names obj in the message."""
+    value = obj.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ParseError(f"{where}: missing field {key!r}", 0)
+        return default
+    if kind == "string":
+        ok = isinstance(value, str)
+    else:
+        item = str if kind == "labels" else dict
+        ok = isinstance(value, list) and all(isinstance(v, item) for v in value)
+    if not ok:
+        raise ParseError(f"{where}: field {key!r} must be {_JSON_KINDS[kind]}", 0)
+    return value
+
+
 def document_from_json(text: str) -> GraphDocument:
-    payload = json.loads(text)
-    edges = tuple(
-        canonical_edge(Edge(e["kind"], e["a"], e["b"]))
-        for e in payload.get("edges", ())
-    )
-    nodes = payload.get("nodes")
+    payload = _json_payload(text)
+    edges = []
+    for k, e in enumerate(_json_field(payload, "edges", "document", "objects", [])):
+        kind, a, b = (_json_field(e, f, f"edges[{k}]", "string") for f in Edge._fields)
+        edges.append(canonical_edge(Edge(kind, a, b)))
+    nodes = _json_field(payload, "nodes", "document", "labels", None)
     if nodes is None:
         nodes = sorted({n for e in edges for n in (e.a, e.b)})
     doc = GraphDocument(
-        name=payload.get("name", ""),
+        name=_json_field(payload, "name", "document", "string", ""),
         nodes=tuple(nodes),
-        edges=edges,
-        marg=tuple(payload.get("marg", ())),
-        cond=tuple(payload.get("cond", ())),
+        edges=tuple(edges),
+        marg=tuple(_json_field(payload, "marg", "document", "labels", [])),
+        cond=tuple(_json_field(payload, "cond", "document", "labels", [])),
     )
     doc.graph()  # validates edge endpoints against the node list
     for role, names in (("marg", doc.marg), ("cond", doc.cond)):

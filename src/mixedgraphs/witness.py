@@ -156,7 +156,7 @@ def dagify(h: MixedGraph) -> DagifyResult:
         cond.add(c)
         origin[c] = ("line", e)
         arrows.update({(e.a, c), (e.b, c)})
-    dag = MixedGraph(
+    dag = MixedGraph._trusted(
         list(h.nodes) + extra_nodes, [arrow(t, head) for t, head in arrows]
     )
     if dag.cycle_nodes:
@@ -223,7 +223,7 @@ def maximalize_report(g: MixedGraph):
         if not additions:
             return current, sweeps
         sweeps += 1
-        current = MixedGraph(current.nodes, current.edges | additions)
+        current = MixedGraph._trusted(current.nodes, current.edges | additions)
 
 
 def maximalize(g: MixedGraph) -> MixedGraph:

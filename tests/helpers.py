@@ -11,7 +11,7 @@ import itertools
 import json
 from collections import defaultdict
 
-from mixedgraphs.core import ARROW, MixedGraph, arc, arrow, line
+from mixedgraphs.core import ARROW, MixedGraph, arc, arrow, edge_sort_key, line
 from mixedgraphs.independence import (
     IndependenceModel,
     IndependenceStatement,
@@ -158,6 +158,38 @@ def _ancestors(g, targets):
                 anc.add(e.a)
                 grew = True
     return anc
+
+
+def flows_oracle(g):
+    """Per node, the walk index in its original form: the incident edges in
+    `edge_sort_key` order, each as (other end, mark here, mark there, edge)."""
+    flows = {}
+    for n in g.nodes:
+        incident = [e for e in g.edges if n in (e.a, e.b)]
+        flows[n] = tuple(
+            (e.other(n), e.mark_at(n), e.mark_at(e.other(n)), e)
+            for e in sorted(incident, key=edge_sort_key)
+        )
+    return flows
+
+
+def adjacency_oracle(g, n):
+    """n's parents, children, spouses and neighbours, from the edge list,
+    keyed by the name of the `MixedGraph` query for each."""
+    sets = {"parents": set(), "children": set(), "spouses": set(), "neighbours": set()}
+    for e in g.edges:
+        if n not in (e.a, e.b):
+            continue
+        if e.kind == ARROW:
+            sets["parents" if e.b == n else "children"].add(e.other(n))
+        else:
+            sets["spouses" if e.kind == "arc" else "neighbours"].add(e.other(n))
+    return sets
+
+
+def cycle_nodes_oracle(g):
+    """The nodes that are their own ancestors, by arrow-list scans."""
+    return frozenset(n for n in g.nodes if n in _ancestors(g, {n}))
 
 
 def class_tags_oracle(g):

@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mixedgraphs.core import (
+    Edge,
+    InvalidLabel,
     LoopEdge,
     MixedGraph,
     RibbonReport,
@@ -17,7 +19,14 @@ from mixedgraphs.core import (
 )
 from mixedgraphs.generators import random_ag, random_dag, random_lmg, random_sg
 
-from .helpers import all_mixed_graphs, class_tags_oracle, mk
+from .helpers import (
+    adjacency_oracle,
+    all_mixed_graphs,
+    class_tags_oracle,
+    cycle_nodes_oracle,
+    flows_oracle,
+    mk,
+)
 
 
 def test_make_graph_basic():
@@ -39,6 +48,24 @@ def test_make_graph_rejects_loop():
 def test_make_graph_rejects_unknown_endpoint():
     with pytest.raises(UnknownNode):
         MixedGraph({"a"}, [arrow("a", "b")])
+
+
+@pytest.mark.parametrize(
+    "edge, error",
+    [
+        (Edge("line", "a", 1), UnknownNode),
+        (Edge("arc", 1, "a"), UnknownNode),
+        (Edge("arrow", "a", ["b"]), UnknownNode),
+        (("line", "a"), InvalidLabel),
+        (7, InvalidLabel),
+        (Edge(["line"], "a", "b"), InvalidLabel),
+        (Edge("bogus", "a", "b"), InvalidLabel),
+    ],
+)
+def test_malformed_edges_raise_domain_errors(edge, error):
+    # endpoints are checked against the declared nodes before being ordered
+    with pytest.raises(error):
+        MixedGraph(["a", "b"], [edge])
 
 
 def test_symmetric_edges_are_canonicalized():
@@ -92,6 +119,32 @@ def test_direction_preserving_cycles():
     assert mk("a -> b\nb -> a").cycle_nodes == {"a", "b"}
     g = mk("a -> b\nb -> c\nc -> a\nd -> a")
     assert g.cycle_nodes == {"a", "b", "c"}
+
+
+def test_walk_index_and_cycles_match_the_edge_set_oracles():
+    rng = random.Random(1972)
+    graphs = itertools.chain(
+        all_mixed_graphs(("a", "b", "c")),
+        all_mixed_graphs(("a", "b", "c", "d"), multi=False),
+        (
+            random_lmg(rng, rng.randint(2, 12), p=rng.uniform(0.05, 0.4))
+            for _ in range(1500)
+        ),
+    )
+    for g in graphs:
+        assert g._flows == flows_oracle(g), g
+        for n in g.nodes:
+            for query, want in adjacency_oracle(g, n).items():
+                assert getattr(g, query)(n) == want, (g, n, query)
+        assert g.cycle_nodes == cycle_nodes_oracle(g), g
+
+
+def test_deep_directed_cycle_needs_no_recursion():
+    names = [f"v{k}" for k in range(3000)]
+    edges = [arrow(names[k - 1], names[k]) for k in range(3000)]
+    g = MixedGraph(names + ["x"], edges + [line("v0", "x")])
+    assert g.cycle_nodes == frozenset(names)
+    assert classify(g) == {"LMG", "RG"}
 
 
 def test_induced_subgraph():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -21,6 +22,7 @@ from mixedgraphs.independence import (
     model_to_json,
 )
 from mixedgraphs.msep import NotDisjoint, m_separated
+from mixedgraphs.textfmt import ParseError
 
 from .helpers import (
     all_mixed_graphs,
@@ -226,6 +228,34 @@ def test_json_round_trip_and_stability():
     text = model_to_json(J)
     assert model_equal(model_from_json(text), J)
     assert model_to_json(model_from_json(text)) == text
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("[]", "must be a JSON object"),
+        ('{"statements": []}', "missing field 'ground'"),
+        ('{"ground": ["a"]}', "missing field 'statements'"),
+        ('{"ground": "ab", "statements": []}', "'ground' must be a list of strings"),
+        ('{"ground": ["a"], "statements": [["a"]]}', "must be a list of objects"),
+        (
+            '{"ground": ["a", "b"], "statements": [{"A": "a", "B": ["b"]}]}',
+            "statements[0]: field 'A' must be a list of strings",
+        ),
+        (
+            '{"ground": ["a", "b"], "statements": [{"A": ["a"]}]}',
+            "statements[0]: missing field 'B'",
+        ),
+        (
+            '{"ground": ["a", "b"], "statements": [{"A": [], "B": ["b"]}]}',
+            "statements[0]: sides A and B must be nonempty",
+        ),
+        ('{"ground": [', "line 1, col 13"),
+    ],
+)
+def test_malformed_model_json_names_the_field(text, field):
+    with pytest.raises(ParseError, match=re.escape(field)):
+        model_from_json(text)
 
 
 def test_enumeration_matches_the_per_assignment_oracle(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -367,6 +368,41 @@ def test_projections_equal_the_closure_pipeline():
         assert_projections_match_closure(g, random_spec(rng, g))
     g = random_dag(rng, 80, p=2.5 / 79)
     assert_projections_match_closure(g, removal_spec(rng, g, 0.7))
+
+
+@pytest.mark.filterwarnings("ignore:projecting a graph that is not a summary graph")
+def test_trusted_graphs_equal_validated_ones(monkeypatch):
+    """Every graph the library builds unchecked, on the inputs of the
+    closure-pipeline check and of the dagify and maximalize tests, equals the
+    validated graph over its nodes and edges, with the same hash and walk
+    index: no caller hands `_trusted` a symmetric edge stored backwards."""
+    from . import test_witness
+
+    build = MixedGraph._trusted.__func__
+    callers = set()
+
+    def checked(cls, nodes, edges):
+        out = build(cls, nodes, edges)
+        want = MixedGraph(out.nodes, out.edges)
+        assert out == want and hash(out) == hash(want), out
+        assert out._flows == want._flows, out
+        callers.add(sys._getframe(1).f_code.co_name)
+        return out
+
+    monkeypatch.setattr(MixedGraph, "_trusted", classmethod(checked))
+    test_projections_equal_the_closure_pipeline()
+    for name, test in vars(test_witness).items():
+        if name.startswith("test_") and ("dagify" in name or "maximalize" in name):
+            test()
+    assert callers == {
+        "table1_closure",
+        "_signature_projection",
+        "induced_subgraph",
+        "rg_to_sg_traced",
+        "sg_to_ag_traced",
+        "dagify",
+        "maximalize_report",
+    }
 
 
 def test_bouncing_walk_signature_is_not_projected():

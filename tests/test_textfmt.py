@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -147,6 +148,25 @@ def test_graph_json_round_trip():
     assert derived.nodes == ("x", "y")
     with pytest.raises(UndeclaredNode):
         document_from_json('{"nodes": ["a"], "edges": [], "marg": ["z"]}')
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"edges": [{"kind": "line", "a": "a", "b": 1}]}', "'b' must be a string"),
+        ('{"edges": [{"kind": "line", "a": "a"}]}', "missing field 'b'"),
+        ('{"edges": [7]}', "'edges' must be a list of objects"),
+        ('{"edges": {"kind": "line"}}', "'edges' must be a list of objects"),
+        ('{"nodes": "ab"}', "'nodes' must be a list of strings"),
+        ('{"nodes": ["a"], "marg": [["a"]]}', "'marg' must be a list of strings"),
+        ('{"name": 3}', "'name' must be a string"),
+        ("[]", "must be a JSON object"),
+        ('{\n  "edges": ]', "line 2, col 12"),
+    ],
+)
+def test_malformed_graph_json_names_the_field(text, field):
+    with pytest.raises(ParseError, match=re.escape(field)):
+        document_from_json(text)
 
 
 def test_to_dot_mentions_every_edge():
