@@ -427,14 +427,16 @@ def _classify(g: MixedGraph) -> frozenset:
         tags.add("BG")
     if kinds <= {ARROW} and acyclic:
         tags.add("DAG")
-    if g.is_ribbonless:
-        tags.add("RG")
     parents, spouses, neighbours = g._parents, g._spouses, g._neighbours
     no_head_at_line = all(
         not (neighbours[n] and (parents[n] or spouses[n])) for n in g.nodes
     )
     if no_head_at_line and acyclic:
-        tags.add("SG")
+        # An SG is an RG, with no ribbon search. A ribbon needs a collider V
+        # whose inner node, or a descendant of it, touches a line or lies on
+        # a cycle. The inner node has a head, so none of its descendants
+        # (each with a parent) touches a line, and the graph is acyclic.
+        tags.update(("SG", "RG"))
         # Acyclic, so no node is an ancestor of its own parents: an AG needs
         # only that none is an ancestor of a spouse. Simplicity needs no test
         # of its own. A line has no head at either end here, so it is the
@@ -443,6 +445,8 @@ def _classify(g: MixedGraph) -> frozenset:
         # a is an ancestor of its spouse b, which the ancestral test rejects.
         if all(n not in g.ancestors(spouses[n]) for n in g.nodes if spouses[n]):
             tags.add("AG")
+    elif g.is_ribbonless:
+        tags.add("RG")
     return frozenset(tags)
 
 

@@ -12,26 +12,45 @@ Grammar, one item per line::
 
 Serialization is canonical (sorted nodes, edges sorted by kind then
 endpoints) and byte-stable, regardless of input order.
+
+The documents that `parse_graph`, `document_for` and `document_from_json`
+return are *checked*: canonical, with every label, endpoint and mark
+checked. They are sorted once, when they are made: `canonical()` returns a
+checked document as it is, and its `graph()` builds the graph without
+checking it again. A document built any other way (`GraphDocument(...)`,
+`dataclasses.replace`) is unchecked, and is checked and sorted as outside
+input whenever it is used.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass, field, replace
 
 from .core import (
     ARC,
     ARROW,
+    KIND_RANK,
     LINE,
     _LABEL_RE,
     Edge,
+    LoopEdge,
     MixedGraph,
     MixedGraphError,
     canonical_edge,
     edge_sort_key,
 )
 
-_TOKEN_KIND = {"->": ARROW, "<->": ARC, "--": LINE}
+# edge tokens by the rank of their kind, the first field of an edge's sort key
+_TOKEN_RANK = {"--": KIND_RANK[LINE], "<->": KIND_RANK[ARC], "->": KIND_RANK[ARROW]}
+_RANK_KIND = {rank: kind for kind, rank in KIND_RANK.items()}
+_ARROW_RANK = KIND_RANK[ARROW]
+_DIRECTIVES = ("nodes", "marg", "cond")
+# the tokens of an edge line, and the names of a directive line
+_WORD_RE = re.compile(r"\S+")
+_NAME_RE = re.compile(r"[^\s,]+")
 
 
 class ParseError(MixedGraphError):
@@ -60,11 +79,18 @@ class GraphDocument:
     edges: tuple = ()
     marg: tuple = ()
     cond: tuple = ()
+    # canonical, with every label, endpoint and mark checked; set only by
+    # _checked_document
+    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def graph(self) -> MixedGraph:
+        if self._checked:
+            return MixedGraph._trusted(self.nodes, self.edges)
         return MixedGraph(self.nodes, self.edges)
 
     def canonical(self) -> "GraphDocument":
+        if self._checked:
+            return self
         return replace(
             self,
             nodes=tuple(sorted(set(self.nodes))),
@@ -74,89 +100,109 @@ class GraphDocument:
         )
 
 
-def _check_label(tok, lineno, col):
-    if not _LABEL_RE.match(tok):
-        raise ParseError(f"bad node label {tok!r}", lineno, col)
-    return tok
+def _checked_document(name, nodes, edges, marg, cond) -> GraphDocument:
+    """A document whose fields are canonical and checked already."""
+    doc = GraphDocument(name, nodes, edges, marg, cond)
+    object.__setattr__(doc, "_checked", True)
+    return doc
+
+
+def _column(pattern, code, k, pos=0):
+    """The 1-based column of the k-th token of `pattern` in code from pos on."""
+    return next(itertools.islice(pattern.finditer(code, pos), k, None)).start() + 1
+
+
+def _undeclared(message, lines, lineno, label):
+    """UndeclaredNode at the first occurrence of label, on line lineno."""
+    code = lines[lineno - 1].partition("#")[0]
+    head, colon, _rest = code.partition(":")
+    pos = len(head) + 1 if colon and head.lstrip() in _DIRECTIVES else 0
+    tokens = _NAME_RE.finditer(code, pos)
+    col = next(m.start() for m in tokens if m.group() == label)
+    return UndeclaredNode(message, lineno, col + 1)
 
 
 def parse_graph(text: str, name: str = "") -> GraphDocument:
-    """Parse the text format into a canonical GraphDocument."""
-    declared = None
-    edges = []
-    seen_edges = set()
-    marg = None
-    cond = None
-    endpoints = set()
-    first_seen = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        lin = raw.split("#", 1)[0].rstrip()
-        if not lin.strip():
+    """Parse the text format into a checked GraphDocument.
+
+    One pass over the lines. Each distinct label is checked at its first
+    occurrence, and `seen` keeps the line of it. Edges are kept as their sort
+    keys (kind rank, a, b), so one sort orders them and no second pass over
+    the document is needed."""
+    seen = {}
+    keys = set()
+    directives = {}
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        code = raw.partition("#")[0]
+        toks = code.split()
+        if not toks:
             continue
-        stripped = lin.strip()
-        for directive in ("nodes", "marg", "cond"):
-            if stripped.startswith(directive + ":"):
-                names = stripped[len(directive) + 1 :].replace(",", " ").split()
-                col = raw.index(directive) + 1
-                for tok in names:
-                    _check_label(tok, lineno, col)
-                    first_seen.setdefault(tok, lineno)
-                if directive == "nodes":
-                    if declared is not None:
-                        raise ParseError("duplicate nodes: line", lineno, col)
-                    declared = list(names)
-                elif directive == "marg":
-                    if marg is not None:
-                        raise ParseError("duplicate marg: line", lineno, col)
-                    marg = list(names)
-                else:
-                    if cond is not None:
-                        raise ParseError("duplicate cond: line", lineno, col)
-                    cond = list(names)
-                break
-        else:
-            toks = stripped.split()
-            if len(toks) != 3 or toks[1] not in _TOKEN_KIND:
-                raise ParseError(
-                    "expected '<node> -> <node>', '<node> <-> <node>' or "
-                    "'<node> -- <node>'",
-                    lineno,
-                )
-            a, op, b = toks
-            col_a = raw.index(a) + 1
-            _check_label(a, lineno, col_a)
-            _check_label(b, lineno, raw.index(b, col_a) + 1)
-            try:
-                edge = canonical_edge(Edge(_TOKEN_KIND[op], a, b))
-            except MixedGraphError as exc:
-                raise type(exc)(f"line {lineno}: {exc}") from None
-            if edge in seen_edges:
-                raise DuplicateEdge(f"duplicate edge {edge.render()!r}", lineno)
-            seen_edges.add(edge)
-            edges.append(edge)
-            endpoints.update((a, b))
-            first_seen.setdefault(a, lineno)
-            first_seen.setdefault(b, lineno)
+        if ":" in code:
+            head, _, rest = code.partition(":")
+            directive = head.lstrip()
+            if directive in _DIRECTIVES:
+                names = rest.replace(",", " ").split()
+                for k, tok in enumerate(names):
+                    if tok not in seen:
+                        if not _LABEL_RE.match(tok):
+                            col = _column(_NAME_RE, code, k, len(head) + 1)
+                            raise ParseError(f"bad node label {tok!r}", lineno, col)
+                        seen[tok] = lineno
+                if directive in directives:
+                    col = len(head) - len(directive) + 1
+                    raise ParseError(f"duplicate {directive}: line", lineno, col)
+                directives[directive] = names
+                continue
+        if len(toks) != 3 or toks[1] not in _TOKEN_RANK:
+            raise ParseError(
+                "expected '<node> -> <node>', '<node> <-> <node>' or "
+                "'<node> -- <node>'",
+                lineno,
+                _column(_WORD_RE, code, 1 if len(toks) == 3 else 0),
+            )
+        a, op, b = toks
+        for k, tok in ((0, a), (2, b)):
+            if tok not in seen:
+                if not _LABEL_RE.match(tok):
+                    col = _column(_WORD_RE, code, k)
+                    raise ParseError(f"bad node label {tok!r}", lineno, col)
+                seen[tok] = lineno
+        if a == b:
+            raise LoopEdge(f"line {lineno}: loop at node {a!r}")
+        rank = _TOKEN_RANK[op]
+        key = (rank, b, a) if b < a and rank != _ARROW_RANK else (rank, a, b)
+        if key in keys:
+            edge = Edge(_RANK_KIND[rank], *key[1:]).render()
+            col = _column(_WORD_RE, code, 0)
+            raise DuplicateEdge(f"duplicate edge {edge!r}", lineno, col)
+        keys.add(key)
 
-    known = set(declared) if declared is not None else set(endpoints)
-    if declared is not None:
-        for n in sorted(endpoints - known):
-            raise UndeclaredNode(f"undeclared node {n!r}", first_seen[n])
+    declared = directives.get("nodes")
+    if declared is None:
+        known = {n for _rank, a, b in keys for n in (a, b)}
+    else:
+        known = set(declared)
+        # every label read is in `seen`: more of them than were declared
+        # means an undeclared endpoint or mark
+        if len(seen) > len(known):
+            ends = {n for _rank, a, b in keys for n in (a, b)}
+            for n in sorted(ends - known):
+                raise _undeclared(f"undeclared node {n!r}", lines, seen[n], n)
+    marg = directives.get("marg", ())
+    cond = directives.get("cond", ())
     for role, names in (("marg", marg), ("cond", cond)):
-        for n in names or ():
+        for n in names:
             if n not in known:
-                raise UndeclaredNode(
-                    f"{role} mark on undeclared node {n!r}", first_seen[n]
-                )
-
-    doc = GraphDocument(
-        name=name,
-        nodes=tuple(known),
-        edges=tuple(edges),
-        marg=tuple(marg or ()),
-        cond=tuple(cond or ()),
+                message = f"{role} mark on undeclared node {n!r}"
+                raise _undeclared(message, lines, seen[n], n)
+    return _checked_document(
+        name,
+        tuple(sorted(known)),
+        tuple(Edge(_RANK_KIND[rank], a, b) for rank, a, b in sorted(keys)),
+        tuple(sorted(set(marg))),
+        tuple(sorted(set(cond))),
     )
-    return doc.canonical()
 
 
 def serialize_graph(doc: GraphDocument) -> str:
@@ -172,13 +218,15 @@ def serialize_graph(doc: GraphDocument) -> str:
 
 
 def document_for(graph: MixedGraph, name: str = "", marg=(), cond=()) -> GraphDocument:
-    return GraphDocument(
-        name=name,
-        nodes=tuple(graph.nodes),
-        edges=tuple(graph.sorted_edges()),
-        marg=tuple(sorted(marg)),
-        cond=tuple(sorted(cond)),
-    ).canonical()
+    """The checked document of a graph with role marks on its nodes."""
+    marks = []
+    for role, names in (("marg", marg), ("cond", cond)):
+        names = tuple(names)
+        for n in names:
+            if n not in graph.node_set:
+                raise UndeclaredNode(f"{role} mark on undeclared node {n!r}", 0)
+        marks.append(tuple(sorted(set(names))))
+    return _checked_document(name, graph.nodes, tuple(graph.sorted_edges()), *marks)
 
 
 def serialize(graph: MixedGraph) -> str:
@@ -251,24 +299,27 @@ def document_from_json(text: str) -> GraphDocument:
     nodes = _json_field(payload, "nodes", "document", "labels", None)
     if nodes is None:
         nodes = sorted({n for e in edges for n in (e.a, e.b)})
-    doc = GraphDocument(
-        name=_json_field(payload, "name", "document", "string", ""),
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        marg=tuple(_json_field(payload, "marg", "document", "labels", [])),
-        cond=tuple(_json_field(payload, "cond", "document", "labels", [])),
-    )
-    doc.graph()  # validates edge endpoints against the node list
-    for role, names in (("marg", doc.marg), ("cond", doc.cond)):
-        for n in names:
-            if n not in doc.nodes:
-                raise UndeclaredNode(f"{role} mark on undeclared node {n!r}", 0)
-    return doc.canonical()
+    name = _json_field(payload, "name", "document", "string", "")
+    marg = _json_field(payload, "marg", "document", "labels", [])
+    cond = _json_field(payload, "cond", "document", "labels", [])
+    # MixedGraph checks every label and endpoint, document_for every mark
+    return document_for(MixedGraph(nodes, edges), name, marg, cond)
+
+
+_DOT_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_DOT_KEYWORDS = {"digraph", "edge", "graph", "node", "strict", "subgraph"}
+
+
+def _dot_id(name):
+    """name as a DOT ID: as it is if it is a plain identifier, else quoted."""
+    if _DOT_ID_RE.match(name) and name.lower() not in _DOT_KEYWORDS:
+        return name
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def to_dot(graph: MixedGraph, name: str = "G") -> str:
     """Export-only DOT rendering (arrows directed, arcs dir=both, lines plain)."""
-    out = [f"digraph {name or 'G'} {{"]
+    out = [f"digraph {_dot_id(name or 'G')} {{"]
     for n in graph.nodes:
         out.append(f'  "{n}";')
     for e in graph.sorted_edges():

@@ -383,3 +383,101 @@ def closure_random_order(g: MixedGraph, spec: ProjectionSpec, rng):
             break
         edges.add(rng.choice(applicable))
     return MixedGraph(g.nodes, edges)
+
+
+def parse_graph_oracle(text, name=""):
+    """The text parser as it stood before the one-pass parser: labels checked
+    at every occurrence, edges canonicalised one by one, and the document
+    sorted by `canonical()` at the end. Kept as the one-pass parser's oracle
+    for documents, error classes and line numbers; its columns point at the
+    start of a directive rather than at the bad token."""
+    from mixedgraphs.core import _LABEL_RE, Edge, MixedGraphError, canonical_edge
+    from mixedgraphs.textfmt import (
+        DuplicateEdge,
+        GraphDocument,
+        ParseError,
+        UndeclaredNode,
+    )
+
+    token_kind = {"->": "arrow", "<->": "arc", "--": "line"}
+
+    def check_label(tok, lineno, col):
+        if not _LABEL_RE.match(tok):
+            raise ParseError(f"bad node label {tok!r}", lineno, col)
+        return tok
+
+    declared = None
+    edges = []
+    seen_edges = set()
+    marg = None
+    cond = None
+    endpoints = set()
+    first_seen = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        lin = raw.split("#", 1)[0].rstrip()
+        if not lin.strip():
+            continue
+        stripped = lin.strip()
+        for directive in ("nodes", "marg", "cond"):
+            if stripped.startswith(directive + ":"):
+                names = stripped[len(directive) + 1 :].replace(",", " ").split()
+                col = raw.index(directive) + 1
+                for tok in names:
+                    check_label(tok, lineno, col)
+                    first_seen.setdefault(tok, lineno)
+                if directive == "nodes":
+                    if declared is not None:
+                        raise ParseError("duplicate nodes: line", lineno, col)
+                    declared = list(names)
+                elif directive == "marg":
+                    if marg is not None:
+                        raise ParseError("duplicate marg: line", lineno, col)
+                    marg = list(names)
+                else:
+                    if cond is not None:
+                        raise ParseError("duplicate cond: line", lineno, col)
+                    cond = list(names)
+                break
+        else:
+            toks = stripped.split()
+            if len(toks) != 3 or toks[1] not in token_kind:
+                raise ParseError(
+                    "expected '<node> -> <node>', '<node> <-> <node>' or "
+                    "'<node> -- <node>'",
+                    lineno,
+                )
+            a, op, b = toks
+            col_a = raw.index(a) + 1
+            check_label(a, lineno, col_a)
+            check_label(b, lineno, raw.index(b, col_a) + 1)
+            try:
+                edge = canonical_edge(Edge(token_kind[op], a, b))
+            except MixedGraphError as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from None
+            if edge in seen_edges:
+                raise DuplicateEdge(f"duplicate edge {edge.render()!r}", lineno)
+            seen_edges.add(edge)
+            edges.append(edge)
+            endpoints.update((a, b))
+            first_seen.setdefault(a, lineno)
+            first_seen.setdefault(b, lineno)
+
+    known = set(declared) if declared is not None else set(endpoints)
+    if declared is not None:
+        for n in sorted(endpoints - known):
+            raise UndeclaredNode(f"undeclared node {n!r}", first_seen[n])
+    for role, names in (("marg", marg), ("cond", cond)):
+        for n in names or ():
+            if n not in known:
+                raise UndeclaredNode(
+                    f"{role} mark on undeclared node {n!r}", first_seen[n]
+                )
+
+    doc = GraphDocument(
+        name=name,
+        nodes=tuple(known),
+        edges=tuple(edges),
+        marg=tuple(marg or ()),
+        cond=tuple(cond or ()),
+    )
+    return doc.canonical()

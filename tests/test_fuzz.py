@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mixedgraphs.cli import main
 from mixedgraphs.core import MixedGraphError
-from mixedgraphs.textfmt import parse_graph
+from mixedgraphs.textfmt import ParseError, parse_graph
 
 FUZZ = settings(derandomize=True, database=None, deadline=None)
 
@@ -121,6 +121,12 @@ COMMANDS = st.one_of(
 def test_parse_graph_raises_only_domain_errors(text):
     try:
         doc = parse_graph(text)
+    except ParseError as exc:
+        # every error of the text format sits on an edge or directive line,
+        # and its column on a character of that line that is no blank
+        line = text.splitlines()[exc.lineno - 1]
+        assert 1 <= exc.col <= len(line) and not line[exc.col - 1].isspace(), exc
+        return
     except MixedGraphError:
         return
     doc.graph()

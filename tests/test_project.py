@@ -25,6 +25,7 @@ from mixedgraphs.project import (
     sg_to_ag,
     table1_closure,
 )
+from mixedgraphs.textfmt import parse_graph, serialize
 
 from .helpers import all_dags, closure_random_order, mk, path_signatures, replay_trace
 
@@ -375,7 +376,9 @@ def test_trusted_graphs_equal_validated_ones(monkeypatch):
     """Every graph the library builds unchecked, on the inputs of the
     closure-pipeline check and of the dagify and maximalize tests, equals the
     validated graph over its nodes and edges, with the same hash and walk
-    index: no caller hands `_trusted` a symmetric edge stored backwards."""
+    index: no caller hands `_trusted` a symmetric edge stored backwards.
+    Each one also goes through a text round trip, whose parsed document
+    builds its graph unchecked too."""
     from . import test_witness
 
     build = MixedGraph._trusted.__func__
@@ -386,7 +389,10 @@ def test_trusted_graphs_equal_validated_ones(monkeypatch):
         want = MixedGraph(out.nodes, out.edges)
         assert out == want and hash(out) == hash(want), out
         assert out._flows == want._flows, out
-        callers.add(sys._getframe(1).f_code.co_name)
+        caller = sys._getframe(1).f_code.co_name
+        callers.add(caller)
+        if caller != "graph":
+            assert parse_graph(serialize(out)).graph() == out
         return out
 
     monkeypatch.setattr(MixedGraph, "_trusted", classmethod(checked))
@@ -402,6 +408,7 @@ def test_trusted_graphs_equal_validated_ones(monkeypatch):
         "sg_to_ag_traced",
         "dagify",
         "maximalize_report",
+        "graph",
     }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -5,7 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mixedgraphs.core import LoopEdge, arc, arrow, line
+from mixedgraphs.core import (
+    Edge,
+    LoopEdge,
+    MixedGraphError,
+    UnknownNode,
+    arc,
+    arrow,
+    line,
+)
 from mixedgraphs.generators import random_lmg
 from mixedgraphs.textfmt import (
     DuplicateEdge,
@@ -21,6 +30,8 @@ from mixedgraphs.textfmt import (
     serialize_graph,
     to_dot,
 )
+
+from .helpers import parse_graph_oracle
 
 
 def test_parse_three_edge_kinds():
@@ -174,3 +185,149 @@ def test_to_dot_mentions_every_edge():
     dot = to_dot(g)
     assert '"a" -> "b";' in dot
     assert '[dir=both]' in dot and '[dir=none]' in dot
+
+
+def test_to_dot_quotes_a_name_that_is_no_dot_id():
+    g = graph_from_text("a -> b")
+    assert to_dot(g, "chain").startswith("digraph chain {\n")
+    assert to_dot(g, "a-b").startswith('digraph "a-b" {\n')
+    assert to_dot(g, "2nd").startswith('digraph "2nd" {\n')
+    assert to_dot(g, "node").startswith('digraph "node" {\n')
+    assert to_dot(g, 'x"y\\z').startswith('digraph "x\\"y\\\\z" {\n')
+
+
+@pytest.mark.parametrize(
+    "text, lineno, col",
+    [
+        ("a -> -", 1, 6),
+        ("nodes: a b*", 1, 10),
+        ("a -> b\n  x-y -- a", 2, 3),
+        ("marg: a,,b*\na -> b", 1, 10),
+        ("a <- b", 1, 3),
+        ("a -> b c", 1, 1),
+        ("a -> b\n  b -> a\nb -> a", 3, 1),
+        ("nodes: a\n  marg: a\n  marg: a", 3, 3),
+        ("nodes: a b\nb -> a\na -> zz # note", 3, 6),
+        ("a -- b\nmarg: a, zz", 2, 10),
+    ],
+)
+def test_parse_errors_point_at_the_bad_token(text, lineno, col):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert (err.value.lineno, err.value.col) == (lineno, col)
+
+
+def test_document_for_rejects_marks_outside_the_graph():
+    g = graph_from_text("a -> b")
+    with pytest.raises(UndeclaredNode, match="marg mark on undeclared node 'zz'"):
+        document_for(g, marg={"zz"})
+    with pytest.raises(UndeclaredNode, match="cond mark on undeclared node 'zz'"):
+        document_for(g, marg={"a"}, cond=["b", "zz"])
+
+
+def _messy_text(rng, g, marg, cond):
+    """g and its marks as a valid file in a random layout: shuffled lines,
+    symmetric edges either way round, comments, blank lines, commas and
+    stray whitespace. Isolated nodes are always declared."""
+    isolated = [n for n in g.nodes if not g.flows(n)]
+    lines = []
+    for e in g.edges:
+        a, b = (e.b, e.a) if e.kind != "arrow" and rng.random() < 0.5 else (e.a, e.b)
+        lines.append(f"{a} {e.render().split()[1]} {b}")
+
+    def names(labels):
+        labels = list(labels)
+        rng.shuffle(labels)
+        return rng.choice((" ", ", ", ",", " ,\t")).join(labels)
+
+    if isolated or rng.random() < 0.5:
+        lines.append("nodes: " + names(g.nodes))
+    for role, labels in (("marg", marg), ("cond", cond)):
+        if labels or rng.random() < 0.2:
+            lines.append(f"{role}:" + rng.choice(("", " ")) + names(labels))
+    lines += rng.choice(([], ["# comment"], ["", "  ", "\t# x"]))
+    rng.shuffle(lines)
+    return "\n".join(
+        rng.choice(("", " ", "\t")) + text + rng.choice(("", "  ", " # note", "#"))
+        for text in lines
+    )
+
+
+def _outcome(parse, text):
+    """A parser's document, or the class, line and message of its error
+    (without the column, which the one-pass parser places on the bad token)."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), exc.lineno, str(exc).split(": ", 1)[-1]
+    except MixedGraphError as exc:
+        return type(exc), str(exc)
+
+
+BAD_LINES = (
+    "a* -> b",
+    "x-y -- a",
+    "a <- b",
+    "a - b",
+    "a -> b c",
+    "a",
+    "a: -> b",
+    "nodes : a",
+    "nodesx: a",
+    "a -> a",
+    "b <-> b",
+    "a -> zz",
+    "zz -- a",
+    "marg: zz",
+    "cond: a,zz",
+    "nodes: a b*",
+    "cond: é",
+    "nodes:",
+    "marg: a",
+    "cond:",
+)
+
+
+def test_parse_graph_matches_the_oracle_parser():
+    rng = random.Random(88)
+    for k in range(3000):
+        g = random_lmg(rng, rng.randint(1, 7), p=0.2)
+        marg = rng.sample(g.nodes, rng.randint(0, min(2, len(g.nodes))))
+        cond = rng.sample(g.nodes, rng.randint(0, min(2, len(g.nodes))))
+        text = _messy_text(rng, g, marg, cond)
+        doc = parse_graph(text, name="g")
+        assert doc == parse_graph_oracle(text, name="g"), text
+        assert (doc.nodes, doc.edges, doc.marg, doc.cond) == (
+            g.nodes,
+            tuple(g.sorted_edges()),
+            tuple(sorted(set(marg))),
+            tuple(sorted(set(cond))),
+        )
+        assert doc.graph() == g
+        # the same file with one to three bad, repeated or extra lines
+        lines = text.split("\n")
+        for _ in range(rng.randint(1, 3)):
+            bad = rng.choice(BAD_LINES + tuple(line for line in lines if line.strip()))
+            lines.insert(rng.randint(0, len(lines)), bad)
+        text = "\n".join(lines)
+        want = _outcome(parse_graph_oracle, text)
+        assert _outcome(parse_graph, text) == want, text
+
+
+def test_a_checked_document_keeps_its_checks():
+    doc = parse_graph("a -> b")
+    with pytest.raises(UnknownNode):
+        dataclasses.replace(doc, edges=(Edge("arrow", "a", "zz"),)).graph()
+    with pytest.raises(TypeError):
+        GraphDocument(_checked=True)
+    edges = (arrow("b", "a"), line("a", "b"), arrow("b", "a"))
+    messy = GraphDocument("g", ("b", "a", "b"), edges, ("b", "a"), ("a", "a"))
+    assert messy.canonical() == GraphDocument(
+        "g", ("a", "b"), (line("a", "b"), arrow("b", "a")), ("a", "b"), ("a",)
+    )
+    assert serialize_graph(messy) == "nodes: a b\na -- b\nb -> a\nmarg: a b\ncond: a\n"
+    # the flag is no part of the value
+    plain = GraphDocument(nodes=("a", "b"), edges=(arrow("a", "b"),))
+    assert doc._checked and not plain._checked
+    assert doc == plain and hash(doc) == hash(plain) and repr(doc) == repr(plain)
+    assert doc.canonical() is doc
