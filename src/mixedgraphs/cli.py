@@ -13,7 +13,12 @@ import sys
 from pathlib import Path
 
 from .core import MixedGraphError, classify
-from .independence import independence_model, marginalise_condition, model_to_json
+from .independence import (
+    _check_ground,
+    independence_model,
+    marginalise_condition,
+    model_to_json,
+)
 from .msep import ConnectionQuery, enumerate_connecting_paths, m_separated
 from .project import PROJECTORS_TRACED, ProjectionSpec, render_trace
 from .suites import SUITES
@@ -141,6 +146,7 @@ def _cmd_marginalise(args):
     doc = _load(args.file)
     graph = doc.graph()
     spec = _spec_from(args, doc)
+    _check_ground(graph.node_set, spec.marg, spec.cond)
     model = marginalise_condition(
         independence_model(graph, limit=args.limit), spec.marg, spec.cond
     )

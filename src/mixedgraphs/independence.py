@@ -14,19 +14,32 @@ when `statements` or `sorted_statements` is read. Ordering uses a rank table:
 each mask the model holds gets its position in sorted label-tuple order, so a
 statement sorts by three ints.
 
-`independence_model` enumerates over bit masks of node sets. Per C it builds
-an(C) from the masks of smaller sets and one successor bitset per walk state
-(`msep._walk_steps`), which every source shares, and `model_to_json` writes
-the canonical JSON layout directly.
+`_connections` is the enumeration kernel: per conditioning mask C, in
+increasing order, the mask of nodes m-connected to each node, from one
+bitset walk per source (`msep._walk_steps`, `msep._walk_reach`) and, on
+graphs that are not ribbonless, simple paths that are found once and reused
+across conditioning sets. `independence_model` reads the statements off
+these rows, growing each A depth-first and dropping a branch once no B is
+left for it; `witness.is_maximal_literal` reads the pairwise verdicts.
+`model_to_json` writes the canonical JSON layout directly.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import repeat
 
 from .core import MixedGraph, MixedGraphError
-from .msep import NotDisjoint, _paths, _state_exits, _walk_reach, _walk_steps
+from .msep import (
+    NotDisjoint,
+    PathWitness,
+    _bit_table,
+    _paths,
+    _state_exits,
+    _walk_reach,
+    _walk_steps,
+)
 from .textfmt import ParseError, _json_field, _json_payload
 
 
@@ -206,21 +219,100 @@ class IndependenceModel:
         return self._statements(self._sorted_triples(self._ranks()))
 
 
+def _connections(g: MixedGraph, bits):
+    """The pairwise connection rows of g, per conditioning mask C in
+    increasing order: yields (C, conn), where for every node k outside C,
+    conn[k] is the mask of k itself and the nodes outside C m-connected to
+    k given C, with non-colliders outside C. `bits` is
+    `msep._bit_table(len(g.nodes))`.
+
+    an(C) is the union of an(C minus its lowest node) and an(lowest node).
+    `msep._walk_steps` gives the walk rule for collider set C ∪ an(C) and
+    non-colliders outside C, shared by every source. Adjacent nodes are
+    always connected; a later non-adjacent node is connected when the
+    bitset walk out of k reaches it, checked by a simple path unless g is
+    ribbonless. Each path `msep._paths` finds is kept per pair as its
+    (collider mask, non-collider mask): it still connects under a later C
+    whose C ∪ an(C) holds its colliders and which misses its non-colliders,
+    so `_paths` runs only when no kept path applies.
+    """
+    nodes = g.nodes
+    n = len(nodes)
+    full = (1 << n) - 1
+    exits = _state_exits(g)
+    starts = exits[2]
+    adjacent = [(s | s >> n) & full | 1 << k for k, s in enumerate(starts)]
+    # per node, the non-adjacent nodes above it
+    apart = [full & ~a & ~((2 << k) - 1) for k, a in enumerate(adjacent)]
+    bit = {v: 1 << k for k, v in enumerate(nodes)}
+    anc = [0] * (1 << n)
+    for k, v in enumerate(nodes):
+        anc[1 << k] = sum(bit[u] for u in g.ancestors({v}))
+    exact = g.is_ribbonless
+    # per pair k < j at k * n + j, the (collider, non-collider) masks of
+    # the paths found
+    found = [[] for _ in range(n * n)]
+    for cmask in range(1 << n):
+        low = cmask & -cmask
+        anc[cmask] = anc[cmask ^ low] | anc[low]
+        colliders = cmask | anc[cmask]
+        out = full & ~cmask
+        steps = _walk_steps(exits, colliders, out)
+        sets = None
+        conn = adjacent[:]
+        for k in bits[out]:
+            later = out & apart[k]
+            if not later:
+                continue
+            reached = _walk_reach(steps, starts[k], bits)
+            hits = (reached | reached >> n) & later
+            if not exact:
+                for j in bits[hits]:
+                    kept = found[k * n + j]
+                    for co, nc in kept:
+                        if not (co & ~colliders or nc & cmask):
+                            break
+                    else:
+                        if sets is None:
+                            sets = (
+                                {nodes[c] for c in bits[colliders]},
+                                {nodes[c] for c in bits[out]},
+                            )
+                        path = next(_paths(g, nodes[k], nodes[j], *sets), None)
+                        if path is None:
+                            hits ^= 1 << j
+                        else:
+                            kept.append(_path_masks(path, bit))
+            conn[k] |= hits
+            for j in bits[hits]:
+                conn[j] |= 1 << k
+        yield cmask, conn
+
+
+def _path_masks(path, bit):
+    """The (collider mask, non-collider mask) of a path's inner nodes."""
+    w = PathWitness(*path)
+    co = nc = 0
+    for v, collider in zip(w.nodes[1:-1], w.colliders):
+        if collider:
+            co |= bit[v]
+        else:
+            nc |= bit[v]
+    return co, nc
+
+
 def independence_model(g: MixedGraph, limit: int = 8) -> IndependenceModel:
     """Enumerate J_m(g): every triple <A,B|C> with A m-separated from B by C.
 
-    Node sets are bit masks over the sorted nodes. Per C, an(C) is the union
-    of an(C minus its lowest node) and an(lowest node), and `msep._walk_steps`
-    gives one successor bitset per walk state for collider set C ∪ an(C) and
-    non-colliders outside C, shared by every source. `conn[k]` is the mask of
-    nodes m-connected to node k given C: its neighbours (one edge always
-    m-connects its ends), plus the later non-adjacent nodes that the bitset
-    search out of k reaches, each re-checked by `msep._paths` unless g is
-    ribbonless. The sets A run through the submasks of the nodes outside C
-    in increasing order, so the union of `conn` over A extends the union
-    over A minus its lowest node. B ranges over the nodes above that lowest
-    one that lie outside A and its union, so each statement is found once,
-    as a mask triple with its smaller side first.
+    Node sets are bit masks over the sorted nodes. m-separation models are
+    compositional graphoids, so A and B are separated by C exactly when no
+    node of B lies in the connection row (`_connections`) of a node of A.
+    Per C, each A grows depth-first from its lowest node k by nodes above
+    its highest one. The B candidates are the nodes above k, outside A,
+    and connected to no node of A; adding a node to A only shrinks them,
+    so a branch whose candidates run out is dropped whole. Every nonempty
+    submask of the candidates is a B, so each statement is found once, as
+    a mask triple with its smaller side first.
 
     Exponential in the node count; refuses graphs above `limit` nodes (pass a
     larger limit to override).
@@ -229,50 +321,53 @@ def independence_model(g: MixedGraph, limit: int = 8) -> IndependenceModel:
     n = len(nodes)
     if n > limit:
         raise TooLarge(f"{n} nodes exceeds enumeration limit {limit}")
+    bits = _bit_table(n)
     full = (1 << n) - 1
-    exits = _state_exits(g)
-    starts = [head | tail for head, tail in exits]
-    adjacent = [(s | s >> n) & full for s in starts]
-    bit = {v: 1 << k for k, v in enumerate(nodes)}
-    anc = [0] * (1 << n)
-    for k, v in enumerate(nodes):
-        anc[1 << k] = sum(bit[u] for u in g.ancestors({v}))
-    exact = g.is_ribbonless
-    union = [0] * (1 << n)
+    higher = [full & ~((2 << k) - 1) for k in range(n)]
+    subsets = {}
     triples = []
-    for cmask in range(1 << n):
-        low = cmask & -cmask
-        anc[cmask] = anc[cmask ^ low] | anc[low]
-        colliders = cmask | anc[cmask]
+    for cmask, conn in _connections(g, bits):
         out = full & ~cmask
-        steps = _walk_steps(exits, colliders, out)
-        if not exact:
-            collider_set = {nodes[k] for k in _bits(colliders)}
-            allowed = {nodes[k] for k in _bits(out)}
-        conn = adjacent[:]
-        for k in _bits(out):
-            later = out & ~adjacent[k] & ~((2 << k) - 1)
-            if not later:
-                continue
-            reached = _walk_reach(steps, starts[k])
-            for j in _bits((reached | reached >> n) & later):
-                if exact or next(
-                    _paths(g, nodes[k], nodes[j], collider_set, allowed), None
-                ):
-                    conn[k] |= 1 << j
-                    conn[j] |= 1 << k
-        # the nonempty submasks of out in increasing order
-        amask = -out & out
-        while amask:
-            low = amask & -amask
-            union[amask] = union[amask ^ low] | conn[low.bit_length() - 1]
-            common = out & ~amask & ~union[amask] & ~(low - 1)
-            bmask = common
-            while bmask:
-                triples.append((amask, bmask, cmask))
-                bmask = (bmask - 1) & common
-            amask = (amask - out) & out
+        stack = []
+        for k in bits[out]:
+            above = out & higher[k]
+            cand = above & ~conn[k]
+            if cand:
+                stack.append((1 << k, cand, above))
+        while stack:
+            amask, cand, grow = stack.pop()
+            if cand & (cand - 1):
+                bs = subsets.get(cand)
+                if bs is None:
+                    bs = subsets[cand] = _submasks(cand)
+                triples.extend(zip(repeat(amask), bs, repeat(cmask)))
+            else:
+                triples.append((amask, cand, cmask))
+            for x in bits[grow]:
+                rest = cand & ~conn[x]
+                if rest:
+                    stack.append((amask | 1 << x, rest, grow & higher[x]))
     return IndependenceModel._from_masks(nodes, triples)
+
+
+def _submasks(mask):
+    """The nonempty submasks of mask, decreasing."""
+    out = []
+    sub = mask
+    while sub:
+        out.append(sub)
+        sub = (sub - 1) & mask
+    return out
+
+
+def _check_ground(ground, M, C):
+    """Raise NotInGround, naming them sorted, if M or C holds nodes outside
+    ground."""
+    missing = (M | C) - ground
+    if missing:
+        raise NotInGround(
+            f"M and C name nodes outside the ground set: {sorted(missing)}"
+        )
 
 
 def marginalise_condition(J: IndependenceModel, M, C) -> IndependenceModel:
@@ -286,8 +381,7 @@ def marginalise_condition(J: IndependenceModel, M, C) -> IndependenceModel:
     M, C = frozenset(M), frozenset(C)
     if M & C:
         raise NotDisjoint("M and C must be disjoint")
-    if not (M | C) <= J.ground:
-        raise NotInGround("M and C must be subsets of the ground set")
+    _check_ground(J.ground, M, C)
     cmask = sum(J._bit[v] for v in C)
     drop = cmask | sum(J._bit[v] for v in M)
     kept = [k for k in range(len(J.nodes)) if not drop >> k & 1]
@@ -327,7 +421,7 @@ def conforms(J: IndependenceModel, g: MixedGraph) -> bool:
     if J.ground != g.node_set:
         raise GroundMismatch("model ground differs from graph node set")
     n = len(J.nodes)
-    adjacent = [head | tail | (head | tail) >> n for head, tail in _state_exits(g)]
+    adjacent = [s | s >> n for s in _state_exits(g)[2]]
     return not any(adjacent[k] & b for a, b, _c in J.triples for k in _bits(a))
 
 

@@ -11,10 +11,12 @@ Every query runs on two kernels over the same step rule:
   there, in time linear in the edges. Its arrival marks are also the Lemma-1
   connection signatures, from which `project` builds the projections of
   ribbonless graphs, and the end marks of primitive inducing paths, from
-  which `witness` decides maximality. `_walk_steps` and `_walk_reach` hold
-  the same search as successor bitsets over the walk states, built once per
-  pair of sets and shared by every source: `independence` enumerates models
-  on them.
+  which `witness` decides maximality. `_walk_reach` is the same search on
+  bitsets of walk states: the per-node exits come once per graph
+  (`_state_exits`), the rule for a pair of sets is four node masks
+  (`_walk_steps`) shared by every source, and each step reads the
+  frontier's nodes off a `_bit_table`. `independence` builds its
+  connection rows, and with them models and literal maximality, on it.
 - `_paths` enumerates simple paths depth-first. On other graphs walks can
   over-connect — e.g. a->t<-b with a line t--x admits the walk
   a->t--x--t<-b but no connecting path — so `_connected` re-checks each
@@ -124,14 +126,15 @@ def _walk(g: MixedGraph, source, collider_set, allowed, first_mark=None):
 
 
 def _state_exits(g: MixedGraph):
-    """Per node k of `g.nodes`, the walk states one edge away as bitsets
-    (head exits, tail exits): the edges carrying a head, or a tail, at k.
-    State (o, arrived with a head) is bit n + o, (o, arrived with a tail)
-    bit o, for node indices o among the n nodes."""
+    """The walk states one edge away from each node k of `g.nodes`, as three
+    lists of bitsets indexed by k: through the edges carrying a head at k,
+    through those carrying a tail, and through all of them. State
+    (o, arrived with a head) is bit n + o, (o, arrived with a tail) bit o,
+    for node indices o among the n nodes."""
     n = len(g.nodes)
     index = {v: k for k, v in enumerate(g.nodes)}
     flows = g._flows
-    exits = []
+    heads, tails = [], []
     for v in g.nodes:
         head = tail = 0
         for o, mh, mo, _e in flows[v]:
@@ -140,36 +143,54 @@ def _state_exits(g: MixedGraph):
                 head |= bit
             else:
                 tail |= bit
-        exits.append((head, tail))
-    return exits
+        heads.append(head)
+        tails.append(tail)
+    return heads, tails, [head | tail for head, tail in zip(heads, tails)]
+
+
+def _bit_table(n):
+    """Per n-bit mask, the indices of its set bits, ascending: 2^n tuples,
+    built by each caller for its own n."""
+    table = [()]
+    for k in range(n):
+        table += [t + (k,) for t in table]
+    return table
 
 
 def _walk_steps(exits, collider_mask, allowed_mask):
-    """`_walk`'s step rule as one successor bitset per walk state, for the
-    collider set and allowed set given as node masks. It depends on those
-    sets and not on the source, so every source of a query can share it."""
-    n = len(exits)
-    steps = [0] * (2 * n)
-    for k, (head, tail) in enumerate(exits):
-        if allowed_mask >> k & 1:
-            steps[k] = head | tail
-            steps[n + k] = head | tail if collider_mask >> k & 1 else tail
-        elif collider_mask >> k & 1:
-            steps[n + k] = head
-    return steps
+    """`_walk`'s step rule for the collider set and allowed set given as node
+    masks: the exit lists, and the masks of the nodes that a walk leaves
+    through every edge when it arrived with a tail, through every edge when
+    it arrived with a head, through tail ends only when it arrived with a
+    head, and through head ends only when it arrived with a head. It
+    depends on those sets and not on the source, so every source of a query
+    can share it."""
+    return (
+        *exits,
+        allowed_mask,
+        allowed_mask & collider_mask,
+        allowed_mask & ~collider_mask,
+        collider_mask & ~allowed_mask,
+    )
 
 
-def _walk_reach(steps, start):
+def _walk_reach(steps, start, bits):
     """The walk states reachable from the state bitset `start` in zero or
-    more steps; from a source's head and tail exits, the states `_walk`
-    reaches."""
+    more steps; from a source's exits through every edge, the states `_walk`
+    reaches. `bits` is `_bit_table` of the node count; per step the nodes
+    are read off the frontier's masks through it."""
+    heads, tails, boths, tail_any, head_any, head_tails, head_heads = steps
+    n = len(boths)
     reached = frontier = start
     while frontier:
+        arrived_head = frontier >> n
         new = 0
-        while frontier:
-            low = frontier & -frontier
-            new |= steps[low.bit_length() - 1]
-            frontier ^= low
+        for k in bits[frontier & tail_any | arrived_head & head_any]:
+            new |= boths[k]
+        for k in bits[arrived_head & head_tails]:
+            new |= tails[k]
+        for k in bits[arrived_head & head_heads]:
+            new |= heads[k]
         frontier = new & ~reached
         reached |= new
     return reached

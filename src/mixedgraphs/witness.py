@@ -10,7 +10,9 @@ Maximality is characterized by primitive inducing paths: paths between
 non-adjacent endpoints whose inner nodes are all colliders and all ancestors
 of an endpoint. Only their end marks matter, and the `msep` walk kernel
 gives those for each pair directly. maximalize() inserts the
-endpoint-identical edge for each such path until none remain.
+endpoint-identical edge for each such path until none remain. The literal
+definition, that every non-adjacent pair is separated by some set, is
+checked on the connection rows that `independence` enumerates models from.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .core import (
     signature_edge,
 )
 from .core import MixedGraphError
-from .independence import TooLarge
-from .msep import _walk, m_separated
+from .independence import TooLarge, _connections
+from .msep import _bit_table, _walk
 from .project import NotRibbonless, ProjectionSpec
 
 
@@ -189,27 +191,29 @@ def is_maximal(g: MixedGraph) -> bool:
 
 
 def is_maximal_literal(g: MixedGraph, limit: int = 8) -> bool:
-    """Direct check: every non-adjacent pair admits some separating set."""
-    if len(g.nodes) > limit:
-        raise TooLarge(f"{len(g.nodes)} nodes exceeds enumeration limit {limit}")
+    """Direct check: every non-adjacent pair admits some separating set.
+    Reads the connection rows of `independence._connections` per C in
+    increasing order: a pair clear of C whose row bit is unset is separated
+    by C, and the check stops at the first C by which every pair has been."""
+    n = len(g.nodes)
+    if n > limit:
+        raise TooLarge(f"{n} nodes exceeds enumeration limit {limit}")
     nodes = g.nodes
-    for pos, i in enumerate(nodes):
-        for j in nodes[pos + 1 :]:
-            if g.adjacent(i, j):
-                continue
-            rest = sorted(g.node_set - {i, j})
-            if not any(
-                m_separated(g, {i}, {j}, set(sub))
-                for sub in _subsets(rest)
-            ):
-                return False
-    return True
-
-
-def _subsets(items):
-    n = len(items)
-    for mask in range(1 << n):
-        yield [items[k] for k in range(n) if (mask >> k) & 1]
+    pending = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if not g.adjacent(nodes[i], nodes[j])
+    ]
+    for cmask, conn in _connections(g, _bit_table(n)):
+        pending = [
+            (i, j)
+            for i, j in pending
+            if (cmask >> i | cmask >> j) & 1 or conn[i] >> j & 1
+        ]
+        if not pending:
+            return True
+    return False
 
 
 def maximalize_report(g: MixedGraph):

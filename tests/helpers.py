@@ -298,6 +298,22 @@ def path_connects(g, a, b, M, C):
     return bool(connecting_paths(g, a, b, set(M), set(C)))
 
 
+def is_maximal_literal_oracle(g):
+    """Every non-adjacent pair is m-separated by some subset of the other
+    nodes: one `m_separated` sweep over the subsets per pair."""
+    for i, j in itertools.combinations(g.nodes, 2):
+        if g.adjacent(i, j):
+            continue
+        rest = sorted(g.node_set - {i, j})
+        if not any(
+            m_separated(g, {i}, {j}, set(sub))
+            for k in range(len(rest) + 1)
+            for sub in itertools.combinations(rest, k)
+        ):
+            return False
+    return True
+
+
 def pairwise_path_separated_paper(g, A, B, C):
     """m-separation by exhaustive simple paths, with the non-collider set
     taken as V minus A, B, C (the displayed form of the criterion)."""

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import mixedgraphs
+from mixedgraphs import cli
 from mixedgraphs.cli import main
 from mixedgraphs.independence import model_from_json
 from mixedgraphs.textfmt import parse_graph
@@ -213,6 +214,24 @@ def test_marginalise_command(capsys):
     )
     payload = json.loads(out)
     assert payload["statements"] == [{"A": ["a"], "B": ["b"], "C": []}]
+
+
+def test_marginalise_checks_roles_before_enumerating(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "isolated.mg"
+    nodes = " ".join(f"n{k}" for k in range(10))
+    f.write_text(f"nodes: {nodes}\n", encoding="utf-8")
+
+    def enumerate_model(*_args, **_kwargs):
+        raise AssertionError("the model was enumerated")
+
+    monkeypatch.setattr(cli, "independence_model", enumerate_model)
+    code, out, err = run(
+        capsys, "marginalise", f, "--marg", "zz,n1", "--cond", "yy", "--limit", "10"
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "NotInGround: M and C name nodes outside the ground set: ['yy', 'zz']\n"
+    )
 
 
 def test_dagify_command_round_trips(tmp_path, capsys):

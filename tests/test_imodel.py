@@ -30,6 +30,7 @@ from .helpers import (
     mk,
     model_json_oracle,
     model_oracle,
+    path_connects,
 )
 
 
@@ -313,3 +314,40 @@ def test_model_json_matches_the_stdlib_layout():
     )
     for J in models:
         assert model_to_json(J) == model_json_oracle(J)
+
+
+def _rows_match_the_paths(g):
+    """Per pair i < j and C clear of both, <{i},{j}|C> is in J_m(g) exactly
+    when no simple path m-connects i and j given C."""
+    J = independence_model(g)
+    for i, j in itertools.combinations(g.nodes, 2):
+        rest = sorted(g.node_set - {i, j})
+        for k in range(len(rest) + 1):
+            for C in itertools.combinations(rest, k):
+                M = g.node_set - {i, j} - set(C)
+                separated = not path_connects(g, i, j, M, C)
+                assert (S({i}, {j}, C) in J) == separated, (g, i, j, C)
+
+
+def test_connection_rows_on_non_ribbonless_graphs():
+    # a stored path for a and b stops connecting them under a later C: in
+    # the first graph C = {y} blocks the non-collider y of a -> y -> b, found
+    # under C = {}; in the second, the collider t of a -> t <- b, found under
+    # C = {c}, is no ancestor of C = {y}. Under C = {y} the walk
+    # a -> t -- x -- t <- b still reaches b in both.
+    for text in (
+        "a -> t\nb -> t\nt -- x\na -> y\ny -> b",
+        "nodes: a b c t x y\na -> t\nb -> t\nt -- x\nt -> c",
+    ):
+        g = mk(text)
+        assert not g.is_ribbonless
+        assert S({"a"}, {"b"}, {"y"}) in independence_model(g)
+        _rows_match_the_paths(g)
+    rng = random.Random(97)
+    checked = 0
+    while checked < 12:
+        g = random_lmg(rng, rng.randint(7, 8), p=rng.uniform(0.08, 0.16))
+        if g.is_ribbonless:
+            continue
+        _rows_match_the_paths(g)
+        checked += 1

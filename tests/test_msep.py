@@ -9,6 +9,7 @@ from mixedgraphs.msep import (
     ConnectionQuery,
     NotDisjoint,
     OverlapError,
+    _bit_table,
     _state_exits,
     _walk,
     _walk_reach,
@@ -279,11 +280,12 @@ def _bitset_walk_agrees(g, collider_set, allowed):
     n = len(nodes)
     mask = {v: 1 << k for k, v in enumerate(nodes)}
     exits = _state_exits(g)
+    bits = _bit_table(n)
     steps = _walk_steps(
         exits, sum(mask[v] for v in collider_set), sum(mask[v] for v in allowed)
     )
     for k, source in enumerate(nodes):
-        reached = _walk_reach(steps, exits[k][0] | exits[k][1])
+        reached = _walk_reach(steps, exits[2][k], bits)
         states = {(nodes[s % n], s >= n) for s in range(2 * n) if reached >> s & 1}
         want = set(_walk(g, source, collider_set, allowed))
         assert states == want, (g, source, collider_set, allowed)

@@ -4,9 +4,8 @@ import random
 import pytest
 
 from mixedgraphs.core import MixedGraph, arc, arrow, classify, line
-from mixedgraphs.generators import random_rg, random_sg
+from mixedgraphs.generators import random_lmg, random_rg, random_sg
 from mixedgraphs.independence import independence_model, model_equal
-from mixedgraphs.msep import m_separated
 from mixedgraphs.project import NotRibbonless, project_rg, project_sg
 from mixedgraphs.witness import (
     NotDagRealizable,
@@ -19,7 +18,13 @@ from mixedgraphs.witness import (
     maximalize_report,
 )
 
-from .helpers import mk, pip_edges_oracle, primitive_inducing_paths_oracle
+from .helpers import (
+    all_mixed_graphs,
+    is_maximal_literal_oracle,
+    mk,
+    pip_edges_oracle,
+    primitive_inducing_paths_oracle,
+)
 
 
 def test_dagify_arc():
@@ -242,12 +247,34 @@ def test_maximalize_yields_pairwise_markov():
         g = random_rg(rng, rng.randint(2, 5))
         out = maximalize(g)
         assert model_equal(independence_model(g), independence_model(out)), g
-        for i, j in itertools.combinations(out.nodes, 2):
-            if out.adjacent(i, j):
-                continue
-            rest = sorted(out.node_set - {i, j})
-            assert any(
-                m_separated(out, {i}, {j}, set(sub))
-                for k in range(len(rest) + 1)
-                for sub in itertools.combinations(rest, k)
-            ), (g, out, i, j)
+        assert is_maximal_literal_oracle(out), (g, out)
+
+
+def test_literal_maximality_matches_the_separation_sweep():
+    # the connection-row route against one m_separated sweep per pair, on
+    # every 3-node multigraph, every 4-node simple graph, and random RGs
+    # and non-RGs with 5-8 nodes, the RGs with their maximalize outputs
+    graphs = itertools.chain(
+        all_mixed_graphs(("a", "b", "c"), multi=True),
+        all_mixed_graphs(("a", "b", "c", "d"), multi=False),
+    )
+    verdicts = set()
+    for g in graphs:
+        verdict = is_maximal_literal(g)
+        assert verdict == is_maximal_literal_oracle(g), g
+        verdicts.add(verdict)
+    rng = random.Random(89)
+    ribbons = 0
+    for _ in range(60):
+        n = rng.randint(5, 8)
+        if rng.random() < 0.5:
+            gs = [random_rg(rng, n)]
+            gs.append(maximalize(gs[0]))
+        else:
+            gs = [random_lmg(rng, n, p=rng.uniform(0.05, 0.25))]
+            ribbons += not gs[0].is_ribbonless
+        for g in gs:
+            verdict = is_maximal_literal(g)
+            assert verdict == is_maximal_literal_oracle(g), g
+            verdicts.add(verdict)
+    assert verdicts == {True, False} and ribbons >= 10
