@@ -96,9 +96,9 @@ def _cmd_validate(args):
 
 
 def _emit_graph(doc, args):
-    if getattr(args, "dot", False):
+    if args.dot:
         sys.stdout.write(to_dot(doc.graph(), name=doc.name or "G"))
-    elif getattr(args, "json", False):
+    elif args.json:
         sys.stdout.write(document_to_json(doc))
     else:
         sys.stdout.write(serialize_graph(doc))
@@ -188,6 +188,13 @@ def _cmd_check(args):
     return 0 if result.ok else 1
 
 
+def _add_graph_format(p):
+    """--dot and --json, which pick one output format for a graph."""
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--dot", action="store_true", help="emit the graph as DOT")
+    fmt.add_argument("--json", action="store_true", help="emit the graph as JSON")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mixedgraphs",
@@ -217,8 +224,7 @@ def build_parser():
         help="emit to stderr the Table-1 step behind each generated edge",
     )
     p.add_argument("--force", action="store_true", help="skip the class gate")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of graph text")
-    p.add_argument("--json", action="store_true", help="emit the graph as JSON")
+    _add_graph_format(p)
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("msep", help="m-separation query")
@@ -247,14 +253,12 @@ def build_parser():
 
     p = sub.add_parser("dagify", help="DAG + roles that project back onto the input")
     p.add_argument("file")
-    p.add_argument("--dot", action="store_true")
-    p.add_argument("--json", action="store_true")
+    _add_graph_format(p)
     p.set_defaults(func=_cmd_dagify)
 
     p = sub.add_parser("maximalize", help="insert edges until the graph is maximal")
     p.add_argument("file")
-    p.add_argument("--dot", action="store_true")
-    p.add_argument("--json", action="store_true")
+    _add_graph_format(p)
     p.set_defaults(func=_cmd_maximalize)
 
     p = sub.add_parser("check", help="run a property suite rooted at the graph")

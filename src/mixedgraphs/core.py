@@ -1,15 +1,14 @@
 """Loopless mixed graphs with arrows, arcs, and lines.
 
 The graph value is immutable: every operation returns a new graph, and all
-derived structure (adjacency maps, ribbon reports, class tags) is cached on
-the instance, so graphs are safe to share between threads.
+derived structure (walk index, ribbon reports, class tags) is cached on the
+instance, so graphs are safe to share between threads.
 
 `MixedGraph(nodes, edges)` checks every label and endpoint and canonicalises
 every edge. Graphs the library builds from edges it made itself (closures,
 projections, subgraphs) go through the private `MixedGraph._trusted`, which
-skips those checks. Construction indexes the adjacency sets in one pass over
-the edges; the per-node walk index `_flows` is built on first use, and
-`cycle_nodes` comes from one strongly-connected-components pass.
+skips those checks. Construction indexes only the parents, which ancestry and
+`cycle_nodes` read; every other adjacency query reads the walk index `_flows`.
 """
 
 from __future__ import annotations
@@ -183,20 +182,11 @@ class MixedGraph:
         self._node_set = frozenset(nodes)
         self._nodes = tuple(sorted(self._node_set))
         self._edges = frozenset(edges)
-        # per node, the sets of adjacent nodes by edge kind; private and
-        # never mutated, so the accessors hand out frozen copies
+        # per node, its parents; never mutated, so `parents` hands out copies
         self._parents = parents = {n: set() for n in self._nodes}
-        self._children = children = {n: set() for n in self._nodes}
-        self._spouses = spouses = {n: set() for n in self._nodes}
-        self._neighbours = neighbours = {n: set() for n in self._nodes}
         for kind, a, b in self._edges:
             if kind == ARROW:
                 parents[b].add(a)
-                children[a].add(b)
-            else:
-                links = spouses if kind == ARC else neighbours
-                links[a].add(b)
-                links[b].add(a)
 
     @cached_property
     def _flows(self) -> dict:
@@ -214,6 +204,19 @@ class MixedGraph:
                 flows[a].append((b, mark, mark, e))
                 flows[b].append((a, mark, mark, e))
         return {n: tuple(f) for n, f in flows.items()}
+
+    @cached_property
+    def _children(self) -> dict:
+        """Per node, its children: built for `children` and `descendants`."""
+        return {
+            n: frozenset(o for o, mh, mo, _e in f if mh == TAIL and mo == HEAD)
+            for n, f in self._flows.items()
+        }
+
+    @cached_property
+    def _line_ends(self) -> frozenset:
+        """The nodes that touch a line."""
+        return frozenset(n for e in self._edges if e.kind == LINE for n in (e.a, e.b))
 
     # --- basic accessors -------------------------------------------------
 
@@ -263,30 +266,25 @@ class MixedGraph:
 
     def children(self, node) -> frozenset:
         self._check_node(node)
-        return frozenset(self._children[node])
+        return self._children[node]
 
     def spouses(self, node) -> frozenset:
         self._check_node(node)
-        return frozenset(self._spouses[node])
+        return frozenset(o for o, mh, mo, _e in self._flows[node] if mh == mo == HEAD)
 
     def neighbours(self, node) -> frozenset:
         self._check_node(node)
-        return frozenset(self._neighbours[node])
+        return frozenset(o for o, mh, mo, _e in self._flows[node] if mh == mo == TAIL)
 
     def adjacent(self, i, j) -> bool:
         self._check_node(i)
         self._check_node(j)
-        return (
-            j in self._parents[i]
-            or j in self._children[i]
-            or j in self._spouses[i]
-            or j in self._neighbours[i]
-        )
+        return any(o == j for o, _mh, _mo, _e in self._flows[i])
 
     def edges_between(self, i, j) -> list:
         self._check_node(i)
         self._check_node(j)
-        return [e for e in self._flows[i] if e[0] == j]
+        return [e for o, _mh, _mo, e in self._flows[i] if o == j]
 
     def flows(self, node) -> tuple:
         return self._flows[node]
@@ -308,29 +306,29 @@ class MixedGraph:
     def cycle_nodes(self) -> frozenset:
         """Nodes lying on some direction-preserving cycle: those in strongly
         connected components of the arrows with more than one node, from one
-        iterative pass of Tarjan's algorithm."""
-        children = self._children
+        iterative Tarjan pass on the parents (reversed arrows, same components)."""
+        parents = self._parents
         # index and low-link per visited node; `at` holds the stack position
         # of every node still on the component stack. A node without
-        # children is a component of its own and is never entered.
+        # parents is a component of its own and is never entered.
         index, low, at, stack, cyclic = {}, {}, {}, [], []
         for root in self._nodes:
-            if root in index or not children[root]:
+            if root in index or not parents[root]:
                 continue
             index[root] = low[root] = len(index)
             at[root] = len(stack)
             stack.append(root)
-            work = [(root, iter(children[root]))]
+            work = [(root, iter(parents[root]))]
             while work:
                 v, succ = work[-1]
                 for w in succ:
                     if w not in index:
-                        if not children[w]:
+                        if not parents[w]:
                             continue
                         index[w] = low[w] = len(index)
                         at[w] = len(stack)
                         stack.append(w)
-                        work.append((w, iter(children[w])))
+                        work.append((w, iter(parents[w])))
                         break
                     if w in at and index[w] < low[v]:
                         low[v] = index[w]
@@ -395,7 +393,7 @@ def _orient_collider(e1, h, t, e2, j):
 def _ribbon_reports(g: MixedGraph):
     # the inner nodes with a witness: they or a descendant touch a line or
     # lie on a direction-preserving cycle
-    touching = {n for n in g.nodes if g._neighbours[n]} | g.cycle_nodes
+    touching = g._line_ends | g.cycle_nodes
     if not touching:
         return []
     candidates = touching | g.ancestors(touching)
@@ -404,15 +402,14 @@ def _ribbon_reports(g: MixedGraph):
         if t in candidates and (
             signature_edge(e1.mark_at(h), e2.mark_at(j), h, j) not in g.edges
         ):
-            kind, node = _ribbon_witness(g, t)
-            reports.append(RibbonReport(h, t, j, kind, node))
+            reports.append(RibbonReport(h, t, j, *_ribbon_witness(g, t)))
     return reports
 
 
 def _ribbon_witness(g: MixedGraph, inner):
     reach = sorted({inner} | g.descendants({inner}))
     for d in reach:
-        if g._neighbours[d]:
+        if d in g._line_ends:
             return ("line", d)
     return next(("cycle", d) for d in reach if d in g.cycle_nodes)
 
@@ -427,11 +424,13 @@ def _classify(g: MixedGraph) -> frozenset:
         tags.add("BG")
     if kinds <= {ARROW} and acyclic:
         tags.add("DAG")
-    parents, spouses, neighbours = g._parents, g._spouses, g._neighbours
-    no_head_at_line = all(
-        not (neighbours[n] and (parents[n] or spouses[n])) for n in g.nodes
-    )
-    if no_head_at_line and acyclic:
+    # per arc endpoint, its spouses, read off the edges without building `_flows`
+    spouses = {}
+    for kind, a, b in g.edges:
+        if kind == ARC:
+            spouses.setdefault(a, []).append(b)
+            spouses.setdefault(b, []).append(a)
+    if acyclic and not any(g._parents[n] or n in spouses for n in g._line_ends):
         # An SG is an RG, with no ribbon search. A ribbon needs a collider V
         # whose inner node, or a descendant of it, touches a line or lies on
         # a cycle. The inner node has a head, so none of its descendants
@@ -443,7 +442,7 @@ def _classify(g: MixedGraph) -> frozenset:
         # only edge between its ends, and acyclicity leaves one arrow per
         # pair. The only possible parallel pair is a <-> b with a -> b, where
         # a is an ancestor of its spouse b, which the ancestral test rejects.
-        if all(n not in g.ancestors(spouses[n]) for n in g.nodes if spouses[n]):
+        if not any(n in reach(g._parents, s) for n, s in spouses.items()):
             tags.add("AG")
     elif g.is_ribbonless:
         tags.add("RG")

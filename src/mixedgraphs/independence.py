@@ -16,11 +16,11 @@ statement sorts by three ints.
 
 `_connections` is the enumeration kernel: per conditioning mask C, in
 increasing order, the mask of nodes m-connected to each node, from one
-bitset walk per source (`msep._walk_steps`, `msep._walk_reach`) and, on
-graphs that are not ribbonless, simple paths that are found once and reused
-across conditioning sets. `independence_model` reads the statements off
-these rows, growing each A depth-first and dropping a branch once no B is
-left for it; `witness.is_maximal_literal` reads the pairwise verdicts.
+bitset walk per source (`msep._walk_reach`) and, on graphs that are not
+ribbonless, simple paths that are found once and reused across conditioning
+sets. `independence_model` reads the statements off these rows, growing each
+A depth-first and dropping a branch once no B is left for it;
+`witness.is_maximal_literal` reads the pairwise verdicts.
 `model_to_json` writes the canonical JSON layout directly.
 """
 
@@ -38,7 +38,6 @@ from .msep import (
     _paths,
     _state_exits,
     _walk_reach,
-    _walk_steps,
 )
 from .textfmt import ParseError, _json_field, _json_payload
 
@@ -227,14 +226,14 @@ def _connections(g: MixedGraph, bits):
     `msep._bit_table(len(g.nodes))`.
 
     an(C) is the union of an(C minus its lowest node) and an(lowest node).
-    `msep._walk_steps` gives the walk rule for collider set C ∪ an(C) and
-    non-colliders outside C, shared by every source. Adjacent nodes are
-    always connected; a later non-adjacent node is connected when the
-    bitset walk out of k reaches it, checked by a simple path unless g is
-    ribbonless. Each path `msep._paths` finds is kept per pair as its
-    (collider mask, non-collider mask): it still connects under a later C
-    whose C ∪ an(C) holds its colliders and which misses its non-colliders,
-    so `_paths` runs only when no kept path applies.
+    `msep._walk_reach` walks with collider set C ∪ an(C) and non-colliders
+    outside C. Adjacent nodes are always connected; a later non-adjacent
+    node is connected when the bitset walk out of k reaches it, checked by
+    a simple path unless g is ribbonless. Each path `msep._paths` finds is
+    kept per pair as its (collider mask, non-collider mask): it still
+    connects under a later C whose C ∪ an(C) holds its colliders and which
+    misses its non-colliders, so `_paths` runs only when no kept path
+    applies.
     """
     nodes = g.nodes
     n = len(nodes)
@@ -257,14 +256,13 @@ def _connections(g: MixedGraph, bits):
         anc[cmask] = anc[cmask ^ low] | anc[low]
         colliders = cmask | anc[cmask]
         out = full & ~cmask
-        steps = _walk_steps(exits, colliders, out)
         sets = None
         conn = adjacent[:]
         for k in bits[out]:
             later = out & apart[k]
             if not later:
                 continue
-            reached = _walk_reach(steps, starts[k], bits)
+            reached = _walk_reach(exits, colliders, out, starts[k], bits)
             hits = (reached | reached >> n) & later
             if not exact:
                 for j in bits[hits]:

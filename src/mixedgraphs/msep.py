@@ -13,10 +13,10 @@ Every query runs on two kernels over the same step rule:
   ribbonless graphs, and the end marks of primitive inducing paths, from
   which `witness` decides maximality. `_walk_reach` is the same search on
   bitsets of walk states: the per-node exits come once per graph
-  (`_state_exits`), the rule for a pair of sets is four node masks
-  (`_walk_steps`) shared by every source, and each step reads the
-  frontier's nodes off a `_bit_table`. `independence` builds its
-  connection rows, and with them models and literal maximality, on it.
+  (`_state_exits`), the rule for a pair of sets is four node masks, and
+  each step reads the frontier's nodes off a `_bit_table`. `independence`
+  builds its connection rows, and with them models and literal maximality,
+  on it.
 - `_paths` enumerates simple paths depth-first. On other graphs walks can
   over-connect — e.g. a->t<-b with a line t--x admits the walk
   a->t--x--t<-b but no connecting path — so `_connected` re-checks each
@@ -157,35 +157,27 @@ def _bit_table(n):
     return table
 
 
-def _walk_steps(exits, collider_mask, allowed_mask):
-    """`_walk`'s step rule for the collider set and allowed set given as node
-    masks: the exit lists, and the masks of the nodes that a walk leaves
-    through every edge when it arrived with a tail, through every edge when
-    it arrived with a head, through tail ends only when it arrived with a
-    head, and through head ends only when it arrived with a head. It
-    depends on those sets and not on the source, so every source of a query
-    can share it."""
-    return (
-        *exits,
-        allowed_mask,
-        allowed_mask & collider_mask,
-        allowed_mask & ~collider_mask,
-        collider_mask & ~allowed_mask,
-    )
-
-
-def _walk_reach(steps, start, bits):
+def _walk_reach(exits, collider_mask, allowed_mask, start, bits):
     """The walk states reachable from the state bitset `start` in zero or
-    more steps; from a source's exits through every edge, the states `_walk`
-    reaches. `bits` is `_bit_table` of the node count; per step the nodes
-    are read off the frontier's masks through it."""
-    heads, tails, boths, tail_any, head_any, head_tails, head_heads = steps
+    more steps, under `_walk`'s step rule for the collider set and allowed
+    set given as node masks; from a source's exits through every edge, the
+    states `_walk` reaches. `exits` is `_state_exits` of the graph and
+    `bits` the `_bit_table` of its node count; per step the nodes are read
+    off the frontier's masks through it."""
+    heads, tails, boths = exits
     n = len(boths)
+    # the nodes a walk leaves through every edge when it arrived with a
+    # tail (the allowed ones), through every edge when it arrived with a
+    # head, and through tail ends only and head ends only when it arrived
+    # with a head
+    head_any = allowed_mask & collider_mask
+    head_tails = allowed_mask & ~collider_mask
+    head_heads = collider_mask & ~allowed_mask
     reached = frontier = start
     while frontier:
         arrived_head = frontier >> n
         new = 0
-        for k in bits[frontier & tail_any | arrived_head & head_any]:
+        for k in bits[frontier & allowed_mask | arrived_head & head_any]:
             new |= boths[k]
         for k in bits[arrived_head & head_tails]:
             new |= tails[k]
@@ -231,9 +223,9 @@ def _paths(g: MixedGraph, source, target, collider_set, allowed):
             edges.pop()
 
 
-def _connected(g: MixedGraph, source, targets, collider_set, allowed):
-    """The targets that some m-connecting path joins to source, in sorted
-    order: walk hits, each re-checked by `_paths` unless g is ribbonless."""
+def _connected(g: MixedGraph, source, targets, collider_set, allowed) -> bool:
+    """Whether some m-connecting path joins source to one of the targets:
+    a walk hit, re-checked by `_paths` unless g is ribbonless."""
     reached = {node for node, _head in _walk(g, source, collider_set, allowed)}
     exact = g.is_ribbonless
     for t in sorted(targets):
@@ -241,7 +233,8 @@ def _connected(g: MixedGraph, source, targets, collider_set, allowed):
             exact
             or next(_paths(g, source, t, collider_set, allowed), None) is not None
         ):
-            yield t
+            return True
+    return False
 
 
 def _query_sets(g: MixedGraph, query: ConnectionQuery):
@@ -256,10 +249,9 @@ def _query_sets(g: MixedGraph, query: ConnectionQuery):
 def connecting_path_exists(g: MixedGraph, query: ConnectionQuery) -> bool:
     """Whether some path m-connects source and target given the query sets."""
     collider_set = _query_sets(g, query)
-    hits = _connected(
+    return _connected(
         g, query.source, (query.target,), collider_set, query.allowed_noncolliders
     )
-    return next(hits, None) is not None
 
 
 def enumerate_connecting_paths(
@@ -284,10 +276,7 @@ def m_separated(g: MixedGraph, A, B, C) -> bool:
         return True
     collider_set = C | g.ancestors(C)
     allowed = g.node_set - A - B - C
-    return not any(
-        next(_connected(g, a, B, collider_set, allowed), None) is not None
-        for a in sorted(A)
-    )
+    return not any(_connected(g, a, B, collider_set, allowed) for a in sorted(A))
 
 
 def endpoint_identical_connection(g: MixedGraph, i, j, M, C) -> frozenset:

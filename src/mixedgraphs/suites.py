@@ -177,8 +177,8 @@ def lemma1_suite(g: MixedGraph, seeds: int = 20, base_seed: int = 0) -> SuiteRes
                     i,
                     j,
                 )
-                actual = frozenset(e for _o, _mh, _mo, e in projected.flows(i) if _o == j)
-                oracle = frozenset(e for _o, _mh, _mo, e in closed.flows(i) if _o == j)
+                actual = frozenset(projected.edges_between(i, j))
+                oracle = frozenset(closed.edges_between(i, j))
                 if not expected == actual == oracle:
                     ok = False
                     result.fail(

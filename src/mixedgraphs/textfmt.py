@@ -292,10 +292,13 @@ def _json_field(obj: dict, key, where, kind, default=_REQUIRED):
 
 def document_from_json(text: str) -> GraphDocument:
     payload = _json_payload(text)
-    edges = []
+    edges = set()
     for k, e in enumerate(_json_field(payload, "edges", "document", "objects", [])):
         kind, a, b = (_json_field(e, f, f"edges[{k}]", "string") for f in Edge._fields)
-        edges.append(canonical_edge(Edge(kind, a, b)))
+        edge = canonical_edge(Edge(kind, a, b))
+        if edge in edges:
+            raise DuplicateEdge(f"edges[{k}]: duplicate edge {edge.render()!r}", 0)
+        edges.add(edge)
     nodes = _json_field(payload, "nodes", "document", "labels", None)
     if nodes is None:
         nodes = sorted({n for e in edges for n in (e.a, e.b)})

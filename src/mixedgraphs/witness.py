@@ -99,12 +99,12 @@ def unrealizable_pairs(h: MixedGraph) -> list:
     bad = []
     for pos, a in enumerate(h.nodes):
         for b in h.nodes[pos + 1 :]:
-            kinds = {e for _o, _mh, _mo, e in h.flows(a) if _o == b}
+            edges = h.edges_between(a, b)
             if (
-                arrow(a, b) in kinds
-                and arrow(b, a) in kinds
-                and arc(a, b) in kinds
-                and line(a, b) not in kinds
+                arrow(a, b) in edges
+                and arrow(b, a) in edges
+                and arc(a, b) in edges
+                and line(a, b) not in edges
             ):
                 bad.append((a, b))
     return bad

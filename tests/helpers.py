@@ -187,6 +187,25 @@ def adjacency_oracle(g, n):
     return sets
 
 
+def edges_between_oracle(g, n, m):
+    """The edges joining n and m, from the edge list, in `edge_sort_key`
+    order."""
+    return sorted((e for e in g.edges if {e.a, e.b} == {n, m}), key=edge_sort_key)
+
+
+def descendants_oracle(g, n):
+    """de(n) by repeated scans of the arrow list."""
+    de = set()
+    grew = True
+    while grew:
+        grew = False
+        for e in g.edges:
+            if e.kind == ARROW and (e.a == n or e.a in de) and e.b not in de:
+                de.add(e.b)
+                grew = True
+    return de
+
+
 def cycle_nodes_oracle(g):
     """The nodes that are their own ancestors, by arrow-list scans."""
     return frozenset(n for n in g.nodes if n in _ancestors(g, {n}))

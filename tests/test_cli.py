@@ -301,6 +301,23 @@ def test_usage_errors_exit_2(capsys):
     assert main(["model", "no_such_file.mg"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["project", fixture("chain.mg"), "--type", "rg"],
+        ["dagify", fixture("chain.mg")],
+        ["maximalize", fixture("chain.mg")],
+    ],
+)
+def test_dot_and_json_together_are_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv] + ["--dot", "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_undecodable_graph_file_is_a_parse_error(tmp_path, capsys):
     f = tmp_path / "latin1.mg"
     f.write_bytes("a -> b\nc -> d\u00e9\n".encode("latin-1"))

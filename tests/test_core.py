@@ -24,6 +24,8 @@ from .helpers import (
     all_mixed_graphs,
     class_tags_oracle,
     cycle_nodes_oracle,
+    descendants_oracle,
+    edges_between_oracle,
     flows_oracle,
     mk,
 )
@@ -136,6 +138,11 @@ def test_walk_index_and_cycles_match_the_edge_set_oracles():
         for n in g.nodes:
             for query, want in adjacency_oracle(g, n).items():
                 assert getattr(g, query)(n) == want, (g, n, query)
+            assert g.descendants({n}) == descendants_oracle(g, n), (g, n)
+            for m in g.nodes:
+                between = edges_between_oracle(g, n, m)
+                assert g.edges_between(n, m) == between, (g, n, m)
+                assert g.adjacent(n, m) == bool(between), (g, n, m)
         assert g.cycle_nodes == cycle_nodes_oracle(g), g
 
 

@@ -13,7 +13,6 @@ from mixedgraphs.msep import (
     _state_exits,
     _walk,
     _walk_reach,
-    _walk_steps,
     connecting_path_exists,
     endpoint_identical_connection,
     enumerate_connecting_paths,
@@ -281,11 +280,10 @@ def _bitset_walk_agrees(g, collider_set, allowed):
     mask = {v: 1 << k for k, v in enumerate(nodes)}
     exits = _state_exits(g)
     bits = _bit_table(n)
-    steps = _walk_steps(
-        exits, sum(mask[v] for v in collider_set), sum(mask[v] for v in allowed)
-    )
+    colliders = sum(mask[v] for v in collider_set)
+    allowed_mask = sum(mask[v] for v in allowed)
     for k, source in enumerate(nodes):
-        reached = _walk_reach(steps, exits[2][k], bits)
+        reached = _walk_reach(exits, colliders, allowed_mask, exits[2][k], bits)
         states = {(nodes[s % n], s >= n) for s in range(2 * n) if reached >> s & 1}
         want = set(_walk(g, source, collider_set, allowed))
         assert states == want, (g, source, collider_set, allowed)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import re
 
@@ -178,6 +179,22 @@ def test_graph_json_round_trip():
 def test_malformed_graph_json_names_the_field(text, field):
     with pytest.raises(ParseError, match=re.escape(field)):
         document_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "edges, repeat",
+    [
+        ([("line", "a", "b"), ("line", "a", "b")], "'a -- b'"),
+        ([("line", "a", "b"), ("line", "b", "a")], "'a -- b'"),
+        ([("arc", "b", "a"), ("arrow", "a", "b"), ("arc", "a", "b")], "'a <-> b'"),
+    ],
+)
+def test_repeated_json_edge_is_a_duplicate(edges, repeat):
+    text = json.dumps({"edges": [{"kind": k, "a": a, "b": b} for k, a, b in edges]})
+    with pytest.raises(DuplicateEdge) as exc:
+        document_from_json(text)
+    assert exc.value.lineno == 0
+    assert str(exc.value) == f"edges[{len(edges) - 1}]: duplicate edge {repeat}"
 
 
 def test_to_dot_mentions_every_edge():
