@@ -52,22 +52,6 @@ def random_lmg(rng, n, p=0.12) -> MixedGraph:
     return MixedGraph(names, edges)
 
 
-def random_ug(rng, n, p=0.35) -> MixedGraph:
-    names = node_labels(n)
-    return MixedGraph(
-        names,
-        [line(a, b) for a, b in itertools.combinations(names, 2) if rng.random() < p],
-    )
-
-
-def random_bg(rng, n, p=0.35) -> MixedGraph:
-    names = node_labels(n)
-    return MixedGraph(
-        names,
-        [arc(a, b) for a, b in itertools.combinations(names, 2) if rng.random() < p],
-    )
-
-
 def random_spec(rng, g: MixedGraph, max_removed=None) -> ProjectionSpec:
     """A random disjoint (marg, cond) pair over g's nodes."""
     n = len(g.nodes)
@@ -110,6 +94,4 @@ RANDOM_BY_CLASS = {
     "sg": random_sg,
     "ag": random_ag,
     "dag": random_dag,
-    "ug": random_ug,
-    "bg": random_bg,
 }

@@ -8,26 +8,32 @@ and kept with the lexicographically smaller side first.
 A model holds its statements as mask triples (a, b, c) over its sorted
 ground: node k of the ground is bit k, and a is the side whose sorted labels
 come first. Equality, hashing, membership, `model_equal`, `model_diff`,
-`conforms` and `marginalise_condition` (a mask filter plus a bit-compress
-table) work on the masks; `IndependenceStatement` objects are built only
-when `statements` or `sorted_statements` is read. Ordering uses a rank table:
-each mask the model holds gets its position in sorted label-tuple order, so a
+`conforms` and `marginalise_condition` (a slice or a mask filter, then a
+bit-compress table) work on the masks; `IndependenceStatement` objects are
+built only when `statements` or `sorted_statements` is read. Ordering uses a
+rank table: each mask gets its position in sorted label-tuple order, so a
 statement sorts by three ints.
+
+`independence_model` returns a model that holds its graph and enumerates
+its triples when they are first read. `marginalise_condition` of such a
+model not yet read enumerates only the statements it keeps: the
+conditioning sets C ∪ D with A, B and D over the nodes outside M ∪ C.
+Every other model is marginalised by the mask filter.
 
 `_connections` is the enumeration kernel: per conditioning mask C, in
 increasing order, the mask of nodes m-connected to each node, from one
 bitset walk per source (`msep._walk_reach`) and, on graphs that are not
 ribbonless, simple paths that are found once and reused across conditioning
-sets. `independence_model` reads the statements off these rows, growing each
-A depth-first and dropping a branch once no B is left for it;
-`witness.is_maximal_literal` reads the pairwise verdicts.
-`model_to_json` writes the canonical JSON layout directly.
+sets. `_enumerate` reads the statements off these rows, growing each A
+depth-first and dropping a branch once no B is left for it;
+`witness.is_maximal_literal` reads the pairwise verdicts. `model_to_json`
+writes the canonical JSON layout directly.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 
 from .core import MixedGraph, MixedGraphError
@@ -122,8 +128,9 @@ class IndependenceModel:
     """A finite set of independence statements over a ground node set.
 
     `nodes` is the sorted ground and `triples` the frozenset of canonical
-    (A, B, C) mask triples over it; `statements` is built from the triples
-    on first use."""
+    (A, B, C) mask triples over it, enumerated on first use for a model
+    from `independence_model`; `statements` is built from the triples on
+    first use."""
 
     def __init__(self, ground, statements=()):
         ground = frozenset(ground)
@@ -136,6 +143,9 @@ class IndependenceModel:
         )
         self.__dict__["triples"] = frozenset(map(self._triple, statements))
 
+    # the graph a model from `independence_model` enumerates its triples from
+    _graph = None
+
     @classmethod
     def _from_masks(cls, nodes, triples):
         """The model over the sorted ground `nodes` holding the canonical
@@ -146,8 +156,19 @@ class IndependenceModel:
         )
         return model
 
+    @classmethod
+    def _of_graph(cls, g):
+        """J_m(g), enumerated when `triples` is first read."""
+        model = cls.__new__(cls)
+        model.__dict__.update(ground=g.node_set, nodes=g.nodes, _graph=g)
+        return model
+
     def __setattr__(self, name, value):
         raise AttributeError("IndependenceModel is immutable")
+
+    @cached_property
+    def triples(self) -> frozenset:
+        return frozenset(_enumerate(self._graph, 0, 0))
 
     @cached_property
     def statements(self) -> frozenset:
@@ -199,15 +220,18 @@ class IndependenceModel:
     def __repr__(self):
         return f"IndependenceModel(ground={list(self.nodes)}, {len(self)} statements)"
 
-    def _ranks(self):
-        """{mask: its position in sorted label-tuple order} over the masks
-        the model holds: bit order is label order, so sorting by the bit
-        indices sorts by the labels."""
-        masks = {m for triple in self.triples for m in triple}
-        order = sorted(masks, key=lambda m: tuple(_bits(m)))
-        return {m: r for r, m in enumerate(order)}
-
-    def _sorted_triples(self, ranks):
+    def _sorted_triples(self):
+        """The triples in statement key order. Each mask ranks by its
+        position in sorted label-tuple order; bit order is label order, so
+        sorting by the bit indices sorts by the labels. Up to
+        `_RANK_TABLE_NODES` nodes the ranks come from the shared table of
+        all 2^n masks; above, only the masks the model holds are ranked."""
+        n = len(self.nodes)
+        if n <= _RANK_TABLE_NODES:
+            ranks = _rank_table(n)
+        else:
+            masks = sorted(set().union(*self.triples), key=lambda m: tuple(_bits(m)))
+            ranks = {m: r for r, m in enumerate(masks)}
         shift = len(ranks).bit_length()
         return sorted(
             self.triples,
@@ -215,51 +239,76 @@ class IndependenceModel:
         )
 
     def sorted_statements(self):
-        return self._statements(self._sorted_triples(self._ranks()))
+        return self._statements(self._sorted_triples())
 
 
-def _connections(g: MixedGraph, bits):
-    """The pairwise connection rows of g, per conditioning mask C in
-    increasing order: yields (C, conn), where for every node k outside C,
-    conn[k] is the mask of k itself and the nodes outside C m-connected to
-    k given C, with non-colliders outside C. `bits` is
-    `msep._bit_table(len(g.nodes))`.
+_RANK_TABLE_NODES = 16
 
-    an(C) is the union of an(C minus its lowest node) and an(lowest node).
-    `msep._walk_reach` walks with collider set C ∪ an(C) and non-colliders
-    outside C. Adjacent nodes are always connected; a later non-adjacent
-    node is connected when the bitset walk out of k reaches it, checked by
-    a simple path unless g is ribbonless. Each path `msep._paths` finds is
-    kept per pair as its (collider mask, non-collider mask): it still
-    connects under a later C whose C ∪ an(C) holds its colliders and which
-    misses its non-colliders, so `_paths` runs only when no kept path
-    applies.
+
+@lru_cache(maxsize=None)
+def _rank_table(n):
+    """Per n-bit mask, its position among all n-bit masks in the order of
+    their ascending set-bit index tuples."""
+    table = [0] * (1 << n)
+    for r, m in enumerate(sorted(range(1 << n), key=_bit_table(n).__getitem__)):
+        table[m] = r
+    return table
+
+
+def _connections(g: MixedGraph, bits, fixed=0, drop=0):
+    """The pairwise connection rows of g, per conditioning mask C = fixed | D
+    for every D over the free nodes (those outside `drop`, which holds
+    `fixed`), in increasing order of D: yields (C, conn), where for every
+    free node k outside C, conn[k] holds k itself, the nodes adjacent to k,
+    and the free nodes outside C m-connected to k given C, with
+    non-colliders outside C. `bits` is `msep._bit_table(len(g.nodes))`.
+
+    an(C) is the union of an(fixed), an(D minus its lowest node) and an(its
+    lowest node). `msep._walk_reach` walks with collider set C ∪ an(C) and
+    non-colliders outside C. Adjacent nodes are always connected; a later
+    non-adjacent node is connected when the bitset walk out of k reaches
+    it, checked by a simple path unless g is ribbonless. Each path
+    `msep._paths` finds is kept per pair as its (collider mask, non-collider
+    mask): it still connects under a later C whose C ∪ an(C) holds its
+    colliders and which misses its non-colliders, so `_paths` runs only
+    when no kept path applies.
     """
     nodes = g.nodes
     n = len(nodes)
     full = (1 << n) - 1
+    free = full & ~drop
     exits = _state_exits(g)
     starts = exits[2]
     adjacent = [(s | s >> n) & full | 1 << k for k, s in enumerate(starts)]
-    # per node, the non-adjacent nodes above it
-    apart = [full & ~a & ~((2 << k) - 1) for k, a in enumerate(adjacent)]
+    # per node, the free non-adjacent nodes above it
+    apart = [free & ~a & ~((2 << k) - 1) for k, a in enumerate(adjacent)]
     bit = {v: 1 << k for k, v in enumerate(nodes)}
+    # an of each node a conditioning set may hold
+    single = [0] * n
+    for k in bits[free | fixed]:
+        single[k] = sum(bit[u] for u in g.ancestors({nodes[k]}))
+    fixed_anc = 0
+    for k in bits[fixed]:
+        fixed_anc |= single[k]
+    # an(D) per D, filled in increasing order
     anc = [0] * (1 << n)
-    for k, v in enumerate(nodes):
-        anc[1 << k] = sum(bit[u] for u in g.ancestors({v}))
     exact = g.is_ribbonless
     # per pair k < j at k * n + j, the (collider, non-collider) masks of
     # the paths found
     found = [[] for _ in range(n * n)]
-    for cmask in range(1 << n):
-        low = cmask & -cmask
-        anc[cmask] = anc[cmask ^ low] | anc[low]
-        colliders = cmask | anc[cmask]
+    dmask = 0
+    while True:
+        low = dmask & -dmask
+        if low:
+            anc[dmask] = anc[dmask ^ low] | single[low.bit_length() - 1]
+        cmask = fixed | dmask
+        colliders = cmask | fixed_anc | anc[dmask]
         out = full & ~cmask
+        live = free & ~dmask
         sets = None
         conn = adjacent[:]
-        for k in bits[out]:
-            later = out & apart[k]
+        for k in bits[live]:
+            later = live & apart[k]
             if not later:
                 continue
             reached = _walk_reach(exits, colliders, out, starts[k], bits)
@@ -285,6 +334,9 @@ def _connections(g: MixedGraph, bits):
             for j in bits[hits]:
                 conn[j] |= 1 << k
         yield cmask, conn
+        if dmask == free:
+            return
+        dmask = (dmask - free) & free
 
 
 def _path_masks(path, bit):
@@ -300,32 +352,42 @@ def _path_masks(path, bit):
 
 
 def independence_model(g: MixedGraph, limit: int = 8) -> IndependenceModel:
-    """Enumerate J_m(g): every triple <A,B|C> with A m-separated from B by C.
+    """J_m(g): every triple <A,B|C> with A m-separated from B by C.
+
+    The model is enumerated (`_enumerate`) when its statements are first
+    read; `marginalise_condition` of a model not yet read enumerates only
+    the statements it keeps. Exponential in the node count; refuses graphs
+    above `limit` nodes at once (pass a larger limit to override).
+    """
+    n = len(g.nodes)
+    if n > limit:
+        raise TooLarge(f"{n} nodes exceeds enumeration limit {limit}")
+    return IndependenceModel._of_graph(g)
+
+
+def _enumerate(g: MixedGraph, fixed, drop):
+    """The mask triples (A, B, C) of J_m(g) with C = fixed | D and A, B and D
+    over the free nodes, those outside `drop` (which holds `fixed`); the
+    whole of J_m(g) is `_enumerate(g, 0, 0)`.
 
     Node sets are bit masks over the sorted nodes. m-separation models are
     compositional graphoids, so A and B are separated by C exactly when no
     node of B lies in the connection row (`_connections`) of a node of A.
-    Per C, each A grows depth-first from its lowest node k by nodes above
-    its highest one. The B candidates are the nodes above k, outside A,
-    and connected to no node of A; adding a node to A only shrinks them,
-    so a branch whose candidates run out is dropped whole. Every nonempty
-    submask of the candidates is a B, so each statement is found once, as
-    a mask triple with its smaller side first.
-
-    Exponential in the node count; refuses graphs above `limit` nodes (pass a
-    larger limit to override).
+    Per C, each A grows depth-first from its lowest node k by free nodes
+    above its highest one. The B candidates are the free nodes above k,
+    outside A, and connected to no node of A; adding a node to A only
+    shrinks them, so a branch whose candidates run out is dropped whole.
+    Every nonempty submask of the candidates is a B, so each statement is
+    found once, as a mask triple with its smaller side first.
     """
-    nodes = g.nodes
-    n = len(nodes)
-    if n > limit:
-        raise TooLarge(f"{n} nodes exceeds enumeration limit {limit}")
+    n = len(g.nodes)
     bits = _bit_table(n)
-    full = (1 << n) - 1
-    higher = [full & ~((2 << k) - 1) for k in range(n)]
+    free = ((1 << n) - 1) & ~drop
+    higher = [free & ~((2 << k) - 1) for k in range(n)]
     subsets = {}
     triples = []
-    for cmask, conn in _connections(g, bits):
-        out = full & ~cmask
+    for cmask, conn in _connections(g, bits, fixed, drop):
+        out = free & ~cmask
         stack = []
         for k in bits[out]:
             above = out & higher[k]
@@ -345,7 +407,7 @@ def independence_model(g: MixedGraph, limit: int = 8) -> IndependenceModel:
                 rest = cand & ~conn[x]
                 if rest:
                     stack.append((amask | 1 << x, rest, grow & higher[x]))
-    return IndependenceModel._from_masks(nodes, triples)
+    return triples
 
 
 def _submasks(mask):
@@ -373,9 +435,11 @@ def marginalise_condition(J: IndependenceModel, M, C) -> IndependenceModel:
     <A,B|D> whenever <A,B|D ∪ C> is in J and A ∪ B ∪ D avoids M ∪ C.
 
     On masks: keep (a, b, c) when a and b avoid M ∪ C and c meets M ∪ C in
-    exactly C, and compress a, b and c minus C onto the remaining nodes.
-    Dropping nodes keeps every side's label order, so the result stays
-    canonical."""
+    exactly C, and compress a, b and c onto the remaining nodes.
+    A model from `independence_model` whose statements are not yet read
+    enumerates only those triples (`_enumerate(g, C, M ∪ C)`); any other
+    model is filtered. Dropping nodes keeps every side's label order, so
+    the result stays canonical."""
     M, C = frozenset(M), frozenset(C)
     if M & C:
         raise NotDisjoint("M and C must be disjoint")
@@ -383,14 +447,18 @@ def marginalise_condition(J: IndependenceModel, M, C) -> IndependenceModel:
     cmask = sum(J._bit[v] for v in C)
     drop = cmask | sum(J._bit[v] for v in M)
     kept = [k for k in range(len(J.nodes)) if not drop >> k & 1]
-    triples = [
-        (a, b, c ^ cmask)
-        for a, b, c in J.triples
-        if not (a | b) & drop and c & drop == cmask
-    ]
+    if J._graph is not None and "triples" not in J.__dict__:
+        triples = _enumerate(J._graph, cmask, drop)
+    else:
+        triples = [
+            (a, b, c)
+            for a, b, c in J.triples
+            if not (a | b) & drop and c & drop == cmask
+        ]
+    # the bits of C are not kept, so compressing c drops C from it
     compress = {
         m: sum(1 << pos for pos, k in enumerate(kept) if m >> k & 1)
-        for m in {m for triple in triples for m in triple}
+        for m in set().union(*triples)
     }
     return IndependenceModel._from_masks(
         tuple(J.nodes[k] for k in kept),
@@ -423,27 +491,26 @@ def conforms(J: IndependenceModel, g: MixedGraph) -> bool:
     return not any(adjacent[k] & b for a, b, _c in J.triples for k in _bits(a))
 
 
-def _json_list(labels, indent):
-    if not labels:
-        return "[]"
-    items = ",\n".join(" " * (indent + 2) + json.dumps(v) for v in labels)
-    return f"[\n{items}\n{' ' * indent}]"
-
-
 def model_to_json(J: IndependenceModel) -> str:
     """J in the `json.dumps(payload, indent=2, sort_keys=True)` layout,
     statements in key order. Written directly: an indent sends `json` to its
-    pure-Python encoder, and each distinct side list is rendered only once."""
-    ranks = J._ranks()
-    nodes = J.nodes
-    sides = {m: _json_list([nodes[k] for k in _bits(m)], 6) for m in ranks}
+    pure-Python encoder. Each label is quoted once and each distinct side
+    list rendered once."""
+    quoted = [json.dumps(v) for v in J.nodes]
+    triples = J._sorted_triples()
+    sides = {0: "[]"}
+    for m in set().union(*triples) - {0}:
+        items = ",\n        ".join(quoted[k] for k in _bits(m))
+        sides[m] = f"[\n        {items}\n      ]"
     statements = ",\n".join(
         f'    {{\n      "A": {sides[a]},\n      "B": {sides[b]},\n'
         f'      "C": {sides[c]}\n    }}'
-        for a, b, c in J._sorted_triples(ranks)
+        for a, b, c in triples
     )
     body = f"[\n{statements}\n  ]" if statements else "[]"
-    return f'{{\n  "ground": {_json_list(nodes, 2)},\n  "statements": {body}\n}}\n'
+    ground = ",\n    ".join(quoted)
+    ground = f"[\n    {ground}\n  ]" if quoted else "[]"
+    return f'{{\n  "ground": {ground},\n  "statements": {body}\n}}\n'
 
 
 def model_from_json(text: str) -> IndependenceModel:

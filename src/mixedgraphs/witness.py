@@ -26,7 +26,6 @@ from .core import (
     LINE,
     TAIL,
     MixedGraph,
-    arc,
     arrow,
     edge_sort_key,
     line,
@@ -95,19 +94,18 @@ def _smallest_cycle_arrow(arrows):
 
 def unrealizable_pairs(h: MixedGraph) -> list:
     """Pairs carrying antiparallel arrows and an arc but no line; any such
-    pair keeps the graph out of the image of the DAG projection."""
-    bad = []
-    for pos, a in enumerate(h.nodes):
-        for b in h.nodes[pos + 1 :]:
-            edges = h.edges_between(a, b)
-            if (
-                arrow(a, b) in edges
-                and arrow(b, a) in edges
-                and arc(a, b) in edges
-                and line(a, b) not in edges
-            ):
-                bad.append((a, b))
-    return bad
+    pair keeps the graph out of the image of the DAG projection. Only a pair
+    with an arc can qualify, so the arcs are the candidates; they and the
+    nodes both sort by label, so the pairs come out in node order."""
+    edges = h.edges
+    return sorted(
+        (e.a, e.b)
+        for e in edges
+        if e.kind == ARC
+        and arrow(e.a, e.b) in edges
+        and arrow(e.b, e.a) in edges
+        and line(e.a, e.b) not in edges
+    )
 
 
 def dag_realizable(h: MixedGraph) -> bool:

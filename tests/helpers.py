@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 from collections import defaultdict
 
 from mixedgraphs.core import ARROW, MixedGraph, arc, arrow, edge_sort_key, line
+from mixedgraphs.generators import random_lmg, random_rg
 from mixedgraphs.independence import (
     IndependenceModel,
     IndependenceStatement,
@@ -19,6 +21,7 @@ from mixedgraphs.independence import (
 )
 from mixedgraphs.msep import m_separated
 from mixedgraphs.project import ProjectionSpec
+from mixedgraphs.witness import maximalize
 
 
 def mk(text):
@@ -193,6 +196,18 @@ def edges_between_oracle(g, n, m):
     return sorted((e for e in g.edges if {e.a, e.b} == {n, m}), key=edge_sort_key)
 
 
+def unrealizable_pairs_oracle(g):
+    """Every node pair i < j whose edges, scanned from the edge list,
+    include both arrows and the arc but not the line."""
+    bad = []
+    for i, j in itertools.combinations(g.nodes, 2):
+        kinds = {(e.kind, e.a) for e in g.edges if {e.a, e.b} == {i, j}}
+        arrows = {("arrow", i), ("arrow", j)} <= kinds
+        if arrows and ("arc", i) in kinds and ("line", i) not in kinds:
+            bad.append((i, j))
+    return bad
+
+
 def descendants_oracle(g, n):
     """de(n) by repeated scans of the arrow list."""
     de = set()
@@ -331,6 +346,23 @@ def is_maximal_literal_oracle(g):
         ):
             return False
     return True
+
+
+def literal_maximality_graphs():
+    """The literal maximality checks' inputs: every 3-node multigraph, every
+    4-node simple graph, then 60 random 5-8-node graphs, each either an RG
+    followed by its `maximalize` output or an LMG, ribbons included."""
+    yield from all_mixed_graphs(("a", "b", "c"), multi=True)
+    yield from all_mixed_graphs(("a", "b", "c", "d"), multi=False)
+    rng = random.Random(89)
+    for _ in range(60):
+        n = rng.randint(5, 8)
+        if rng.random() < 0.5:
+            g = random_rg(rng, n)
+            yield g
+            yield maximalize(g)
+        else:
+            yield random_lmg(rng, n, p=rng.uniform(0.05, 0.25))
 
 
 def pairwise_path_separated_paper(g, A, B, C):

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from mixedgraphs import independence
 from mixedgraphs.core import MixedGraph
 from mixedgraphs.generators import random_lmg, random_spec
 from mixedgraphs.independence import (
@@ -164,6 +165,88 @@ def test_marginalise_condition_matches_the_statement_filter():
                 assert got == want and got.statements == want.statements, (g, M, C)
 
 
+def _splits(nodes, most=3):
+    """Every disjoint (M, C) over at most `most` of the nodes."""
+    for r in range(most + 1):
+        for removed in itertools.combinations(nodes, r):
+            for roles in itertools.product((0, 1), repeat=r):
+                yield (
+                    {v for v, x in zip(removed, roles) if not x},
+                    {v for v, x in zip(removed, roles) if x},
+                )
+
+
+def test_sliced_marginals_match_the_filter_and_the_oracle():
+    # a model not yet read is sliced: only its C ∪ D conditioning sets are
+    # enumerated; reading it first sends the same call through the filter
+    rng = random.Random(79)
+    for g in _random_graphs(rng, 30):
+        built = independence_model(g)
+        len(built)
+        for M, C in _splits(g.nodes):
+            sliced = marginalise_condition(independence_model(g), M, C)
+            filtered = marginalise_condition(built, M, C)
+            want = marginalise_oracle(built, M, C)
+            assert sliced == filtered == want, (g, M, C)
+            assert sliced.nodes == filtered.nodes == want.nodes, (g, M, C)
+            assert model_to_json(sliced) == model_to_json(want), (g, M, C)
+
+
+def test_graph_models_enumerate_on_first_read(monkeypatch):
+    calls = []
+    enumerate_triples = independence._enumerate
+
+    def counting(g, fixed, drop):
+        calls.append((fixed, drop))
+        return enumerate_triples(g, fixed, drop)
+
+    monkeypatch.setattr(independence, "_enumerate", counting)
+    g = mk("a -> c\nb -> c\nc -> d")
+    J = independence_model(g)
+    assert calls == []
+    assert len(J) == len(J.triples) and calls == [(0, 0)]
+    marginalise_condition(J, {"d"}, {"c"})
+    assert calls == [(0, 0)]  # a read model is filtered
+    sliced = marginalise_condition(independence_model(g), {"d"}, {"c"})
+    assert calls[1:] == [(0b0100, 0b1100)]
+    assert sliced.statements == frozenset()
+
+
+def test_too_large_is_raised_before_any_enumeration(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the model was enumerated")
+
+    monkeypatch.setattr(independence, "_enumerate", refuse)
+    monkeypatch.setattr(independence, "_connections", refuse)
+    g = MixedGraph({f"n{k}" for k in range(9)})
+    with pytest.raises(TooLarge):
+        independence_model(g)
+    with pytest.raises(TooLarge):
+        independence_model(mk("a -> b"), limit=1)
+    independence_model(g, limit=9)
+
+
+def test_models_from_json_marginalise_by_the_filter(monkeypatch):
+    rng = random.Random(81)
+    models = [
+        model_from_json(model_to_json(independence_model(g)))
+        for g in (
+            random_lmg(rng, rng.randint(4, 7), p=rng.uniform(0.05, 0.35))
+            for _ in range(20)
+        )
+    ]
+
+    def refuse(*_args):
+        raise AssertionError("the model was enumerated")
+
+    monkeypatch.setattr(independence, "_enumerate", refuse)
+    for J in models:
+        for M, C in _splits(J.nodes, 2):
+            got = marginalise_condition(J, M, C)
+            want = marginalise_oracle(J, M, C)
+            assert got == want and got.nodes == want.nodes, (J, M, C)
+
+
 def test_rebuilt_models_equal_the_enumerated_one():
     rng = random.Random(73)
     for g in _random_graphs(rng, 150):
@@ -261,13 +344,14 @@ def test_malformed_model_json_names_the_field(text, field):
 
 def test_enumeration_matches_the_per_assignment_oracle(monkeypatch):
     emitted = []
-    from_masks = IndependenceModel._from_masks
+    enumerate_triples = independence._enumerate
 
-    def capturing(nodes, triples):
+    def capturing(g, fixed, drop):
+        triples = enumerate_triples(g, fixed, drop)
         emitted.append(list(triples))
-        return from_masks(nodes, triples)
+        return triples
 
-    monkeypatch.setattr(IndependenceModel, "_from_masks", staticmethod(capturing))
+    monkeypatch.setattr(independence, "_enumerate", capturing)
     # multi-edge and non-ribbonless graphs included: the random draws fill
     # each of the four edge slots per pair independently
     rng = random.Random(61)
@@ -281,6 +365,7 @@ def test_enumeration_matches_the_per_assignment_oracle(monkeypatch):
     for g in graphs:
         emitted.clear()
         J = independence_model(g)
+        len(J)  # the model is enumerated when first read
         (triples,) = emitted
         # each statement is found once: no triple repeats, with A and B taken
         # either way round
@@ -302,14 +387,28 @@ def test_model_json_matches_the_stdlib_layout():
             }
         )
     )
+    graphs = [
+        random_lmg(rng, rng.randint(6, 8), p=rng.uniform(0.1, 0.4))
+        for _ in range(200)
+    ]
+    # above 16 nodes only the masks a model holds are ranked
+    wide = IndependenceModel(
+        [f"n{k}" for k in range(20)],
+        [
+            S({"n3", "n12"}, {"n19"}, {"n0"}),
+            S({"n3"}, {"n12", "n19"}),
+            S({"n2"}, {"n10"}),
+        ],
+    )
     models = itertools.chain(
-        [IndependenceModel((), ()), independence_model(mk("a -> b")), escaped],
+        [IndependenceModel((), ()), independence_model(mk("a -> b")), escaped, wide],
         map(independence_model, all_mixed_graphs(("a", "b", "c"))),
+        map(independence_model, graphs),
+        # marginals enumerated as slices of unread models
         (
-            independence_model(
-                random_lmg(rng, rng.randint(6, 8), p=rng.uniform(0.1, 0.4))
-            )
-            for _ in range(200)
+            marginalise_condition(independence_model(g), spec.marg, spec.cond)
+            for g in graphs
+            for spec in [random_spec(rng, g)]
         ),
     )
     for J in models:

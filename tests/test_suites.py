@@ -1,17 +1,20 @@
 import pytest
 
+from mixedgraphs.independence import independence_model
 from mixedgraphs.suites import (
     SUITES,
     SuiteResult,
     UnsuitableGraph,
+    _separates_every_pair,
     composition_suite,
     correspondence_suite,
     lemma1_suite,
     maximality_suite,
     stability_suite,
 )
+from mixedgraphs.witness import is_maximal_literal
 
-from .helpers import mk
+from .helpers import is_maximal_literal_oracle, literal_maximality_graphs, mk
 
 
 def test_suite_result_reporting():
@@ -54,3 +57,14 @@ def test_suites_apply_only_matching_projectors():
     result = stability_suite(g, seeds=3)
     assert result.ok
     assert result.checked == 3
+
+
+def test_maximality_suite_reads_the_literal_verdict_off_the_model():
+    # the verdict the suite reads off each model against the connection-row
+    # check and the m_separated sweep, on the literal maximality inputs
+    verdicts = set()
+    for g in literal_maximality_graphs():
+        verdict = _separates_every_pair(g, independence_model(g))
+        assert verdict == is_maximal_literal(g) == is_maximal_literal_oracle(g), g
+        verdicts.add(verdict)
+    assert verdicts == {True, False}

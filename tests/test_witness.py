@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mixedgraphs.core import MixedGraph, arc, arrow, classify, line
-from mixedgraphs.generators import random_lmg, random_rg, random_sg
+from mixedgraphs.generators import random_rg, random_sg
 from mixedgraphs.independence import independence_model, model_equal
 from mixedgraphs.project import NotRibbonless, project_rg, project_sg
 from mixedgraphs.witness import (
@@ -16,14 +16,16 @@ from mixedgraphs.witness import (
     maximalize,
     _pip_edges,
     maximalize_report,
+    unrealizable_pairs,
 )
 
 from .helpers import (
-    all_mixed_graphs,
     is_maximal_literal_oracle,
+    literal_maximality_graphs,
     mk,
     pip_edges_oracle,
     primitive_inducing_paths_oracle,
+    unrealizable_pairs_oracle,
 )
 
 
@@ -111,6 +113,30 @@ def test_unrealizable_pair_is_rejected_with_proof_witness():
 
     back = project_rg(recipe, ProjectionSpec({"_m1", "_m2"}, {"_c1"}))
     assert back.edges == g.edges | {line("c", "d")}
+
+
+def test_unrealizable_pairs_match_the_all_pairs_oracle():
+    # random RGs, then random graphs given a two-cycle and a parallel arc on
+    # some pairs (a parallel line on some of those), so that found, spared
+    # and near-miss pairs all occur
+    rng = random.Random(83)
+    found = 0
+    for k in range(300):
+        g = random_rg(rng, rng.randint(2, 8))
+        if k % 2:
+            edges = set(g.edges)
+            for a, b in itertools.combinations(g.nodes, 2):
+                if rng.random() < 0.3:
+                    edges |= {arrow(a, b), arrow(b, a), arc(a, b)}
+                    if rng.random() < 0.3:
+                        edges.add(line(a, b))
+                    if rng.random() < 0.2:
+                        edges.discard(arrow(b, a))
+            g = MixedGraph(g.nodes, edges)
+        pairs = unrealizable_pairs(g)
+        assert pairs == unrealizable_pairs_oracle(g), g
+        found += len(pairs)
+    assert found >= 100
 
 
 def test_adding_the_parallel_line_restores_realizability():
@@ -254,27 +280,11 @@ def test_literal_maximality_matches_the_separation_sweep():
     # the connection-row route against one m_separated sweep per pair, on
     # every 3-node multigraph, every 4-node simple graph, and random RGs
     # and non-RGs with 5-8 nodes, the RGs with their maximalize outputs
-    graphs = itertools.chain(
-        all_mixed_graphs(("a", "b", "c"), multi=True),
-        all_mixed_graphs(("a", "b", "c", "d"), multi=False),
-    )
     verdicts = set()
-    for g in graphs:
+    ribbons = 0
+    for g in literal_maximality_graphs():
         verdict = is_maximal_literal(g)
         assert verdict == is_maximal_literal_oracle(g), g
         verdicts.add(verdict)
-    rng = random.Random(89)
-    ribbons = 0
-    for _ in range(60):
-        n = rng.randint(5, 8)
-        if rng.random() < 0.5:
-            gs = [random_rg(rng, n)]
-            gs.append(maximalize(gs[0]))
-        else:
-            gs = [random_lmg(rng, n, p=rng.uniform(0.05, 0.25))]
-            ribbons += not gs[0].is_ribbonless
-        for g in gs:
-            verdict = is_maximal_literal(g)
-            assert verdict == is_maximal_literal_oracle(g), g
-            verdicts.add(verdict)
+        ribbons += len(g.nodes) >= 5 and not g.is_ribbonless
     assert verdicts == {True, False} and ribbons >= 10
