@@ -16,17 +16,16 @@ statement sorts by three ints.
 
 `independence_model` returns a model that holds its graph and enumerates
 its triples when they are first read. `marginalise_condition` of such a
-model not yet read enumerates only the statements it keeps: the
-conditioning sets C ∪ D with A, B and D over the nodes outside M ∪ C.
-Every other model is marginalised by the mask filter.
+model enumerates only the statements it keeps: the conditioning sets C ∪ D
+with A, B and D over the nodes outside M ∪ C. A model with no graph (from
+`model_from_json` or the constructor) is marginalised by the mask filter.
 
 `_connections` is the enumeration kernel: per conditioning mask C, in
 increasing order, the mask of nodes m-connected to each node, from one
 bitset walk per source (`msep._walk_reach`) and, on graphs that are not
 ribbonless, simple paths that are found once and reused across conditioning
 sets. `_enumerate` reads the statements off these rows, growing each A
-depth-first and dropping a branch once no B is left for it;
-`witness.is_maximal_literal` reads the pairwise verdicts. `model_to_json`
+depth-first and dropping a branch once no B is left for it. `model_to_json`
 writes the canonical JSON layout directly.
 """
 
@@ -223,11 +222,11 @@ class IndependenceModel:
     def _sorted_triples(self):
         """The triples in statement key order. Each mask ranks by its
         position in sorted label-tuple order; bit order is label order, so
-        sorting by the bit indices sorts by the labels. Up to
-        `_RANK_TABLE_NODES` nodes the ranks come from the shared table of
-        all 2^n masks; above, only the masks the model holds are ranked."""
+        sorting by the bit indices sorts by the labels. A model with at
+        least 2^n triples reads the ranks off the shared table of all 2^n
+        masks; a smaller one ranks only the masks it holds."""
         n = len(self.nodes)
-        if n <= _RANK_TABLE_NODES:
+        if 1 << n <= len(self.triples):
             ranks = _rank_table(n)
         else:
             masks = sorted(set().union(*self.triples), key=lambda m: tuple(_bits(m)))
@@ -242,9 +241,6 @@ class IndependenceModel:
         return self._statements(self._sorted_triples())
 
 
-_RANK_TABLE_NODES = 16
-
-
 @lru_cache(maxsize=None)
 def _rank_table(n):
     """Per n-bit mask, its position among all n-bit masks in the order of
@@ -255,7 +251,7 @@ def _rank_table(n):
     return table
 
 
-def _connections(g: MixedGraph, bits, fixed=0, drop=0):
+def _connections(g: MixedGraph, bits, fixed, drop):
     """The pairwise connection rows of g, per conditioning mask C = fixed | D
     for every D over the free nodes (those outside `drop`, which holds
     `fixed`), in increasing order of D: yields (C, conn), where for every
@@ -355,8 +351,8 @@ def independence_model(g: MixedGraph, limit: int = 8) -> IndependenceModel:
     """J_m(g): every triple <A,B|C> with A m-separated from B by C.
 
     The model is enumerated (`_enumerate`) when its statements are first
-    read; `marginalise_condition` of a model not yet read enumerates only
-    the statements it keeps. Exponential in the node count; refuses graphs
+    read; `marginalise_condition` of it enumerates only the statements it
+    keeps. Exponential in the node count; refuses graphs
     above `limit` nodes at once (pass a larger limit to override).
     """
     n = len(g.nodes)
@@ -436,9 +432,8 @@ def marginalise_condition(J: IndependenceModel, M, C) -> IndependenceModel:
 
     On masks: keep (a, b, c) when a and b avoid M ∪ C and c meets M ∪ C in
     exactly C, and compress a, b and c onto the remaining nodes.
-    A model from `independence_model` whose statements are not yet read
-    enumerates only those triples (`_enumerate(g, C, M ∪ C)`); any other
-    model is filtered. Dropping nodes keeps every side's label order, so
+    A model from `independence_model` enumerates only those triples
+    (`_enumerate(g, C, M ∪ C)`); a model with no graph is filtered. Dropping nodes keeps every side's label order, so
     the result stays canonical."""
     M, C = frozenset(M), frozenset(C)
     if M & C:
@@ -447,7 +442,7 @@ def marginalise_condition(J: IndependenceModel, M, C) -> IndependenceModel:
     cmask = sum(J._bit[v] for v in C)
     drop = cmask | sum(J._bit[v] for v in M)
     kept = [k for k in range(len(J.nodes)) if not drop >> k & 1]
-    if J._graph is not None and "triples" not in J.__dict__:
+    if J._graph is not None:
         triples = _enumerate(J._graph, cmask, drop)
     else:
         triples = [

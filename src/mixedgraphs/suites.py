@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .core import MixedGraph, MixedGraphError
 from .generators import random_spec
@@ -23,7 +22,7 @@ from .project import (
     table1_closure,
 )
 from .textfmt import document_for, serialize_graph
-from .witness import is_maximal, maximalize
+from .witness import _separates_every_pair, is_maximal, maximalize
 
 MODEL_NODE_LIMIT = 8
 
@@ -194,21 +193,6 @@ def lemma1_suite(g: MixedGraph, seeds: int = 20, base_seed: int = 0) -> SuiteRes
         if not ok:
             break
     return result
-
-
-def _separates_every_pair(g: MixedGraph, model) -> bool:
-    """The literal maximality verdict read off g's model: every
-    non-adjacent pair i < j has a statement <{i},{j}|C>, which is stored as
-    the mask triple (bit i, bit j, C)."""
-    nodes = g.nodes
-    separated = {
-        (a, b) for a, b, _c in model.triples if not (a & (a - 1) or b & (b - 1))
-    }
-    return all(
-        (1 << i, 1 << j) in separated
-        for i, j in combinations(range(len(nodes)), 2)
-        if not g.adjacent(nodes[i], nodes[j])
-    )
 
 
 def maximality_suite(g: MixedGraph, seeds: int = 0, base_seed: int = 0) -> SuiteResult:

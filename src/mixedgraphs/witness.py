@@ -12,7 +12,8 @@ of an endpoint. Only their end marks matter, and the `msep` walk kernel
 gives those for each pair directly. maximalize() inserts the
 endpoint-identical edge for each such path until none remain. The literal
 definition, that every non-adjacent pair is separated by some set, is
-checked on the connection rows that `independence` enumerates models from.
+read off the independence model: every non-adjacent pair i, j must have a
+statement <{i},{j}|C>.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .core import (
     signature_edge,
 )
 from .core import MixedGraphError
-from .independence import TooLarge, _connections
-from .msep import _bit_table, _walk
+from .independence import independence_model
+from .msep import _walk
 from .project import NotRibbonless, ProjectionSpec
 
 
@@ -190,28 +191,30 @@ def is_maximal(g: MixedGraph) -> bool:
 
 def is_maximal_literal(g: MixedGraph, limit: int = 8) -> bool:
     """Direct check: every non-adjacent pair admits some separating set.
-    Reads the connection rows of `independence._connections` per C in
-    increasing order: a pair clear of C whose row bit is unset is separated
-    by C, and the check stops at the first C by which every pair has been."""
-    n = len(g.nodes)
-    if n > limit:
-        raise TooLarge(f"{n} nodes exceeds enumeration limit {limit}")
+    Raises `TooLarge` above `limit` nodes, as `independence_model` does."""
+    return _separates_every_pair(g, independence_model(g, limit))
+
+
+def _separates_every_pair(g: MixedGraph, model) -> bool:
+    """The literal maximality verdict read off g's model: every
+    non-adjacent pair i < j has a statement <{i},{j}|C>, the mask triple
+    (bit i, bit j, C). The sets C over the other nodes are looked up in
+    increasing order, so a pair separated by a small set is settled early."""
     nodes = g.nodes
-    pending = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if not g.adjacent(nodes[i], nodes[j])
-    ]
-    for cmask, conn in _connections(g, _bit_table(n)):
-        pending = [
-            (i, j)
-            for i, j in pending
-            if (cmask >> i | cmask >> j) & 1 or conn[i] >> j & 1
-        ]
-        if not pending:
-            return True
-    return False
+    n = len(nodes)
+    triples = model.triples
+    for i in range(n):
+        for j in range(i + 1, n):
+            if g.adjacent(nodes[i], nodes[j]):
+                continue
+            a, b = 1 << i, 1 << j
+            rest = (1 << n) - 1 - a - b
+            c = 0
+            while (a, b, c) not in triples:
+                if c == rest:
+                    return False
+                c = (c - rest) & rest
+    return True
 
 
 def maximalize_report(g: MixedGraph):

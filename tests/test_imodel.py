@@ -177,16 +177,16 @@ def _splits(nodes, most=3):
 
 
 def test_sliced_marginals_match_the_filter_and_the_oracle():
-    # a model not yet read is sliced: only its C ∪ D conditioning sets are
-    # enumerated; reading it first sends the same call through the filter
+    # a model from a graph is sliced: only its C ∪ D conditioning sets are
+    # enumerated; the same statements in a model with no graph are filtered
     rng = random.Random(79)
     for g in _random_graphs(rng, 30):
-        built = independence_model(g)
-        len(built)
+        J = independence_model(g)
+        rebuilt = IndependenceModel(g.node_set, J.statements)
         for M, C in _splits(g.nodes):
-            sliced = marginalise_condition(independence_model(g), M, C)
-            filtered = marginalise_condition(built, M, C)
-            want = marginalise_oracle(built, M, C)
+            sliced = marginalise_condition(J, M, C)
+            filtered = marginalise_condition(rebuilt, M, C)
+            want = marginalise_oracle(rebuilt, M, C)
             assert sliced == filtered == want, (g, M, C)
             assert sliced.nodes == filtered.nodes == want.nodes, (g, M, C)
             assert model_to_json(sliced) == model_to_json(want), (g, M, C)
@@ -204,12 +204,13 @@ def test_graph_models_enumerate_on_first_read(monkeypatch):
     g = mk("a -> c\nb -> c\nc -> d")
     J = independence_model(g)
     assert calls == []
-    assert len(J) == len(J.triples) and calls == [(0, 0)]
-    marginalise_condition(J, {"d"}, {"c"})
-    assert calls == [(0, 0)]  # a read model is filtered
-    sliced = marginalise_condition(independence_model(g), {"d"}, {"c"})
-    assert calls[1:] == [(0b0100, 0b1100)]
+    # a model from a graph is sliced, and not built, whether read or not
+    sliced = marginalise_condition(J, {"d"}, {"c"})
+    assert calls == [(0b0100, 0b1100)]
     assert sliced.statements == frozenset()
+    assert len(J) == len(J.triples) and calls[1:] == [(0, 0)]
+    assert marginalise_condition(J, {"d"}, {"c"}) == sliced
+    assert calls[2:] == [(0b0100, 0b1100)]
 
 
 def test_too_large_is_raised_before_any_enumeration(monkeypatch):
@@ -391,7 +392,7 @@ def test_model_json_matches_the_stdlib_layout():
         random_lmg(rng, rng.randint(6, 8), p=rng.uniform(0.1, 0.4))
         for _ in range(200)
     ]
-    # above 16 nodes only the masks a model holds are ranked
+    # a model holding fewer than 2^n triples ranks only the masks it holds
     wide = IndependenceModel(
         [f"n{k}" for k in range(20)],
         [

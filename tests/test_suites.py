@@ -1,18 +1,15 @@
 import pytest
 
-from mixedgraphs.independence import independence_model
 from mixedgraphs.suites import (
     SUITES,
     SuiteResult,
     UnsuitableGraph,
-    _separates_every_pair,
     composition_suite,
     correspondence_suite,
     lemma1_suite,
     maximality_suite,
     stability_suite,
 )
-from mixedgraphs.witness import is_maximal_literal
 
 from .helpers import is_maximal_literal_oracle, literal_maximality_graphs, mk
 
@@ -60,11 +57,14 @@ def test_suites_apply_only_matching_projectors():
 
 
 def test_maximality_suite_reads_the_literal_verdict_off_the_model():
-    # the verdict the suite reads off each model against the connection-row
-    # check and the m_separated sweep, on the literal maximality inputs
+    # the suite reads the literal verdict off the models it enumerates, and
+    # fails when it differs from the PIP criterion; on the literal
+    # maximality inputs it must pass, on maximal and non-maximal graphs
     verdicts = set()
     for g in literal_maximality_graphs():
-        verdict = _separates_every_pair(g, independence_model(g))
-        assert verdict == is_maximal_literal(g) == is_maximal_literal_oracle(g), g
-        verdicts.add(verdict)
+        if "RG" not in g.class_tags:
+            continue
+        result = maximality_suite(g)
+        assert result.ok and result.checked == 3, (g, result.failures)
+        verdicts.add(is_maximal_literal_oracle(g))
     assert verdicts == {True, False}
