@@ -6,7 +6,10 @@ whose inner node is marginalised (non-collider case) or lies in C ∪ an(C)
 repeating until stable, and then removes the nodes in M ∪ C. The
 summary-graph stage strips arrowheads pointing into the surviving part of
 an(C), taken in the closed graph; the ancestral stage resolves arcs whose
-endpoint is an ancestor of the other end.
+endpoint is an ancestor of the other end. No edge the ancestral stage adds
+changes who is an ancestor of whom, so it reads ancestry once, from its
+input: its collider step runs to a fixpoint, and one pass over the arcs
+then turns each arc between an ancestor and its descendant into an arrow.
 
 On ribbonless inputs the first stage runs by Lemma 1: the closure joins two
 survivors by an edge with end marks (m_i, m_j) exactly when some
@@ -29,7 +32,6 @@ from .core import (
     ARC,
     ARROW,
     HEAD,
-    LINE,
     TAIL,
     Edge,
     MixedGraph,
@@ -37,9 +39,9 @@ from .core import (
     UnknownNode,
     arc,
     arrow,
+    collider_vs,
     edge_sort_key,
     line,
-    reach,
     signature_edge,
 )
 from .msep import _walk
@@ -121,23 +123,13 @@ _RULE_ID = {
     ("IN", "IN"): 10,
 }
 
-
-def _edge_role(e: Edge, at):
-    if e.kind == LINE:
-        return "LINE"
-    if e.kind == ARC:
-        return "ARC"
-    return "IN" if e.b == at else "OUT"
-
-
-def _incidence(nodes, edges):
-    inc = {n: [] for n in nodes}
-    for e in edges:
-        inc[e.a].append(e)
-        inc[e.b].append(e)
-    for lst in inc.values():
-        lst.sort(key=edge_sort_key)
-    return inc
+# the role of an edge at a node, keyed by its marks (here, there)
+_ROLE = {
+    (TAIL, TAIL): "LINE",
+    (HEAD, HEAD): "ARC",
+    (HEAD, TAIL): "IN",
+    (TAIL, HEAD): "OUT",
+}
 
 
 def table1_closure(h: MixedGraph, spec: ProjectionSpec):
@@ -145,50 +137,40 @@ def table1_closure(h: MixedGraph, spec: ProjectionSpec):
 
     Returns (closed graph, trace). Scan order is (rule id, inner node,
     endpoints); the fixpoint itself is order-independent because adding an
-    edge never destroys a V. Each round rebuilds the incidence lists and
-    rescans every V, so projections use it only for inputs that are not
+    edge never destroys a V. Each round rescans every V of the graph the
+    previous round built, so projections use it only for inputs that are not
     ribbonless; on the others it is the oracle for the signature route.
     """
     spec.validate_for(h)
-    nodes = h.nodes
-    edges = set(h.edges)
-    parents = {n: set(ps) for n, ps in h._parents.items()}
-    trace = []
+    current, trace = h, []
     while True:
-        enabler = spec.cond | reach(parents, spec.cond)
+        enabler = spec.cond | current.ancestors(spec.cond)
         candidates = []
-        inc = _incidence(nodes, edges)
-        for t in nodes:
+        for t in current.nodes:
             t_marg = t in spec.marg
             t_enab = t in enabler
             if not (t_marg or t_enab):
                 continue
-            for e1, e2 in itertools.combinations(inc[t], 2):
-                i, j = e1.other(t), e2.other(t)
+            for (i, at_t1, at_i, _e1), (j, at_t2, at_j, _e2) in itertools.combinations(
+                current.flows(t), 2
+            ):
                 if i == j:
                     continue
-                roles = tuple(sorted((_edge_role(e1, t), _edge_role(e2, t))))
-                rule = _RULE_ID[roles]
-                if rule >= 8:
-                    if not t_enab:
-                        continue
-                else:
-                    if not t_marg:
-                        continue
-                gen = signature_edge(e1.mark_at(i), e2.mark_at(j), i, j)
-                if gen not in edges:
-                    lo, hi = min(i, j), max(i, j)
-                    candidates.append((rule, t, lo, hi, gen))
+                roles = sorted((_ROLE[at_t1, at_i], _ROLE[at_t2, at_j]))
+                rule = _RULE_ID[tuple(roles)]
+                if not (t_enab if rule >= 8 else t_marg):
+                    continue
+                gen = signature_edge(at_i, at_j, i, j)
+                if gen not in current.edges:
+                    candidates.append((rule, t, min(i, j), max(i, j), gen))
         if not candidates:
-            break
+            return current, trace
+        edges = set(current.edges)
         for rule, t, _lo, _hi, gen in sorted(candidates):
-            if gen in edges:
-                continue
-            edges.add(gen)
-            if gen.kind == ARROW:
-                parents[gen.b].add(gen.a)
-            trace.append(TraceStep(f"{rule}", t, gen))
-    return MixedGraph._trusted(nodes, edges), trace
+            if gen not in edges:
+                edges.add(gen)
+                trace.append(TraceStep(f"{rule}", t, gen))
+        current = MixedGraph._trusted(current.nodes, edges)
 
 
 def _gate(h, tag, exc, what, force):
@@ -220,14 +202,14 @@ def _witness_step(h: MixedGraph, marg, gen, i, first, pred):
     # because it is legal whenever t is in M
     last = min(
         (
-            e
-            for o, mt, mo, e in h.flows(t)
+            mt
+            for o, mt, mo, _e in h.flows(t)
             if o == j and mo == gen.mark_at(j) and (mt == HEAD or t in marg)
         ),
-        key=lambda e: e.mark_at(t) == HEAD,
+        key=lambda mt: mt == HEAD,
     )
-    prefix = signature_edge(first, HEAD if t_head else TAIL, i, t)
-    roles = tuple(sorted((_edge_role(prefix, t), _edge_role(last, t))))
+    prefix = _ROLE[HEAD if t_head else TAIL, first]
+    roles = tuple(sorted((prefix, _ROLE[last, gen.mark_at(j)])))
     return TraceStep(f"{_RULE_ID[roles]}", t, gen)
 
 
@@ -346,87 +328,67 @@ def project_sg(h: MixedGraph, spec: ProjectionSpec, force: bool = False) -> Mixe
 
 
 def sg_to_ag_traced(h: MixedGraph, force: bool = False):
+    """The ancestral closure of h with its trace.
+
+    Neither step changes who is an ancestor of whom, so ancestry is read
+    once, from h. Step 2 adds an arc, or an arrow o1 -> o2 at a V
+    o1 -> k <-> o2 with k in an(o2), where o1 is already an ancestor of o2;
+    step 3 adds a -> b only for a in an(b). Every V that step 2 fires on
+    holds an arc k <-> o with k in an(o), which step 3 converts, and step 3
+    makes no arc. So step 2 runs to its fixpoint, and then one pass of
+    step 3 over the arcs in edge order leaves nothing for either step."""
     _gate(h, "SG", NotSummaryGraph, "a summary graph", force)
-    nodes = h.nodes
-    edges = set(h.edges)
-    parents = {n: set(ps) for n, ps in h._parents.items()}
-    trace = []
-    # ancestors per node, computed when asked for and dropped whenever an
-    # arrow is added
     anc = {}
 
     def is_ancestor(k, n):
         if n not in anc:
-            anc[n] = reach(parents, (n,))
+            anc[n] = h.ancestors((n,))
         return k in anc[n]
 
+    current, trace = h, []
+    # step 2: collider Vs with an arc towards the endpoint the inner node
+    # leads to; `collider_vs` lists the arrow end first for a mixed V
     while True:
-        grew = False
-        # collider Vs with an arc towards the endpoint the inner node leads to
-        while True:
-            candidates = []
-            inc = _incidence(nodes, edges)
-            for k in nodes:
-                head_edges = [e for e in inc[k] if e.mark_at(k) == HEAD]
-                for e1, e2 in itertools.combinations(head_edges, 2):
-                    o1, o2 = e1.other(k), e2.other(k)
-                    if o1 == o2:
-                        continue
-                    if e1.kind == ARC and e2.kind == ARC:
-                        if is_ancestor(k, o1) or is_ancestor(k, o2):
-                            gen = arc(o1, o2)
-                        else:
-                            continue
-                    elif e1.kind == ARC:
-                        if not is_ancestor(k, o1):
-                            continue
-                        gen = arrow(o2, o1)
-                    elif e2.kind == ARC:
-                        if not is_ancestor(k, o2):
-                            continue
-                        gen = arrow(o1, o2)
-                    else:
-                        continue
-                    if gen not in edges:
-                        candidates.append((k, min(o1, o2), max(o1, o2), gen))
-            if not candidates:
-                break
-            for k, _lo, _hi, gen in sorted(candidates):
-                if gen in edges:
+        candidates = []
+        for o1, e1, k, e2, o2 in collider_vs(current):
+            if e2.kind != ARC:
+                continue
+            if e1.kind == ARC:
+                if not (is_ancestor(k, o1) or is_ancestor(k, o2)):
                     continue
-                edges.add(gen)
-                if gen.kind == ARROW:
-                    parents[gen.b].add(gen.a)
-                    anc.clear()
-                trace.append(TraceStep("ag-step-2", k, gen))
-            grew = True
-        # arcs with one endpoint an ancestor of the other become arrows
-        while True:
-            pending = None
-            for e in sorted(edges, key=edge_sort_key):
-                if e.kind != ARC:
-                    continue
-                if is_ancestor(e.a, e.b):
-                    pending = (e, arrow(e.a, e.b))
-                    break
-                if is_ancestor(e.b, e.a):
-                    pending = (e, arrow(e.b, e.a))
-                    break
-            if pending is None:
-                break
-            e, repl = pending
-            edges.discard(e)
-            generated = None
-            if repl not in edges:
-                edges.add(repl)
-                generated = repl
-            parents[repl.b].add(repl.a)
-            anc.clear()
-            trace.append(TraceStep("ag-step-3", None, generated, removed=e))
-            grew = True
-        if not grew:
+                gen = arc(o1, o2)
+            elif is_ancestor(k, o2):
+                gen = arrow(o1, o2)
+            else:
+                continue
+            if gen not in current.edges:
+                candidates.append((k, min(o1, o2), max(o1, o2), gen))
+        if not candidates:
             break
-    result = MixedGraph._trusted(nodes, edges)
+        edges = set(current.edges)
+        for k, _lo, _hi, gen in sorted(candidates):
+            if gen not in edges:
+                edges.add(gen)
+                trace.append(TraceStep("ag-step-2", k, gen))
+        current = MixedGraph._trusted(h.nodes, edges)
+    # step 3: arcs with one endpoint an ancestor of the other become arrows
+    edges = set(current.edges)
+    for e in current.sorted_edges():
+        if e.kind != ARC:
+            continue
+        if is_ancestor(e.a, e.b):
+            repl = arrow(e.a, e.b)
+        elif is_ancestor(e.b, e.a):
+            repl = arrow(e.b, e.a)
+        else:
+            continue
+        edges.discard(e)
+        generated = None
+        if repl not in edges:
+            edges.add(repl)
+            generated = repl
+        trace.append(TraceStep("ag-step-3", None, generated, removed=e))
+    result = MixedGraph._trusted(h.nodes, edges)
     if "AG" not in result.class_tags:
         raise NotAncestralGraph(
             f"the ancestral closure of {h!r} is not an ancestral graph"

@@ -20,7 +20,7 @@ from mixedgraphs.independence import (
     independence_model,
 )
 from mixedgraphs.msep import m_separated
-from mixedgraphs.project import ProjectionSpec
+from mixedgraphs.project import NotAncestralGraph, ProjectionSpec, TraceStep
 from mixedgraphs.witness import maximalize
 
 
@@ -150,13 +150,13 @@ def _mark(e, v):
     return "head" if v == e.b else "tail"
 
 
-def _ancestors(g, targets):
-    """an(targets) by repeated scans of the arrow list."""
+def _ancestors(edges, targets):
+    """an(targets) by repeated scans of the arrows among the edges."""
     anc = set()
     grew = True
     while grew:
         grew = False
-        for e in g.edges:
+        for e in edges:
             if e.kind == ARROW and (e.b in targets or e.b in anc) and e.a not in anc:
                 anc.add(e.a)
                 grew = True
@@ -223,7 +223,7 @@ def descendants_oracle(g, n):
 
 def cycle_nodes_oracle(g):
     """The nodes that are their own ancestors, by arrow-list scans."""
-    return frozenset(n for n in g.nodes if n in _ancestors(g, {n}))
+    return frozenset(n for n in g.nodes if n in _ancestors(g.edges, {n}))
 
 
 def class_tags_oracle(g):
@@ -248,13 +248,27 @@ def class_tags_oracle(g):
         tags.add("SG")
         simple = all(len(g.edges_between(e.a, e.b)) == 1 for e in g.edges)
         ancestral = all(
-            n not in _ancestors(g, g.parents(n) | g.spouses(n))
+            n not in _ancestors(g.edges, g.parents(n) | g.spouses(n))
             for n in g.nodes
             if g.parents(n) or g.spouses(n)
         )
         if simple and ancestral:
             tags.add("AG")
     return frozenset(tags)
+
+
+def collider_vs_oracle(g):
+    """Every collider V of g from the edge list, unordered: (inner node,
+    {(end, edge), (end, edge)}) for each two edges with heads at the inner
+    node and different other ends."""
+    vs = []
+    for t in g.nodes:
+        heads = [e for e in g.edges if t in (e.a, e.b)]
+        heads = [e for e in heads if _mark(e, t) == "head"]
+        for e1, e2 in itertools.combinations(heads, 2):
+            if e1.other(t) != e2.other(t):
+                vs.append((t, frozenset({(e1.other(t), e1), (e2.other(t), e2)})))
+    return vs
 
 
 def simple_paths(g, a, b):
@@ -285,7 +299,7 @@ def _is_collider(nodes, edges, k):
 def connecting_paths(g, a, b, M, C):
     """The simple a-b paths whose collider inner nodes lie in C ∪ an(C) and
     whose other inner nodes lie in M."""
-    enablers = set(C) | _ancestors(g, set(C))
+    enablers = set(C) | _ancestors(g.edges, set(C))
     return [
         (nodes, edges)
         for nodes, edges in simple_paths(g, a, b)
@@ -303,7 +317,7 @@ def primitive_inducing_paths_oracle(g):
     for i, j in itertools.combinations(g.nodes, 2):
         if any({e.a, e.b} == {i, j} for e in g.edges):
             continue
-        anc = _ancestors(g, {i, j})
+        anc = _ancestors(g.edges, {i, j})
         for nodes, edges in simple_paths(g, i, j):
             if all(
                 _is_collider(nodes, edges, k) and nodes[k] in anc
@@ -409,6 +423,111 @@ def replay_trace(graph: MixedGraph, spec: ProjectionSpec, trace):
     if not restricted:
         edges = {e for e in edges if e.a in survivors and e.b in survivors}
     return MixedGraph(survivors, edges)
+
+
+def rg_to_sg_oracle(g: MixedGraph, anc_c):
+    """The SG strip edge by edge: an arrow into anc_c becomes a line, an arc
+    with both ends in anc_c a line, an arc with one end there an arrow out
+    of that end; every other edge stays."""
+    edges = set()
+    for e in g.edges:
+        ends_in = [n for n in (e.a, e.b) if n in anc_c]
+        into = e.kind == ARROW and e.b in anc_c
+        if into or (e.kind == "arc" and len(ends_in) == 2):
+            edges.add(line(e.a, e.b))
+        elif e.kind == "arc" and ends_in:
+            edges.add(arrow(ends_in[0], e.other(ends_in[0])))
+        else:
+            edges.add(e)
+    return MixedGraph(g.nodes, edges)
+
+
+def sg_to_ag_oracle(h: MixedGraph):
+    """The ancestral closure as a literal loop: ancestry recomputed from the
+    edge set after every edge added; step 2 in rounds to its fixpoint;
+    step 3 restarted from the first arc after every arc it converts; and
+    both repeated until neither changes the graph. Returns (graph, trace),
+    or raises NotAncestralGraph."""
+    nodes = h.nodes
+    edges = set(h.edges)
+    trace = []
+    # ancestors per node, computed when asked for and dropped whenever an
+    # edge is added
+    anc = {}
+
+    def is_ancestor(k, n):
+        if n not in anc:
+            anc[n] = _ancestors(edges, {n})
+        return k in anc[n]
+
+    while True:
+        grew = False
+        # collider Vs with an arc towards the endpoint the inner node leads to
+        while True:
+            candidates = []
+            for k in nodes:
+                head_edges = sorted(
+                    (e for e in edges if k in (e.a, e.b) and _mark(e, k) == "head"),
+                    key=edge_sort_key,
+                )
+                for e1, e2 in itertools.combinations(head_edges, 2):
+                    o1, o2 = e1.other(k), e2.other(k)
+                    if o1 == o2:
+                        continue
+                    if e1.kind == "arc" and e2.kind == "arc":
+                        if is_ancestor(k, o1) or is_ancestor(k, o2):
+                            gen = arc(o1, o2)
+                        else:
+                            continue
+                    elif e1.kind == "arc":
+                        if not is_ancestor(k, o1):
+                            continue
+                        gen = arrow(o2, o1)
+                    elif e2.kind == "arc":
+                        if not is_ancestor(k, o2):
+                            continue
+                        gen = arrow(o1, o2)
+                    else:
+                        continue
+                    if gen not in edges:
+                        candidates.append((k, min(o1, o2), max(o1, o2), gen))
+            if not candidates:
+                break
+            for k, _lo, _hi, gen in sorted(candidates):
+                if gen not in edges:
+                    edges.add(gen)
+                    anc.clear()
+                    trace.append(TraceStep("ag-step-2", k, gen))
+            grew = True
+        # arcs with one endpoint an ancestor of the other become arrows
+        while True:
+            pending = None
+            for e in sorted(edges, key=edge_sort_key):
+                if e.kind != "arc":
+                    continue
+                if is_ancestor(e.a, e.b):
+                    pending = (e, arrow(e.a, e.b))
+                    break
+                if is_ancestor(e.b, e.a):
+                    pending = (e, arrow(e.b, e.a))
+                    break
+            if pending is None:
+                break
+            e, repl = pending
+            edges.discard(e)
+            generated = None
+            if repl not in edges:
+                edges.add(repl)
+                generated = repl
+            anc.clear()
+            trace.append(TraceStep("ag-step-3", None, generated, removed=e))
+            grew = True
+        if not grew:
+            break
+    result = MixedGraph(nodes, edges)
+    if "AG" not in class_tags_oracle(result):
+        raise NotAncestralGraph("the ancestral closure is not an ancestral graph")
+    return result, trace
 
 
 def closure_random_order(g: MixedGraph, spec: ProjectionSpec, rng):

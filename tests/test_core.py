@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mixedgraphs.core import (
+    ARROW,
+    HEAD,
     Edge,
     InvalidLabel,
     LoopEdge,
@@ -15,6 +17,7 @@ from mixedgraphs.core import (
     arc,
     arrow,
     classify,
+    collider_vs,
     line,
 )
 from mixedgraphs.generators import random_ag, random_dag, random_lmg, random_sg
@@ -23,6 +26,7 @@ from .helpers import (
     adjacency_oracle,
     all_mixed_graphs,
     class_tags_oracle,
+    collider_vs_oracle,
     cycle_nodes_oracle,
     descendants_oracle,
     edges_between_oracle,
@@ -331,3 +335,31 @@ def test_class_tags_match_the_per_node_formulation():
     )
     for g in graphs:
         assert g.class_tags == class_tags_oracle(g), g
+
+
+def test_collider_vs_match_the_edge_list_oracle():
+    """Each unordered collider V comes out once, with the arrow end first
+    for an arrow/arc V and the smaller label first for two arrows or two
+    arcs."""
+    rng = random.Random(1618)
+    graphs = itertools.chain(
+        all_mixed_graphs(("a", "b", "c")),
+        (
+            random_lmg(rng, rng.randint(2, 9), p=rng.uniform(0.05, 0.4))
+            for _ in range(1500)
+        ),
+    )
+    mixed = 0
+    for g in graphs:
+        vs = list(collider_vs(g))
+        unordered = [(t, frozenset({(h, e1), (j, e2)})) for h, e1, t, e2, j in vs]
+        assert len(set(unordered)) == len(unordered), g
+        assert set(unordered) == set(collider_vs_oracle(g)), g
+        for h, e1, t, e2, j in vs:
+            assert e1.mark_at(t) == e2.mark_at(t) == HEAD
+            if e1.kind != e2.kind:
+                assert e1.kind == ARROW, (g, h, t, j)
+                mixed += 1
+            else:
+                assert h < j, (g, h, t, j)
+    assert mixed

@@ -4,8 +4,15 @@ import sys
 
 import pytest
 
-from mixedgraphs.core import MixedGraph, arc, arrow, classify, line
-from mixedgraphs.generators import RANDOM_BY_CLASS, random_dag, random_rg, random_spec
+from mixedgraphs.core import MixedGraph, MixedGraphError, arc, arrow, classify, line
+from mixedgraphs.generators import (
+    RANDOM_BY_CLASS,
+    random_dag,
+    random_lmg,
+    random_rg,
+    random_sg,
+    random_spec,
+)
 from mixedgraphs.msep import endpoint_identical_connection, signature_edges
 from mixedgraphs.project import (
     NotAncestralGraph,
@@ -23,11 +30,21 @@ from mixedgraphs.project import (
     render_trace,
     rg_to_sg,
     sg_to_ag,
+    sg_to_ag_traced,
     table1_closure,
 )
 from mixedgraphs.textfmt import parse_graph, serialize
 
-from .helpers import all_dags, closure_random_order, mk, path_signatures, replay_trace
+from .helpers import (
+    all_dags,
+    all_mixed_graphs,
+    closure_random_order,
+    mk,
+    path_signatures,
+    replay_trace,
+    rg_to_sg_oracle,
+    sg_to_ag_oracle,
+)
 
 
 def spec(marg=(), cond=()):
@@ -207,6 +224,54 @@ def test_sg_to_ag_step2_generates_collider_edges():
     out = sg_to_ag(g)
     assert arrow("j", "i") in out.edges
     assert "AG" in classify(out)
+
+
+def ag_outcome(closure, g, **kwargs):
+    """(graph, rendered trace) of an ancestral closure, or the class of the
+    domain error it raised."""
+    try:
+        out, trace = closure(g, **kwargs)
+    except MixedGraphError as exc:
+        return type(exc), None
+    return out, render_trace(trace)
+
+
+@pytest.mark.filterwarnings("ignore:projecting a graph that is not a summary graph")
+def test_ancestral_closure_matches_the_literal_loop():
+    """The one-pass closure on the input's ancestry gives the graph, trace
+    or error of the loop that re-reads ancestry after every edge it adds,
+    and its output keeps every node's ancestors."""
+    rng = random.Random(31)
+    cases = [(g, True) for g in all_mixed_graphs(("a", "b", "c"))]
+    for _ in range(1000):
+        g = random_lmg(rng, rng.randint(2, 9), p=rng.choice((0.12, 0.25, 0.4)))
+        cases.append((g, True))
+    cases += [(random_sg(rng, rng.randint(2, 9)), False) for _ in range(500)]
+    fired = set()
+    for g, force in cases:
+        out, trace = ag_outcome(sg_to_ag_traced, g, force=force)
+        assert (out, trace) == ag_outcome(sg_to_ag_oracle, g), g
+        if isinstance(out, MixedGraph):
+            assert all(out.ancestors({v}) == g.ancestors({v}) for v in g.nodes), g
+            fired.update(step.split()[0] for step in trace.splitlines())
+        else:
+            fired.add(out)
+    assert fired == {"rule=ag-step-2", "rule=ag-step-3", NotAncestralGraph}
+
+
+def test_sg_strip_matches_the_per_edge_rule():
+    cases = [
+        (g, set(anc_c))
+        for g in all_mixed_graphs(("a", "b", "c"))
+        for r in range(4)
+        for anc_c in itertools.combinations(g.nodes, r)
+    ]
+    rng = random.Random(37)
+    for _ in range(1000):
+        g = random_lmg(rng, rng.randint(2, 9), p=rng.choice((0.12, 0.25, 0.4)))
+        cases.append((g, {n for n in g.nodes if rng.random() < 0.4}))
+    for g, anc_c in cases:
+        assert rg_to_sg(g, anc_c) == rg_to_sg_oracle(g, anc_c), (g, anc_c)
 
 
 def test_project_ag_examples():
