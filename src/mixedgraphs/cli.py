@@ -215,7 +215,7 @@ def build_parser():
 
     p = sub.add_parser("project", help="project a graph over marg/cond sets")
     p.add_argument("file")
-    p.add_argument("--type", required=True, choices=["rg", "sg", "ag"])
+    p.add_argument("--type", required=True, choices=list(PROJECTORS_TRACED))
     p.add_argument("--marg", help="comma-separated marginalised nodes")
     p.add_argument("--cond", help="comma-separated conditioned nodes")
     p.add_argument(
@@ -266,7 +266,7 @@ def build_parser():
     p.add_argument(
         "--suite",
         required=True,
-        choices=["stability", "composition", "correspondence", "lemma1", "maximality"],
+        choices=list(SUITES),
     )
     p.add_argument("--seeds", type=_non_negative, default=20)
     p.set_defaults(func=_cmd_check)

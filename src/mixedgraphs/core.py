@@ -308,41 +308,42 @@ class MixedGraph:
         connected components of the arrows with more than one node, from one
         iterative Tarjan pass on the parents (reversed arrows, same components)."""
         parents = self._parents
-        # index and low-link per visited node; `at` holds the stack position
-        # of every node still on the component stack. A node without
-        # parents is a component of its own and is never entered.
-        index, low, at, stack, cyclic = {}, {}, {}, [], []
+        # One dict: the low-link of every entered node, set to `done`, above
+        # every index, once its component is emitted. A work entry carries
+        # its node's index and stack position. A node without parents is a
+        # component of its own and is never entered.
+        done = len(self._nodes)
+        low, stack, cyclic = {}, [], []
         for root in self._nodes:
-            if root in index or not parents[root]:
+            if root in low or not parents[root]:
                 continue
-            index[root] = low[root] = len(index)
-            at[root] = len(stack)
+            # the stack is empty between roots
+            low[root] = i = len(low)
+            work = [(root, i, 0, iter(parents[root]))]
             stack.append(root)
-            work = [(root, iter(parents[root]))]
             while work:
-                v, succ = work[-1]
+                v, i, k, succ = work[-1]
                 for w in succ:
-                    if w not in index:
+                    lw = low.get(w)
+                    if lw is None:
                         if not parents[w]:
                             continue
-                        index[w] = low[w] = len(index)
-                        at[w] = len(stack)
+                        low[w] = j = len(low)
+                        work.append((w, j, len(stack), iter(parents[w])))
                         stack.append(w)
-                        work.append((w, iter(parents[w])))
                         break
-                    if w in at and index[w] < low[v]:
-                        low[v] = index[w]
+                    if lw < low[v]:
+                        low[v] = lw
                 else:
                     work.pop()
-                    if work and low[v] < low[work[-1][0]]:
-                        low[work[-1][0]] = low[v]
-                    if low[v] == index[v]:
-                        k = at[v]
+                    if low[v] == i:
                         if len(stack) - k > 1:
                             cyclic.extend(stack[k:])
                         for w in stack[k:]:
-                            del at[w]
+                            low[w] = done
                         del stack[k:]
+                    elif low[v] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[v]
         return frozenset(cyclic)
 
     def induced_subgraph(self, keep) -> "MixedGraph":
@@ -379,15 +380,12 @@ def collider_vs(g: MixedGraph):
             o1, o2 = e1.other(t), e2.other(t)
             if o1 == o2:
                 continue
-            yield _orient_collider(e1, o1, t, e2, o2)
-
-
-def _orient_collider(e1, h, t, e2, j):
-    k1 = ARROW if e1.kind == ARROW else ARC
-    k2 = ARROW if e2.kind == ARROW else ARC
-    if (k1, k2) == (ARC, ARROW) or (k1 == k2 and h > j):
-        return (j, e2, t, e1, h)
-    return (h, e1, t, e2, j)
+            # `_flows` lists arcs before arrows and, within one kind, the
+            # smaller other end first: only an arc/arrow V needs a swap
+            if e1.kind != e2.kind:
+                yield (o2, e2, t, e1, o1)
+            else:
+                yield (o1, e1, t, e2, o2)
 
 
 def _ribbon_reports(g: MixedGraph):

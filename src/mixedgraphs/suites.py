@@ -60,8 +60,8 @@ class SuiteResult:
         return f"suite={self.suite} checked={self.checked} result={status}"
 
 
-def _rng(base_seed, k):
-    return random.Random((base_seed + 1) * 1_000_003 + k)
+def _rng(k):
+    return random.Random(1_000_003 + k)
 
 
 def _applicable_projectors(g: MixedGraph):
@@ -77,7 +77,7 @@ def _require(condition, message):
         raise UnsuitableGraph(message)
 
 
-def stability_suite(g: MixedGraph, seeds: int = 20, base_seed: int = 0) -> SuiteResult:
+def stability_suite(g: MixedGraph, seeds: int = 20) -> SuiteResult:
     """Projected graphs must induce the marginalised/conditioned model."""
     result = SuiteResult("stability")
     _require(len(g.nodes) <= MODEL_NODE_LIMIT, "stability needs <= 8 nodes")
@@ -85,7 +85,7 @@ def stability_suite(g: MixedGraph, seeds: int = 20, base_seed: int = 0) -> Suite
     _require(projectors, "stability needs a ribbonless input")
     base_model = independence_model(g)
     for k in range(seeds):
-        rng = _rng(base_seed, k)
+        rng = _rng(k)
         spec = random_spec(rng, g)
         expected = marginalise_condition(base_model, spec.marg, spec.cond)
         for name, projector in projectors:
@@ -102,13 +102,13 @@ def stability_suite(g: MixedGraph, seeds: int = 20, base_seed: int = 0) -> Suite
     return result
 
 
-def composition_suite(g: MixedGraph, seeds: int = 20, base_seed: int = 0) -> SuiteResult:
+def composition_suite(g: MixedGraph, seeds: int = 20) -> SuiteResult:
     """Two-stage projection must equal the one-stage union projection."""
     result = SuiteResult("composition")
     projectors = _applicable_projectors(g)
     _require(projectors, "composition needs a ribbonless input")
     for k in range(seeds):
-        rng = _rng(base_seed, k)
+        rng = _rng(k)
         first = random_spec(rng, g)
         survivors = g.node_set - first.removed
         rest = sorted(survivors)
@@ -132,13 +132,13 @@ def composition_suite(g: MixedGraph, seeds: int = 20, base_seed: int = 0) -> Sui
     return result
 
 
-def correspondence_suite(g: MixedGraph, seeds: int = 20, base_seed: int = 0) -> SuiteResult:
+def correspondence_suite(g: MixedGraph, seeds: int = 20) -> SuiteResult:
     """The RG, SG, and AG projections of a DAG induce the same model."""
     result = SuiteResult("correspondence")
     _require("DAG" in g.class_tags, "correspondence needs a DAG input")
     _require(len(g.nodes) <= MODEL_NODE_LIMIT, "correspondence needs <= 8 nodes")
     for k in range(seeds):
-        rng = _rng(base_seed, k)
+        rng = _rng(k)
         spec = random_spec(rng, g)
         models = {
             name: independence_model(projector(g, spec))
@@ -157,14 +157,14 @@ def correspondence_suite(g: MixedGraph, seeds: int = 20, base_seed: int = 0) -> 
     return result
 
 
-def lemma1_suite(g: MixedGraph, seeds: int = 20, base_seed: int = 0) -> SuiteResult:
+def lemma1_suite(g: MixedGraph, seeds: int = 20) -> SuiteResult:
     """Edges of the RG projection match endpoint-identical connection
     signatures computed in the input graph, and the Table-1 closure of the
     input restricted to the survivors."""
     result = SuiteResult("lemma1")
     _require("RG" in g.class_tags, "lemma1 needs a ribbonless input")
     for k in range(seeds):
-        rng = _rng(base_seed, k)
+        rng = _rng(k)
         spec = random_spec(rng, g)
         projected = project_rg(g, spec)
         closed = table1_closure(g, spec)[0]
@@ -195,7 +195,7 @@ def lemma1_suite(g: MixedGraph, seeds: int = 20, base_seed: int = 0) -> SuiteRes
     return result
 
 
-def maximality_suite(g: MixedGraph, seeds: int = 0, base_seed: int = 0) -> SuiteResult:
+def maximality_suite(g: MixedGraph, seeds: int = 0) -> SuiteResult:
     """PIP-emptiness vs the literal definition, plus maximalize invariants.
     The models of g and of its maximalization are enumerated once each, and
     both literal verdicts are read off them."""

@@ -3,8 +3,9 @@
 dagify() rebuilds, for any ribbonless graph H, a DAG plus marginalisation
 and conditioning sets that project back onto H exactly: arcs become
 source Vs through a fresh marginalised node, lines become collider Vs
-through a fresh conditioned node, and direction-preserving cycles are broken
-one arrow at a time through a fresh conditioned/marginalised pair.
+through a fresh conditioned node, and each arrow on a direction-preserving
+cycle is cut, in one sorted pass over the arrows, through a fresh
+conditioned/marginalised pair.
 
 Maximality is characterized by primitive inducing paths: paths between
 non-adjacent endpoints whose inner nodes are all colliders and all ancestors
@@ -18,6 +19,7 @@ statement <{i},{j}|C>.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -65,32 +67,11 @@ class DagifyResult:
         return ProjectionSpec(self.marg, self.cond)
 
 
-class _FreshNames:
-    def __init__(self, taken, prefix):
-        self.taken = set(taken)
-        self.prefix = prefix
-        self.counter = 0
-
-    def next(self):
-        while True:
-            self.counter += 1
-            name = f"{self.prefix}{self.counter}"
-            if name not in self.taken:
-                self.taken.add(name)
-                return name
-
-
-def _smallest_cycle_arrow(arrows):
-    """The canonically smallest arrow lying on a direction-preserving cycle,
-    or None when the arrow subgraph is acyclic."""
-    children = {}
-    for t, h in arrows:
-        children.setdefault(t, set()).add(h)
-        children.setdefault(h, set())
-    for t, h in sorted(arrows):
-        if t in reach(children, (h,)):
-            return (t, h)
-    return None
+def _fresh(prefix, taken):
+    """prefix1, prefix2, ... skipping the names in taken."""
+    for k in itertools.count(1):
+        if f"{prefix}{k}" not in taken:
+            yield f"{prefix}{k}"
 
 
 def unrealizable_pairs(h: MixedGraph) -> list:
@@ -124,21 +105,27 @@ def dagify(h: MixedGraph) -> DagifyResult:
             f"no DAG projects onto this graph: pair(s) {bad} carry antiparallel"
             " arrows and an arc without the parallel line"
         )
-    marg_names = _FreshNames(h.node_set, "_m")
-    cond_names = _FreshNames(h.node_set, "_c")
+    marg_names = _fresh("_m", h.node_set)
+    cond_names = _fresh("_c", h.node_set)
     arrows = {(e.a, e.b) for e in h.edges if e.kind == ARROW}
     origin = {}
     marg = set()
     cond = set()
     extra_nodes = []
-    while True:
-        pick = _smallest_cycle_arrow(arrows)
-        if pick is None:
-            break
-        t, head = pick
-        arrows.discard(pick)
-        c = cond_names.next()
-        m = marg_names.next()
+    # Cutting t -> head adds only a sink c and a source m, so it puts no
+    # other arrow on a cycle. Cutting the smallest arrow still on a cycle,
+    # again and again, therefore cuts in increasing order: one sorted pass
+    # cuts each arrow whose head is still an ancestor of its tail. A path
+    # between two nodes of one cycle stays among the cycle nodes.
+    cyclic = h.cycle_nodes
+    parents = {n: h._parents[n] & cyclic for n in cyclic}
+    for t, head in sorted(arrows):
+        if t not in cyclic or head not in cyclic or head not in reach(parents, (t,)):
+            continue
+        parents[head].discard(t)
+        arrows.discard((t, head))
+        c = next(cond_names)
+        m = next(marg_names)
         extra_nodes.extend((c, m))
         cond.add(c)
         marg.add(m)
@@ -146,13 +133,13 @@ def dagify(h: MixedGraph) -> DagifyResult:
         origin[m] = ("cycle-arrow", arrow(t, head))
         arrows.update({(t, c), (m, c), (m, head)})
     for e in sorted((e for e in h.edges if e.kind == ARC), key=edge_sort_key):
-        m = marg_names.next()
+        m = next(marg_names)
         extra_nodes.append(m)
         marg.add(m)
         origin[m] = ("arc", e)
         arrows.update({(m, e.a), (m, e.b)})
     for e in sorted((e for e in h.edges if e.kind == LINE), key=edge_sort_key):
-        c = cond_names.next()
+        c = next(cond_names)
         extra_nodes.append(c)
         cond.add(c)
         origin[c] = ("line", e)

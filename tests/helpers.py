@@ -12,7 +12,15 @@ import json
 import random
 from collections import defaultdict
 
-from mixedgraphs.core import ARROW, MixedGraph, arc, arrow, edge_sort_key, line
+from mixedgraphs.core import (
+    ARROW,
+    MixedGraph,
+    arc,
+    arrow,
+    edge_sort_key,
+    line,
+    signature_edge,
+)
 from mixedgraphs.generators import random_lmg, random_rg
 from mixedgraphs.independence import (
     IndependenceModel,
@@ -425,6 +433,61 @@ def replay_trace(graph: MixedGraph, spec: ProjectionSpec, trace):
     return MixedGraph(survivors, edges)
 
 
+def dagify_cut_oracle(h: MixedGraph):
+    """The arrows `dagify` cuts, in order, by the literal loop: cut the
+    smallest arrow still on a direction-preserving cycle, putting the fresh
+    arrows t -> c, m -> c and m -> head in its place, until no arrow lies on
+    a cycle. Each search is a fresh scan of the current arrow list."""
+    arrows = {(e.a, e.b) for e in h.edges if e.kind == ARROW}
+    taken = set(h.nodes)
+    cuts = []
+
+    def fresh(prefix):
+        k = 1
+        while f"{prefix}{k}" in taken:
+            k += 1
+        taken.add(f"{prefix}{k}")
+        return f"{prefix}{k}"
+
+    def on_cycle(t, head):
+        seen, frontier = {head}, [head]
+        while frontier:
+            u = frontier.pop()
+            for a, b in arrows:
+                if a == u and b not in seen:
+                    seen.add(b)
+                    frontier.append(b)
+        return t in seen
+
+    while True:
+        pick = next((a for a in sorted(arrows) if on_cycle(*a)), None)
+        if pick is None:
+            return cuts
+        t, head = pick
+        arrows.discard(pick)
+        c, m = fresh("_c"), fresh("_m")
+        arrows |= {(t, c), (m, c), (m, head)}
+        cuts.append(arrow(t, head))
+
+
+def random_cyclic_rg(rng, n):
+    """A ribbonless graph with a directed cycle: a sparse random LMG plus a
+    directed cycle through some of its nodes, closed by adding, for every
+    collider V, the edge between its ends with the V's end marks (any edge
+    so added may make new Vs, so this repeats to a fixpoint)."""
+    g = random_lmg(rng, n, p=rng.uniform(0.03, 0.15))
+    ring = rng.sample(g.nodes, rng.randint(2, n))
+    edges = set(g.edges) | {arrow(ring[k - 1], ring[k]) for k in range(len(ring))}
+    while True:
+        add = set()
+        for _t, ends in collider_vs_oracle(MixedGraph(g.nodes, edges)):
+            (h, e1), (j, e2) = ends
+            add.add(signature_edge(_mark(e1, h), _mark(e2, j), h, j))
+        if add <= edges:
+            return MixedGraph(g.nodes, edges)
+        edges |= add
+
+
 def rg_to_sg_oracle(g: MixedGraph, anc_c):
     """The SG strip edge by edge: an arrow into anc_c becomes a line, an arc
     with both ends in anc_c a line, an arc with one end there an arrow out
@@ -560,8 +623,6 @@ def closure_random_order(g: MixedGraph, spec: ProjectionSpec, rng):
                     continue
                 if not collider and t not in spec.marg:
                     continue
-                from mixedgraphs.core import signature_edge
-
                 gen = signature_edge(e1.mark_at(i), e2.mark_at(j), i, j)
                 if gen not in edges:
                     applicable.append(gen)

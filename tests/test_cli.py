@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mixedgraphs
-from mixedgraphs import cli
+from mixedgraphs import cli, suites
 from mixedgraphs.cli import main
 from mixedgraphs.independence import model_from_json
 from mixedgraphs.textfmt import parse_graph
@@ -186,6 +186,13 @@ def test_msep_witness_path(capsys):
     assert out == "connected\na -> m -> b\n"
 
 
+def test_msep_witness_renders_arcs_and_lines(tmp_path, capsys):
+    f = tmp_path / "arc_line.mg"
+    f.write_text("a <-> m\nm -- b\n", encoding="utf-8")
+    code, out, _ = run(capsys, "msep", f, "--A", "a", "--B", "b", "--witness")
+    assert (code, out) == (1, "connected\na <-> m -- b\n")
+
+
 def test_model_text_and_json(capsys):
     code, out, _ = run(capsys, "model", fixture("chain.mg"))
     assert code == 0
@@ -249,6 +256,14 @@ def test_maximalize_command(capsys):
     assert (code, out) == (0, "nodes: a b m\na -> m\nm -> b\n")
 
 
+def test_maximalize_rejects_a_ribbon(tmp_path, capsys):
+    f = tmp_path / "ribbon.mg"
+    f.write_text("h -> i\nj -> i\ni -- k\n", encoding="utf-8")
+    code, out, err = run(capsys, "maximalize", f)
+    assert (code, out) == (3, "")
+    assert err.startswith("NotRibbonless: ")
+
+
 def test_check_suites_pass_on_chain(capsys):
     for suite in ("stability", "composition", "correspondence", "lemma1", "maximality"):
         code, out, err = run(
@@ -276,6 +291,20 @@ def test_check_reports_counterexamples_for_unsuitable_graph(capsys):
         assert "UnsuitableGraph" in err
     finally:
         pair.unlink()
+
+
+def test_check_counterexample_prints_a_reproducer_that_parses_back(
+    capsys, monkeypatch
+):
+    pip_maximal = suites.is_maximal
+    monkeypatch.setattr(suites, "is_maximal", lambda g: not pip_maximal(g))
+    code, out, err = run(capsys, "check", fixture("chain.mg"), "--suite", "maximality")
+    assert code == 1
+    assert out == "suite=maximality checked=3 result=1 counterexamples\n"
+    message, reproducer = err.split("\n", 1)
+    assert message == "PIP criterion says maximal=False, literal says True"
+    chain = parse_graph(fixture("chain.mg").read_text(encoding="utf-8"))
+    assert parse_graph(reproducer).graph() == chain.graph()
 
 
 def test_domain_errors_exit_3(capsys):

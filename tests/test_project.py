@@ -4,7 +4,15 @@ import sys
 
 import pytest
 
-from mixedgraphs.core import MixedGraph, MixedGraphError, arc, arrow, classify, line
+from mixedgraphs.core import (
+    MixedGraph,
+    MixedGraphError,
+    UnknownNode,
+    arc,
+    arrow,
+    classify,
+    line,
+)
 from mixedgraphs.generators import (
     RANDOM_BY_CLASS,
     random_dag,
@@ -179,6 +187,11 @@ def test_rg_to_sg_arrow_becomes_line():
 
 def test_rg_to_sg_drops_duplicate_replacement():
     assert rg_to_sg(mk("2 -- 3\n3 -> 2"), {"2", "3"}) == mk("2 -- 3")
+
+
+def test_rg_to_sg_rejects_unknown_nodes():
+    with pytest.raises(UnknownNode, match="zz"):
+        rg_to_sg(mk("a <-> b"), {"zz"})
 
 
 def test_project_sg_conditioning_line_only():

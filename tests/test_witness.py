@@ -1,8 +1,10 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
+from mixedgraphs import witness
 from mixedgraphs.core import MixedGraph, arc, arrow, classify, line
 from mixedgraphs.generators import random_rg, random_sg
 from mixedgraphs.independence import independence_model, model_equal
@@ -20,11 +22,14 @@ from mixedgraphs.witness import (
 )
 
 from .helpers import (
+    all_mixed_graphs,
+    dagify_cut_oracle,
     is_maximal_literal_oracle,
     literal_maximality_graphs,
     mk,
     pip_edges_oracle,
     primitive_inducing_paths_oracle,
+    random_cyclic_rg,
     unrealizable_pairs_oracle,
 )
 
@@ -64,6 +69,44 @@ def test_dagify_fresh_names_avoid_collisions():
     g = mk("_m1 <-> b")
     r = dagify(g)
     assert "_m2" in r.marg and project_rg(r.dag, r.spec()) == g
+
+
+def test_dagify_cuts_match_the_smallest_cycle_arrow_loop():
+    """The one sorted pass cuts the arrows, in the order, that repeatedly
+    cutting the smallest arrow still on a cycle does."""
+    rng = random.Random(1972)
+    graphs = itertools.chain(
+        all_mixed_graphs(("a", "b", "c")),
+        (random_cyclic_rg(rng, rng.randint(3, 9)) for _ in range(400)),
+    )
+    cut, several = 0, 0
+    for g in graphs:
+        if not dag_realizable(g):
+            error = NotDagRealizable if g.is_ribbonless else NotRibbonless
+            with pytest.raises(error):
+                dagify(g)
+            continue
+        r = dagify(g)
+        cuts = [e for kind, e in r.origin.values() if kind == "cycle-arrow"]
+        assert cuts[::2] == cuts[1::2] == dagify_cut_oracle(g), g
+        assert project_rg(r.dag, r.spec()) == g, g
+        cut += bool(cuts)
+        several += len(cuts) > 2
+    assert cut >= 500 and several >= 200
+
+
+def test_dagify_runs_one_search_per_arrow():
+    # a chain of 100 two-cycles: cutting the smallest arrow still on a
+    # cycle, again and again, searched once per arrow after every cut
+    names = [f"v{k}" for k in range(200)]
+    edges = []
+    for k in range(0, 200, 2):
+        edges += [arrow(names[k], names[k + 1]), arrow(names[k + 1], names[k])]
+    g = MixedGraph(names, edges)
+    with mock.patch.object(witness, "reach", wraps=witness.reach) as reach:
+        r = dagify(g)
+    assert reach.call_count <= 200
+    assert len(r.cond) == 100 and project_rg(r.dag, r.spec()) == g
 
 
 def test_rg_round_trip_random():
