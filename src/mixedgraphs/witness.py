@@ -10,11 +10,13 @@ conditioned/marginalised pair.
 Maximality is characterized by primitive inducing paths: paths between
 non-adjacent endpoints whose inner nodes are all colliders and all ancestors
 of an endpoint. Only their end marks matter, and the `msep` walk kernel
-gives those for each pair directly. maximalize() inserts the
-endpoint-identical edge for each such path until none remain. The literal
-definition, that every non-adjacent pair is separated by some set, is
-read off the independence model: every non-adjacent pair i, j must have a
-statement <{i},{j}|C>.
+gives those for each pair directly; a sweep reads each node's neighbours
+and ancestors once. maximalize() inserts the endpoint-identical edge for
+each such path until none remain. The literal definition, that every
+non-adjacent pair is separated by some set, is read off the connection
+rows of `independence._connections` over the conditioning sets in
+increasing order, and stops once every pair is separated; no model is
+built.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .core import (
     signature_edge,
 )
 from .core import MixedGraphError
-from .independence import independence_model
-from .msep import _walk
+from .independence import TooLarge, _connections
+from .msep import _bit_table, _state_exits, _walk
 from .project import NotRibbonless, ProjectionSpec
 
 
@@ -157,13 +159,18 @@ def _pip_edges(g: MixedGraph):
     per non-adjacent pair i < j and end-mark signature. A walk out of i whose
     inner nodes are all colliders in an({i, j}) - {i, j} contains such a path
     with its end marks: cutting each repeat of a node from its first arrival
-    to its last departure keeps that node a collider and keeps both ends."""
+    to its last departure keeps that node a collider and keeps both ends.
+    Each node's neighbours and ancestors are read once; an({i, j}) is
+    an(i) | an(j), as ancestry is reachability over the parents."""
     nodes = g.nodes
+    flows = g._flows
+    near = {v: {o for o, _mh, _mo, _e in flows[v]} for v in nodes}
+    anc = {v: g.ancestors((v,)) for v in nodes}
     for pos, i in enumerate(nodes):
         for j in nodes[pos + 1 :]:
-            if g.adjacent(i, j):
+            if j in near[i]:
                 continue
-            colliders = g.ancestors({i, j}) - {i, j}
+            colliders = (anc[i] | anc[j]) - {i, j}
             for first in (TAIL, HEAD):
                 reached = _walk(g, i, colliders, frozenset(), first)
                 for last in (TAIL, HEAD):
@@ -179,29 +186,36 @@ def is_maximal(g: MixedGraph) -> bool:
 def is_maximal_literal(g: MixedGraph, limit: int = 8) -> bool:
     """Direct check: every non-adjacent pair admits some separating set.
     Raises `TooLarge` above `limit` nodes, as `independence_model` does."""
-    return _separates_every_pair(g, independence_model(g, limit))
+    n = len(g.nodes)
+    if n > limit:
+        raise TooLarge(f"{n} nodes exceeds enumeration limit {limit}")
+    return _separates_every_pair(g)
 
 
-def _separates_every_pair(g: MixedGraph, model) -> bool:
-    """The literal maximality verdict read off g's model: every
-    non-adjacent pair i < j has a statement <{i},{j}|C>, the mask triple
-    (bit i, bit j, C). The sets C over the other nodes are looked up in
-    increasing order, so a pair separated by a small set is settled early."""
-    nodes = g.nodes
-    n = len(nodes)
-    triples = model.triples
-    for i in range(n):
-        for j in range(i + 1, n):
-            if g.adjacent(nodes[i], nodes[j]):
-                continue
-            a, b = 1 << i, 1 << j
-            rest = (1 << n) - 1 - a - b
-            c = 0
-            while (a, b, c) not in triples:
-                if c == rest:
-                    return False
-                c = (c - rest) & rest
-    return True
+def _separates_every_pair(g: MixedGraph) -> bool:
+    """The literal maximality verdict: every non-adjacent pair i < j is
+    m-separated by some C. The connection rows come per C in increasing
+    order; C settles the pair when neither node is in C and bit j of row i
+    is unset. True as soon as every pair is settled, False after the last C."""
+    n = len(g.nodes)
+    bits = _bit_table(n)
+    full = (1 << n) - 1
+    # per node i, the nodes j > i not adjacent to it and not yet separated
+    unsettled = [
+        full & ~(s | s >> n) & ~((2 << k) - 1)
+        for k, s in enumerate(_state_exits(g)[2])
+    ]
+    pending = sum(1 << k for k, m in enumerate(unsettled) if m)
+    if not pending:
+        return True
+    for cmask, conn in _connections(g, bits, 0, 0):
+        for k in bits[pending & ~cmask]:
+            unsettled[k] &= conn[k] | cmask
+            if not unsettled[k]:
+                pending ^= 1 << k
+                if not pending:
+                    return True
+    return False
 
 
 def maximalize_report(g: MixedGraph):

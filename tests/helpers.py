@@ -27,7 +27,7 @@ from mixedgraphs.independence import (
     IndependenceStatement,
     independence_model,
 )
-from mixedgraphs.msep import m_separated
+from mixedgraphs.msep import _walk, m_separated
 from mixedgraphs.project import NotAncestralGraph, ProjectionSpec, TraceStep
 from mixedgraphs.witness import maximalize
 
@@ -347,6 +347,36 @@ def pip_edges_oracle(g):
         else:
             out.add(arrow(i, j) if mj == "head" else arrow(j, i))
     return out
+
+
+def pip_edges_per_pair_oracle(g):
+    """The PIP edges in `witness._pip_edges` order, from the per-pair search
+    it replaced: adjacency and an({i, j}) are read afresh for every pair.
+    It shares the walk kernel, which `pip_edges_oracle` checks against the
+    definition; this oracle checks the sweep around it."""
+    out = []
+    nodes = g.nodes
+    for pos, i in enumerate(nodes):
+        for j in nodes[pos + 1 :]:
+            if g.adjacent(i, j):
+                continue
+            colliders = g.ancestors({i, j}) - {i, j}
+            for first in ("tail", "head"):
+                reached = _walk(g, i, colliders, frozenset(), first)
+                for last in ("tail", "head"):
+                    if (j, last == "head") in reached:
+                        out.append(signature_edge(first, last, i, j))
+    return out
+
+
+def arc_clique(m):
+    """c0..c(m-1) pairwise <->, each with i <-> c, c <-> j and c -> j: the
+    i..j PIPs run through every ordering of every subset of the clique."""
+    c = [f"c{k}" for k in range(m)]
+    edges = [arc(a, b) for a, b in itertools.combinations(c, 2)]
+    for x in c:
+        edges += [arc("i", x), arc(x, "j"), arrow(x, "j")]
+    return MixedGraph(c + ["i", "j"], edges)
 
 
 def path_connects(g, a, b, M, C):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 import sys
@@ -459,6 +460,16 @@ def test_trusted_graphs_equal_validated_ones(monkeypatch):
     builds its graph unchecked too."""
     from . import test_witness
 
+    # the witness tests run here with no arguments, so none may take one
+    selected = [
+        (name, test)
+        for name, test in vars(test_witness).items()
+        if name.startswith("test_") and ("dagify" in name or "maximalize" in name)
+    ]
+    for name, test in selected:
+        assert not inspect.signature(test).parameters, (
+            f"{name} takes parameters and cannot be run with none here"
+        )
     build = MixedGraph._trusted.__func__
     callers = set()
 
@@ -475,9 +486,8 @@ def test_trusted_graphs_equal_validated_ones(monkeypatch):
 
     monkeypatch.setattr(MixedGraph, "_trusted", classmethod(checked))
     test_projections_equal_the_closure_pipeline()
-    for name, test in vars(test_witness).items():
-        if name.startswith("test_") and ("dagify" in name or "maximalize" in name):
-            test()
+    for _name, test in selected:
+        test()
     assert callers == {
         "table1_closure",
         "_signature_projection",

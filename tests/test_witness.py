@@ -4,9 +4,9 @@ from unittest import mock
 
 import pytest
 
-from mixedgraphs import witness
+from mixedgraphs import independence, witness
 from mixedgraphs.core import MixedGraph, arc, arrow, classify, line
-from mixedgraphs.generators import random_rg, random_sg
+from mixedgraphs.generators import random_lmg, random_rg, random_sg
 from mixedgraphs.independence import independence_model, model_equal
 from mixedgraphs.project import NotRibbonless, project_rg, project_sg
 from mixedgraphs.witness import (
@@ -23,11 +23,13 @@ from mixedgraphs.witness import (
 
 from .helpers import (
     all_mixed_graphs,
+    arc_clique,
     dagify_cut_oracle,
     is_maximal_literal_oracle,
     literal_maximality_graphs,
     mk,
     pip_edges_oracle,
+    pip_edges_per_pair_oracle,
     primitive_inducing_paths_oracle,
     random_cyclic_rg,
     unrealizable_pairs_oracle,
@@ -237,6 +239,27 @@ def test_pip_endpoint_edge_from_marks():
     assert pip_edges_oracle(g) == {arc("a", "b")}
 
 
+def test_pip_sweep_matches_the_per_pair_search():
+    # one read of each node's neighbours and ancestors per sweep against the
+    # per-pair reads it replaced: the same edges in the same order, on every
+    # 3-node multigraph, every 4-node simple graph, the arc cliques and random
+    # 5-10-node RGs and LMGs
+    rng = random.Random(97)
+    graphs = itertools.chain(
+        all_mixed_graphs(("a", "b", "c"), multi=True),
+        all_mixed_graphs(("a", "b", "c", "d"), multi=False),
+        (arc_clique(m) for m in (6, 7, 8)),
+        (random_rg(rng, rng.randint(5, 10)) for _ in range(200)),
+        (random_lmg(rng, rng.randint(5, 10), p=rng.uniform(0.1, 0.3)) for _ in range(200)),
+    )
+    with_pips = 0
+    for g in graphs:
+        got = list(_pip_edges(g))
+        assert got == pip_edges_per_pair_oracle(g), g
+        with_pips += bool(got)
+    assert with_pips >= 100
+
+
 def test_any_dag_is_maximal():
     rng = random.Random(71)
     from mixedgraphs.generators import random_dag
@@ -308,6 +331,30 @@ def test_literal_check_bound():
     with pytest.raises(TooLarge):
         is_maximal_literal(g)
     assert is_maximal_literal(g, limit=9)
+
+
+def test_literal_maximality_stops_at_the_first_separating_sets():
+    # every non-adjacent pair here is separated by the empty set, so the
+    # sweep reads the rows for C = {} alone: one walk from each node with a
+    # later non-adjacent node (all but n6 and n7), not the 2^8 row sets of a
+    # full enumeration
+    g = mk("n0 -> n1\nn2 -> n1\nn3 <-> n4\nn5 -> n4\nn6 -- n7")
+    assert len(g.nodes) == 8
+    with mock.patch.object(
+        independence, "_walk_reach", wraps=independence._walk_reach
+    ) as walks:
+        assert is_maximal_literal(g)
+    assert walks.call_count == 6
+    rows = []
+
+    def counted(*args):
+        for cmask, conn in independence._connections(*args):
+            rows.append(cmask)
+            yield cmask, conn
+
+    with mock.patch.object(witness, "_connections", counted):
+        assert is_maximal_literal(g)
+    assert rows == [0]
 
 
 def test_maximalize_yields_pairwise_markov():
