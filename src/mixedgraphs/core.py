@@ -1,8 +1,8 @@
 """Loopless mixed graphs with arrows, arcs, and lines.
 
 The graph value is immutable: every operation returns a new graph, and all
-derived structure (walk index, ribbon reports, class tags) is cached on the
-instance, so graphs are safe to share between threads.
+derived structure (walk index, walk tables, ribbon reports, class tags) is
+cached on the instance, so graphs are safe to share between threads.
 
 `MixedGraph(nodes, edges)` checks every label and endpoint and canonicalises
 every edge. Graphs the library builds from edges it made itself (closures,
@@ -128,6 +128,48 @@ def reach(step, seeds) -> set:
     return seen
 
 
+def _cyclic(parents) -> frozenset:
+    """The nodes of `parents` (node -> its parents, each a key) on some
+    direction-preserving cycle: those in strongly connected components of
+    more than one node, from one iterative Tarjan pass in dict order."""
+    # One dict: each entered node's low-link, set to `done` (above every index)
+    # once its component is emitted. A work entry carries its node's index
+    # and stack position. A node without parents is never entered.
+    done = len(parents)
+    low, stack, cyclic = {}, [], []
+    for root in parents:
+        if root in low or not parents[root]:
+            continue
+        # the stack is empty between roots
+        low[root] = i = len(low)
+        work = [(root, i, 0, iter(parents[root]))]
+        stack.append(root)
+        while work:
+            v, i, k, succ = work[-1]
+            for w in succ:
+                lw = low.get(w)
+                if lw is None:
+                    if not parents[w]:
+                        continue
+                    low[w] = j = len(low)
+                    work.append((w, j, len(stack), iter(parents[w])))
+                    stack.append(w)
+                    break
+                if lw < low[v]:
+                    low[v] = lw
+            else:
+                work.pop()
+                if low[v] == i:
+                    if len(stack) - k > 1:
+                        cyclic.extend(stack[k:])
+                    for w in stack[k:]:
+                        low[w] = done
+                    del stack[k:]
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return frozenset(cyclic)
+
+
 class RibbonReport(NamedTuple):
     """A collider V <h, inner, j> violating ribbonlessness.
 
@@ -218,6 +260,33 @@ class MixedGraph:
         """The nodes that touch a line."""
         return frozenset(n for e in self._edges if e.kind == LINE for n in (e.a, e.b))
 
+    # --- walk tables of `msep._walk_reach`: node k of `nodes` is bit k -----
+
+    @cached_property
+    def _bit(self) -> dict:
+        """Per node, its bit: 1 << its index in `nodes`."""
+        return {v: 1 << k for k, v in enumerate(self._nodes)}
+
+    @cached_property
+    def _exits(self) -> tuple:
+        """The walk states one edge from each node k, as three bitset lists
+        indexed by k: through the edges with a head at k, with a tail, and
+        all of them. State (o, arrived with a head) is bit n + o, and
+        (o, arrived with a tail) bit o, for the n nodes' indices o."""
+        n = len(self._nodes)
+        bit = self._bit
+        heads, tails = [0] * n, [0] * n
+        for k, v in enumerate(self._nodes):
+            for o, mh, mo, _e in self._flows[v]:
+                (heads if mh == HEAD else tails)[k] |= bit[o] << (n if mo == HEAD else 0)
+        return heads, tails, [head | tail for head, tail in zip(heads, tails)]
+
+    @cached_property
+    def _ancestor_masks(self) -> list:
+        """Per node k, the mask of its ancestors."""
+        bit, parents = self._bit, self._parents
+        return [sum(bit[u] for u in reach(parents, (v,))) for v in self._nodes]
+
     # --- basic accessors -------------------------------------------------
 
     @property
@@ -304,47 +373,8 @@ class MixedGraph:
 
     @cached_property
     def cycle_nodes(self) -> frozenset:
-        """Nodes lying on some direction-preserving cycle: those in strongly
-        connected components of the arrows with more than one node, from one
-        iterative Tarjan pass on the parents (reversed arrows, same components)."""
-        parents = self._parents
-        # One dict: the low-link of every entered node, set to `done`, above
-        # every index, once its component is emitted. A work entry carries
-        # its node's index and stack position. A node without parents is a
-        # component of its own and is never entered.
-        done = len(self._nodes)
-        low, stack, cyclic = {}, [], []
-        for root in self._nodes:
-            if root in low or not parents[root]:
-                continue
-            # the stack is empty between roots
-            low[root] = i = len(low)
-            work = [(root, i, 0, iter(parents[root]))]
-            stack.append(root)
-            while work:
-                v, i, k, succ = work[-1]
-                for w in succ:
-                    lw = low.get(w)
-                    if lw is None:
-                        if not parents[w]:
-                            continue
-                        low[w] = j = len(low)
-                        work.append((w, j, len(stack), iter(parents[w])))
-                        stack.append(w)
-                        break
-                    if lw < low[v]:
-                        low[v] = lw
-                else:
-                    work.pop()
-                    if low[v] == i:
-                        if len(stack) - k > 1:
-                            cyclic.extend(stack[k:])
-                        for w in stack[k:]:
-                            low[w] = done
-                        del stack[k:]
-                    elif low[v] < low[work[-1][0]]:
-                        low[work[-1][0]] = low[v]
-        return frozenset(cyclic)
+        """Nodes lying on some direction-preserving cycle (`_cyclic`)."""
+        return _cyclic(self._parents)
 
     def induced_subgraph(self, keep) -> "MixedGraph":
         keep = set(keep)

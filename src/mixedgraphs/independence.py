@@ -36,14 +36,7 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 
 from .core import MixedGraph, MixedGraphError
-from .msep import (
-    NotDisjoint,
-    PathWitness,
-    _bit_table,
-    _paths,
-    _state_exits,
-    _walk_reach,
-)
+from .msep import NotDisjoint, PathWitness, _paths, _walk_reach
 from .textfmt import ParseError, _json_field, _json_payload
 
 
@@ -242,6 +235,16 @@ class IndependenceModel:
 
 
 @lru_cache(maxsize=None)
+def _bit_table(n):
+    """Per n-bit mask, the indices of its set bits, ascending: 2^n tuples,
+    built once per n."""
+    table = [()]
+    for k in range(n):
+        table += [t + (k,) for t in table]
+    return table
+
+
+@lru_cache(maxsize=None)
 def _rank_table(n):
     """Per n-bit mask, its position among all n-bit masks in the order of
     their ascending set-bit index tuples."""
@@ -251,38 +254,35 @@ def _rank_table(n):
     return table
 
 
-def _connections(g: MixedGraph, bits, fixed, drop):
+def _connections(g: MixedGraph, fixed, drop):
     """The pairwise connection rows of g, per conditioning mask C = fixed | D
     for every D over the free nodes (those outside `drop`, which holds
     `fixed`), in increasing order of D: yields (C, conn), where for every
     free node k outside C, conn[k] holds k itself, the nodes adjacent to k,
     and the free nodes outside C m-connected to k given C, with
-    non-colliders outside C. `bits` is `msep._bit_table(len(g.nodes))`.
+    non-colliders outside C.
 
     an(C) is the union of an(fixed), an(D minus its lowest node) and an(its
-    lowest node). `msep._walk_reach` walks with collider set C ∪ an(C) and
-    non-colliders outside C. Adjacent nodes are always connected; a later
-    non-adjacent node is connected when the bitset walk out of k reaches
-    it, checked by a simple path unless g is ribbonless. Each path
-    `msep._paths` finds is kept per pair as its (collider mask, non-collider
-    mask): it still connects under a later C whose C ∪ an(C) holds its
-    colliders and which misses its non-colliders, so `_paths` runs only
-    when no kept path applies.
+    lowest node), from the graph's `_ancestor_masks`. `msep._walk_reach`
+    walks with collider set C ∪ an(C) and non-colliders outside C. Adjacent
+    nodes are always connected; a later non-adjacent node is connected when
+    the walk out of k reaches it, checked by a simple path unless g is
+    ribbonless. Each path `msep._paths` finds is kept per pair as its
+    (collider mask, non-collider mask): it still connects under a later C
+    whose C ∪ an(C) holds its colliders and which misses its non-colliders,
+    so `_paths` runs only when no kept path applies.
     """
     nodes = g.nodes
     n = len(nodes)
+    bits = _bit_table(n)
     full = (1 << n) - 1
     free = full & ~drop
-    exits = _state_exits(g)
+    exits = g._exits
     starts = exits[2]
     adjacent = [(s | s >> n) & full | 1 << k for k, s in enumerate(starts)]
     # per node, the free non-adjacent nodes above it
     apart = [free & ~a & ~((2 << k) - 1) for k, a in enumerate(adjacent)]
-    bit = {v: 1 << k for k, v in enumerate(nodes)}
-    # an of each node a conditioning set may hold
-    single = [0] * n
-    for k in bits[free | fixed]:
-        single[k] = sum(bit[u] for u in g.ancestors({nodes[k]}))
+    single = g._ancestor_masks
     fixed_anc = 0
     for k in bits[fixed]:
         fixed_anc |= single[k]
@@ -307,7 +307,7 @@ def _connections(g: MixedGraph, bits, fixed, drop):
             later = live & apart[k]
             if not later:
                 continue
-            reached = _walk_reach(exits, colliders, out, starts[k], bits)
+            reached = _walk_reach(exits, colliders, out, starts[k])
             hits = (reached | reached >> n) & later
             if not exact:
                 for j in bits[hits]:
@@ -325,7 +325,7 @@ def _connections(g: MixedGraph, bits, fixed, drop):
                         if path is None:
                             hits ^= 1 << j
                         else:
-                            kept.append(_path_masks(path, bit))
+                            kept.append(_path_masks(path, g._bit))
             conn[k] |= hits
             for j in bits[hits]:
                 conn[j] |= 1 << k
@@ -338,13 +338,8 @@ def _connections(g: MixedGraph, bits, fixed, drop):
 def _path_masks(path, bit):
     """The (collider mask, non-collider mask) of a path's inner nodes."""
     w = PathWitness(*path)
-    co = nc = 0
-    for v, collider in zip(w.nodes[1:-1], w.colliders):
-        if collider:
-            co |= bit[v]
-        else:
-            nc |= bit[v]
-    return co, nc
+    co = sum(bit[v] for v, collider in zip(w.nodes[1:-1], w.colliders) if collider)
+    return co, sum(bit[v] for v in w.nodes[1:-1]) - co
 
 
 def independence_model(g: MixedGraph, limit: int = 8) -> IndependenceModel:
@@ -382,7 +377,7 @@ def _enumerate(g: MixedGraph, fixed, drop):
     higher = [free & ~((2 << k) - 1) for k in range(n)]
     subsets = {}
     triples = []
-    for cmask, conn in _connections(g, bits, fixed, drop):
+    for cmask, conn in _connections(g, fixed, drop):
         out = free & ~cmask
         stack = []
         for k in bits[out]:
@@ -431,10 +426,10 @@ def marginalise_condition(J: IndependenceModel, M, C) -> IndependenceModel:
     <A,B|D> whenever <A,B|D ∪ C> is in J and A ∪ B ∪ D avoids M ∪ C.
 
     On masks: keep (a, b, c) when a and b avoid M ∪ C and c meets M ∪ C in
-    exactly C, and compress a, b and c onto the remaining nodes.
-    A model from `independence_model` enumerates only those triples
-    (`_enumerate(g, C, M ∪ C)`); a model with no graph is filtered. Dropping nodes keeps every side's label order, so
-    the result stays canonical."""
+    exactly C, and compress a, b and c onto the remaining nodes. A model
+    from `independence_model` enumerates only those triples
+    (`_enumerate(g, C, M ∪ C)`); a model with no graph is filtered. Dropping
+    nodes keeps every side's label order, so the result stays canonical."""
     M, C = frozenset(M), frozenset(C)
     if M & C:
         raise NotDisjoint("M and C must be disjoint")
@@ -482,7 +477,7 @@ def conforms(J: IndependenceModel, g: MixedGraph) -> bool:
     if J.ground != g.node_set:
         raise GroundMismatch("model ground differs from graph node set")
     n = len(J.nodes)
-    adjacent = [s | s >> n for s in _state_exits(g)[2]]
+    adjacent = [s | s >> n for s in g._exits[2]]
     return not any(adjacent[k] & b for a, b, _c in J.triples for k in _bits(a))
 
 

@@ -2,21 +2,18 @@
 
 A path m-connects given M and C when every collider inner node is in
 C ∪ an(C) and every non-collider inner node is in M (the `allowed` set).
-Every query runs on two kernels over the same step rule:
+Every yes/no verdict runs on one kernel over that step rule:
 
-- `_walk` searches walk states (node, arrived with a head). On ribbonless
-  graphs a legal walk exists iff a legal path does (connecting-walk
-  concatenation only shortcuts through configurations that ribbonlessness
-  forces to carry an endpoint-identical edge), so the walk verdict is exact
-  there, in time linear in the edges. Its arrival marks are also the Lemma-1
-  connection signatures, from which `project` builds the projections of
-  ribbonless graphs, and the end marks of primitive inducing paths, from
-  which `witness` decides maximality. `_walk_reach` is the same search on
-  bitsets of walk states: the per-node exits come once per graph
-  (`_state_exits`), the rule for a pair of sets is four node masks, and
-  each step reads the frontier's nodes off a `_bit_table`. `independence`
-  builds its connection rows, and with them models and literal maximality,
-  on it.
+- `_walk_reach` searches walk states (node, arrived with a head) as
+  bitsets over each graph's `_exits`. On ribbonless graphs a legal walk
+  exists iff a legal path does (connecting-walk concatenation only
+  shortcuts through configurations that ribbonlessness forces to carry an
+  endpoint-identical edge), so the walk verdict is exact there, in time
+  linear in the edges. It decides separation, the Lemma-1 signatures of
+  `endpoint_identical_connection`, primitive inducing paths (`witness`) and
+  the connection rows of `independence`.
+- `_walk` is the same search over a dict of predecessors, kept where a
+  route must be returned: `project`'s ribbonless projections and `--trace`.
 - `_paths` enumerates simple paths depth-first. On other graphs walks can
   over-connect — e.g. a->t<-b with a line t--x admits the walk
   a->t--x--t<-b but no connecting path — so `_connected` re-checks each
@@ -91,20 +88,18 @@ class PathWitness:
         return " ".join(parts)
 
 
-def _walk(g: MixedGraph, source, collider_set, allowed, first_mark=None):
+def _walk(g: MixedGraph, source, collider_set, allowed, first_mark):
     """Every state (node, arrived with a head) that an m-connecting walk out
-    of source reaches, optionally only walks whose first edge carries
-    `first_mark` at the source. Leaving an inner node t is legal through a
-    collider when t is in collider_set, and otherwise when t is in allowed.
-
-    Returns {state: predecessor}: the state whose step first reached it, or
-    None for a state one edge from the source. The walk may re-enter the
-    source as an inner node."""
+    of source reaches through a first edge carrying `first_mark` at the
+    source, as {state: predecessor}: the state whose step first reached it,
+    or None one edge from the source. Leaving an inner node t is legal
+    through a collider when t is in collider_set, and otherwise when t is in
+    allowed. The walk may re-enter the source as an inner node."""
     flows = g._flows
     reached = {}
     stack = []
     for o, mh, mo, _e in flows[source]:
-        if first_mark is None or mh == first_mark:
+        if mh == first_mark:
             state = (o, mo == HEAD)
             if state not in reached:
                 reached[state] = None
@@ -125,51 +120,16 @@ def _walk(g: MixedGraph, source, collider_set, allowed, first_mark=None):
     return reached
 
 
-def _state_exits(g: MixedGraph):
-    """The walk states one edge away from each node k of `g.nodes`, as three
-    lists of bitsets indexed by k: through the edges carrying a head at k,
-    through those carrying a tail, and through all of them. State
-    (o, arrived with a head) is bit n + o, (o, arrived with a tail) bit o,
-    for node indices o among the n nodes."""
-    n = len(g.nodes)
-    index = {v: k for k, v in enumerate(g.nodes)}
-    flows = g._flows
-    heads, tails = [], []
-    for v in g.nodes:
-        head = tail = 0
-        for o, mh, mo, _e in flows[v]:
-            bit = 1 << (index[o] + n if mo == HEAD else index[o])
-            if mh == HEAD:
-                head |= bit
-            else:
-                tail |= bit
-        heads.append(head)
-        tails.append(tail)
-    return heads, tails, [head | tail for head, tail in zip(heads, tails)]
-
-
-def _bit_table(n):
-    """Per n-bit mask, the indices of its set bits, ascending: 2^n tuples,
-    built by each caller for its own n."""
-    table = [()]
-    for k in range(n):
-        table += [t + (k,) for t in table]
-    return table
-
-
-def _walk_reach(exits, collider_mask, allowed_mask, start, bits):
+def _walk_reach(exits, collider_mask, allowed_mask, start):
     """The walk states reachable from the state bitset `start` in zero or
     more steps, under `_walk`'s step rule for the collider set and allowed
-    set given as node masks; from a source's exits through every edge, the
-    states `_walk` reaches. `exits` is `_state_exits` of the graph and
-    `bits` the `_bit_table` of its node count; per step the nodes are read
-    off the frontier's masks through it."""
+    set as node masks. `exits` is the graph's `_exits`: from `exits[0][k]`,
+    `exits[1][k]` or `exits[2][k]`, the walks out of node k with a first
+    head, a first tail, or either mark there."""
     heads, tails, boths = exits
     n = len(boths)
-    # the nodes a walk leaves through every edge when it arrived with a
-    # tail (the allowed ones), through every edge when it arrived with a
-    # head, and through tail ends only and head ends only when it arrived
-    # with a head
+    # a walk leaves through every edge after a tail at an allowed node or a
+    # head at a node in both sets; after a head elsewhere, tails or heads only
     head_any = allowed_mask & collider_mask
     head_tails = allowed_mask & ~collider_mask
     head_heads = collider_mask & ~allowed_mask
@@ -177,15 +137,29 @@ def _walk_reach(exits, collider_mask, allowed_mask, start, bits):
     while frontier:
         arrived_head = frontier >> n
         new = 0
-        for k in bits[frontier & allowed_mask | arrived_head & head_any]:
-            new |= boths[k]
-        for k in bits[arrived_head & head_tails]:
-            new |= tails[k]
-        for k in bits[arrived_head & head_heads]:
-            new |= heads[k]
+        m = frontier & allowed_mask | arrived_head & head_any
+        while m:
+            low = m & -m
+            new |= boths[low.bit_length() - 1]
+            m ^= low
+        m = arrived_head & head_tails
+        while m:
+            low = m & -m
+            new |= tails[low.bit_length() - 1]
+            m ^= low
+        m = arrived_head & head_heads
+        while m:
+            low = m & -m
+            new |= heads[low.bit_length() - 1]
+            m ^= low
         frontier = new & ~reached
         reached |= new
     return reached
+
+
+def _mask(g: MixedGraph, nodes):
+    """The bitset of a node set over `g.nodes`."""
+    return sum(map(g._bit.__getitem__, nodes))
 
 
 def _paths(g: MixedGraph, source, target, collider_set, allowed):
@@ -225,11 +199,14 @@ def _paths(g: MixedGraph, source, target, collider_set, allowed):
 
 def _connected(g: MixedGraph, source, targets, collider_set, allowed) -> bool:
     """Whether some m-connecting path joins source to one of the targets:
-    a walk hit, re-checked by `_paths` unless g is ribbonless."""
-    reached = {node for node, _head in _walk(g, source, collider_set, allowed)}
+    a hit of the bitset walk, re-checked by `_paths` unless g is ribbonless."""
+    exits = g._exits
+    start = exits[2][g._bit[source].bit_length() - 1]
+    reached = _walk_reach(exits, _mask(g, collider_set), _mask(g, allowed), start)
+    hits = reached | reached >> len(g.nodes)
     exact = g.is_ribbonless
     for t in sorted(targets):
-        if t in reached and (
+        if hits & g._bit[t] and (
             exact
             or next(_paths(g, source, t, collider_set, allowed), None) is not None
         ):
@@ -283,19 +260,18 @@ def endpoint_identical_connection(g: MixedGraph, i, j, M, C) -> frozenset:
     """Mark signatures (at i, at j) realized by m-connecting walks given M, C
     that are a single edge or pass a node other than i and j.
 
-    Each signature corresponds to the edge type a connection of that shape
-    would generate: tail/tail a line, head/head an arc, and a mixed pair the
-    arrow into the head end. Walks rather than simple paths: on multi-edge
-    graphs a connecting walk may revisit an endpoint and realize a signature
-    no simple path carries (d -> a <-> d <-> b realizes tail-at-d/head-at-b
-    when a enables the collider). A walk that only bounces between i and j
-    (b -> c <-> b <- c) does not count, as the Table-1 closure never joins a
-    node to itself; so generated projection edges match signatures exactly.
+    Each signature stands for the edge a connection of that shape would
+    generate: tail/tail a line, head/head an arc, a mixed pair the arrow
+    into the head end. Walks rather than simple paths: on multi-edge graphs
+    a walk may revisit an endpoint and realize a signature no simple path
+    carries (d -> a <-> d <-> b gives tail-at-d/head-at-b when a enables the
+    collider). A walk that only bounces between i and j (b -> c <-> b <- c)
+    does not count, as the Table-1 closure never joins a node to itself.
 
-    The walk that first reached j (read back through `_walk`'s predecessors)
-    settles a signature unless it bounces. Then a walk through some t not in
-    {i, j} is sought: a walk out of i and a reversed walk out of j meet at t,
-    a collider in C ∪ an(C) if both arrive with a head, else in M.
+    So a signature holds when a single edge between i and j carries it, or
+    when a walk out of i and a reversed walk out of j, with those end marks,
+    meet at some t not in {i, j}: a collider in C ∪ an(C) if both reach t
+    with a head, else a node of M.
     """
     M, C = frozenset(M), frozenset(C)
     if M & C:
@@ -305,28 +281,30 @@ def endpoint_identical_connection(g: MixedGraph, i, j, M, C) -> frozenset:
     if {i, j} & (M | C):
         raise OverlapError("endpoints may not lie in M or C")
     g._check_nodes({i, j} | M | C)
-    collider_set = C | g.ancestors(C)
+    n = len(g.nodes)
+    bit = g._bit
+    colliders, allowed = _mask(g, C | g.ancestors(C)), _mask(g, M)
+    inner = (1 << n) - 1 & ~bit[i] & ~bit[j]
+    heads, tails, _boths = exits = g._exits
+    ki, kj = bit[i].bit_length() - 1, bit[j].bit_length() - 1
+    # per last mark: the state (j, last), and the reversed walks' start
+    ends = {TAIL: (bit[j], tails[kj]), HEAD: (bit[j] << n, heads[kj])}
+    back = {}
     signatures = set()
-    for first in (TAIL, HEAD):
-        out = _walk(g, i, collider_set, M, first)
-        for last in (TAIL, HEAD):
-            state = (j, last == HEAD)
-            if state not in out:
+    for first, start in ((TAIL, tails[ki]), (HEAD, heads[ki])):
+        out = _walk_reach(exits, colliders, allowed, start)
+        for last, (state, start_j) in ends.items():
+            if not out & state:
                 continue
-            pred = via = out[state]
-            while via is not None and via[0] in (i, j):
-                via = out[via]
-            if pred is None or via is not None:
-                signatures.add((first, last))
-                continue
-            back = _walk(g, j, collider_set, M, last)
-            if any(
-                (t, h2) in back and (t in collider_set if h1 and h2 else t in M)
-                for t, h1 in out
-                if t != i and t != j
-                for h2 in (False, True)
-            ):
-                signatures.add((first, last))
+            if not start & state:  # no single edge carries the signature
+                if last not in back:
+                    back[last] = _walk_reach(exits, colliders, allowed, start_j)
+                # the inner nodes each walk reaches with a head, and with a tail
+                oh, ot = out >> n & inner, out & inner
+                bh, bt = back[last] >> n & inner, back[last] & inner
+                if not oh & bh & colliders | (ot & (bt | bh) | oh & bt) & allowed:
+                    continue
+            signatures.add((first, last))
     return frozenset(signatures)
 
 

@@ -9,14 +9,13 @@ conditioned/marginalised pair.
 
 Maximality is characterized by primitive inducing paths: paths between
 non-adjacent endpoints whose inner nodes are all colliders and all ancestors
-of an endpoint. Only their end marks matter, and the `msep` walk kernel
-gives those for each pair directly; a sweep reads each node's neighbours
-and ancestors once. maximalize() inserts the endpoint-identical edge for
-each such path until none remain. The literal definition, that every
-non-adjacent pair is separated by some set, is read off the connection
-rows of `independence._connections` over the conditioning sets in
-increasing order, and stops once every pair is separated; no model is
-built.
+of an endpoint. Only their end marks matter, and the `msep` bitset walk
+gives those per pair, over the graph's walk tables. maximalize() inserts the
+endpoint-identical edge for each such path until none remain. The literal
+definition, that every non-adjacent pair is separated by some set, is read
+off the connection rows of `independence._connections` over the
+conditioning sets in increasing order, and stops once every pair is
+separated; no model is built.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .core import (
     LINE,
     TAIL,
     MixedGraph,
+    _cyclic,
     arrow,
     edge_sort_key,
     line,
@@ -38,8 +38,8 @@ from .core import (
     signature_edge,
 )
 from .core import MixedGraphError
-from .independence import TooLarge, _connections
-from .msep import _bit_table, _state_exits, _walk
+from .independence import TooLarge, _bits, _connections
+from .msep import _walk_reach
 from .project import NotRibbonless, ProjectionSpec
 
 
@@ -118,13 +118,16 @@ def dagify(h: MixedGraph) -> DagifyResult:
     # other arrow on a cycle. Cutting the smallest arrow still on a cycle,
     # again and again, therefore cuts in increasing order: one sorted pass
     # cuts each arrow whose head is still an ancestor of its tail. A path
-    # between two nodes of one cycle stays among the cycle nodes.
+    # between two nodes of one cycle stays among the cycle nodes, found
+    # again after each cut: an arrow leaving them is skipped unsearched.
     cyclic = h.cycle_nodes
     parents = {n: h._parents[n] & cyclic for n in cyclic}
     for t, head in sorted(arrows):
         if t not in cyclic or head not in cyclic or head not in reach(parents, (t,)):
             continue
         parents[head].discard(t)
+        cyclic = _cyclic(parents)
+        parents = {n: parents[n] & cyclic for n in cyclic}
         arrows.discard((t, head))
         c = next(cond_names)
         m = next(marg_names)
@@ -156,26 +159,24 @@ def dagify(h: MixedGraph) -> DagifyResult:
 
 def _pip_edges(g: MixedGraph):
     """The endpoint-identical edge of every primitive inducing path, once
-    per non-adjacent pair i < j and end-mark signature. A walk out of i whose
-    inner nodes are all colliders in an({i, j}) - {i, j} contains such a path
-    with its end marks: cutting each repeat of a node from its first arrival
-    to its last departure keeps that node a collider and keeps both ends.
-    Each node's neighbours and ancestors are read once; an({i, j}) is
-    an(i) | an(j), as ancestry is reachability over the parents."""
+    per non-adjacent pair i < j and end-mark signature. A walk out of i, from
+    its head or tail exits, whose inner nodes are all colliders in
+    (an(i) | an(j)) - {i, j} contains such a path with its end marks: cutting
+    each repeat of a node from its first arrival to its last departure keeps
+    that node a collider and keeps both ends."""
     nodes = g.nodes
-    flows = g._flows
-    near = {v: {o for o, _mh, _mo, _e in flows[v]} for v in nodes}
-    anc = {v: g.ancestors((v,)) for v in nodes}
-    for pos, i in enumerate(nodes):
-        for j in nodes[pos + 1 :]:
-            if j in near[i]:
-                continue
-            colliders = (anc[i] | anc[j]) - {i, j}
-            for first in (TAIL, HEAD):
-                reached = _walk(g, i, colliders, frozenset(), first)
-                for last in (TAIL, HEAD):
-                    if (j, last == HEAD) in reached:
-                        yield signature_edge(first, last, i, j)
+    n = len(nodes)
+    full = (1 << n) - 1
+    heads, tails, boths = exits = g._exits
+    anc = g._ancestor_masks
+    for k, i in enumerate(nodes):
+        for m in _bits(full & ~(boths[k] | boths[k] >> n | (2 << k) - 1)):
+            colliders = (anc[k] | anc[m]) & ~(1 << k | 1 << m)
+            for first, start in ((TAIL, tails[k]), (HEAD, heads[k])):
+                reached = _walk_reach(exits, colliders, 0, start)
+                for last, state in ((TAIL, 1 << m), (HEAD, 1 << m + n)):
+                    if reached & state:
+                        yield signature_edge(first, last, i, nodes[m])
 
 
 def is_maximal(g: MixedGraph) -> bool:
@@ -198,18 +199,14 @@ def _separates_every_pair(g: MixedGraph) -> bool:
     order; C settles the pair when neither node is in C and bit j of row i
     is unset. True as soon as every pair is settled, False after the last C."""
     n = len(g.nodes)
-    bits = _bit_table(n)
     full = (1 << n) - 1
     # per node i, the nodes j > i not adjacent to it and not yet separated
-    unsettled = [
-        full & ~(s | s >> n) & ~((2 << k) - 1)
-        for k, s in enumerate(_state_exits(g)[2])
-    ]
+    unsettled = [full & ~(s | s >> n | (2 << k) - 1) for k, s in enumerate(g._exits[2])]
     pending = sum(1 << k for k, m in enumerate(unsettled) if m)
     if not pending:
         return True
-    for cmask, conn in _connections(g, bits, 0, 0):
-        for k in bits[pending & ~cmask]:
+    for cmask, conn in _connections(g, 0, 0):
+        for k in _bits(pending & ~cmask):
             unsettled[k] &= conn[k] | cmask
             if not unsettled[k]:
                 pending ^= 1 << k

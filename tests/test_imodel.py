@@ -2,10 +2,11 @@ import itertools
 import json
 import random
 import re
+from unittest import mock
 
 import pytest
 
-from mixedgraphs import independence
+from mixedgraphs import core, independence
 from mixedgraphs.core import MixedGraph
 from mixedgraphs.generators import random_lmg, random_spec
 from mixedgraphs.independence import (
@@ -211,6 +212,19 @@ def test_graph_models_enumerate_on_first_read(monkeypatch):
     assert len(J) == len(J.triples) and calls[1:] == [(0, 0)]
     assert marginalise_condition(J, {"d"}, {"c"}) == sliced
     assert calls[2:] == [(0b0100, 0b1100)]
+
+
+def test_graph_walk_tables_are_built_once():
+    # the ancestry and walk exits of a graph-backed model's slices come from
+    # the graph's tables: a second slice asks for no ancestry at all
+    J = independence_model(mk("a -> c\nb -> c\nc -> d\nd <-> e\na -- b"))
+    with mock.patch.object(core, "reach", wraps=core.reach) as reach:
+        first = marginalise_condition(J, {"e"}, {"c"})
+        calls = reach.call_count
+        second = marginalise_condition(J, {"a"}, {"d"})
+    assert calls > 0 and reach.call_count == calls
+    assert first == marginalise_oracle(J, {"e"}, {"c"})
+    assert second == marginalise_oracle(J, {"a"}, {"d"})
 
 
 def test_too_large_is_raised_before_any_enumeration(monkeypatch):

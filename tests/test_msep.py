@@ -9,8 +9,6 @@ from mixedgraphs.msep import (
     ConnectionQuery,
     NotDisjoint,
     OverlapError,
-    _bit_table,
-    _state_exits,
     _walk,
     _walk_reach,
     connecting_path_exists,
@@ -275,18 +273,23 @@ def test_walk_pip_edges_match_the_path_oracle():
 
 
 def _bitset_walk_agrees(g, collider_set, allowed):
+    # from all of a node's exits, the union of the dict walk's two first
+    # marks; from its head or tail exits alone, the walk with that first mark
     nodes = g.nodes
     n = len(nodes)
-    mask = {v: 1 << k for k, v in enumerate(nodes)}
-    exits = _state_exits(g)
-    bits = _bit_table(n)
-    colliders = sum(mask[v] for v in collider_set)
-    allowed_mask = sum(mask[v] for v in allowed)
+    exits = g._exits
+    colliders = sum(g._bit[v] for v in collider_set)
+    allowed_mask = sum(g._bit[v] for v in allowed)
     for k, source in enumerate(nodes):
-        reached = _walk_reach(exits, colliders, allowed_mask, exits[2][k], bits)
+        want = {}
+        for mark, start in ((HEAD, exits[0][k]), (TAIL, exits[1][k])):
+            reached = _walk_reach(exits, colliders, allowed_mask, start)
+            states = {(nodes[s % n], s >= n) for s in range(2 * n) if reached >> s & 1}
+            want[mark] = set(_walk(g, source, collider_set, allowed, mark))
+            assert states == want[mark], (g, source, mark, collider_set, allowed)
+        reached = _walk_reach(exits, colliders, allowed_mask, exits[2][k])
         states = {(nodes[s % n], s >= n) for s in range(2 * n) if reached >> s & 1}
-        want = set(_walk(g, source, collider_set, allowed))
-        assert states == want, (g, source, collider_set, allowed)
+        assert states == want[HEAD] | want[TAIL], (g, source, collider_set, allowed)
 
 
 def test_bitset_walk_reaches_the_walk_states():

@@ -512,6 +512,27 @@ def test_bouncing_walk_signature_is_not_projected():
     assert project_rg(g, s) == closure_pipeline(g, s)["rg"] == want
 
 
+def test_signatures_are_the_closure_edges_on_every_three_node_multigraph():
+    # Lemma 1 exhaustively: on every ribbonless three-node multigraph, under
+    # every (M, C) split and in both orders of each surviving pair, the
+    # signatures name exactly the closure's edges between the pair
+    checked = 0
+    for g in all_mixed_graphs(("a", "b", "c"), multi=True):
+        if not g.is_ribbonless:
+            continue
+        for s in all_splits(g.nodes):
+            survivors = sorted(g.node_set - s.removed)
+            if len(survivors) < 2:
+                continue
+            closed, _trace = table1_closure(g, s)
+            for i, j in itertools.permutations(survivors, 2):
+                signatures = endpoint_identical_connection(g, i, j, s.marg, s.cond)
+                want = {e for e in closed.edges if {e.a, e.b} == {i, j}}
+                assert signature_edges(signatures, i, j) == want, (g, s, i, j)
+                checked += 1
+    assert checked == 20_646
+
+
 # Table-1 rule ids by the roles of the V's two edges at its inner node.
 TABLE1_ROLES = {
     1: ("IN", "OUT"),
