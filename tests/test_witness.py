@@ -113,7 +113,7 @@ def test_dagify_runs_one_search_per_arrow():
 
 def test_dagify_searches_a_long_cycle_once():
     # one directed cycle of 2,000 nodes: after its first cut no node is on a
-    # cycle, so no later arrow needs a search (one per arrow before)
+    # cycle, so no later arrow is searched
     names = [f"v{k}" for k in range(2000)]
     g = MixedGraph(names, [arrow(a, b) for a, b in zip(names, names[1:] + names[:1])])
     with mock.patch.object(witness, "reach", wraps=witness.reach) as reach:
