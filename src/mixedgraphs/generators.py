@@ -52,12 +52,10 @@ def random_lmg(rng, n, p=0.12) -> MixedGraph:
     return MixedGraph(names, edges)
 
 
-def random_spec(rng, g: MixedGraph, max_removed=None) -> ProjectionSpec:
-    """A random disjoint (marg, cond) pair over g's nodes."""
-    n = len(g.nodes)
-    if max_removed is None:
-        max_removed = max(0, n - 1)
-    k = rng.randint(0, min(max_removed, n))
+def random_spec(rng, g: MixedGraph) -> ProjectionSpec:
+    """A random disjoint (marg, cond) pair over g's nodes that leaves at
+    least one node when g has any."""
+    k = rng.randint(0, max(0, len(g.nodes) - 1))
     chosen = rng.sample(list(g.nodes), k)
     marg = {x for x in chosen if rng.random() < 0.5}
     return ProjectionSpec(marg, set(chosen) - marg)

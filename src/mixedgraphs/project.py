@@ -5,11 +5,15 @@ whose inner node is marginalised (non-collider case) or lies in C ∪ an(C)
 (collider case), the endpoint-identical edge between the V's endpoints,
 repeating until stable, and then removes the nodes in M ∪ C. The
 summary-graph stage strips arrowheads pointing into the surviving part of
-an(C), taken in the closed graph; the ancestral stage resolves arcs whose
-endpoint is an ancestor of the other end. No edge the ancestral stage adds
-changes who is an ancestor of whom, so it reads ancestry once, from its
-input: its collider step runs to a fixpoint, and one pass over the arcs
-then turns each arc between an ancestor and its descendant into an arrow.
+an(C), taken in the closed graph, each round reading only the edges the round
+before generated; the ancestral stage resolves arcs whose endpoint is an
+ancestor of the other end. The class gates sit at the entry points
+(`project_rg`, `project_sg`, `project_ag`, their `_traced` forms, and
+`sg_to_ag`); the stages `rg_to_sg_traced` and `sg_to_ag_traced` do not
+check their input's class. No edge the ancestral stage adds changes who is
+an ancestor of whom, so it reads ancestry once, from its input: its
+collider step runs to a fixpoint, and one pass over the arcs then turns
+each arc between an ancestor and its descendant into an arrow.
 
 On ribbonless inputs the first stage runs by Lemma 1: the closure joins two
 survivors by an edge with end marks (m_i, m_j) exactly when some
@@ -180,39 +184,6 @@ def _gate(h, tag, exc, what, force):
         warnings.warn(f"projecting a graph that is not {what}", stacklevel=3)
 
 
-def _witness_step(h: MixedGraph, marg, gen, i, first, pred):
-    """The trace step for an edge generated between i and j, from the search
-    out of i with first mark `first` that stepped to j from the state `pred`
-    (t, arrived with a head): the V <i, t, j> closing the witness walk, whose
-    first edge carries the signature of the walk's prefix to t and whose
-    second edge is in h. None when t is i.
-
-    A walk reduces to one closure edge exactly when it is a single edge or
-    passes a node other than its ends, since Table 1 never joins a node to
-    itself. The walk to j passes t. The prefix to t is the search's first
-    route there, so it is a single edge or passes a third node: a route that
-    bounces from t through i back to t reaches no state that t's first
-    visit did not."""
-    t, t_head = pred
-    if t == i:
-        return None
-    j = gen.other(i)
-    # by the walk's step rule a node of M leaves through either mark, and
-    # any other node as a collider, through a head; a tail at t comes first
-    # because it is legal whenever t is in M
-    last = min(
-        (
-            mt
-            for o, mt, mo, _e in h.flows(t)
-            if o == j and mo == gen.mark_at(j) and (mt == HEAD or t in marg)
-        ),
-        key=lambda mt: mt == HEAD,
-    )
-    prefix = _ROLE[HEAD if t_head else TAIL, first]
-    roles = tuple(sorted((prefix, _ROLE[last, gen.mark_at(j)])))
-    return TraceStep(f"{_RULE_ID[roles]}", t, gen)
-
-
 def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
     """Stage one on a ribbonless h by Lemma 1, or None when the searches
     leave some generated edge without a witness V.
@@ -222,7 +193,18 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
     closed graph are those that such arrows lead into C. A walk that only
     bounces along parallel edges between its ends (i -> j <-> i <- j)
     carries a signature the closure cannot generate, and such an edge has
-    no witness V."""
+    no witness V.
+
+    The trace step for an edge generated between i and j is the V <i, t, j>
+    closing the search's first walk to j, where t is the state that walk
+    stepped from: its first edge carries the signature of the walk's prefix
+    to t and its second edge is in h. A walk reduces to one closure edge
+    exactly when it is a single edge or passes a node other than its ends,
+    since Table 1 never joins a node to itself. The walk to j passes t, so
+    it shows a V unless t is i. The prefix to t is the search's first route
+    there, so it is a single edge or passes a third node: a route that
+    bounces from t through i back to t reaches no state that t's first
+    visit did not."""
     collider_set = spec.cond | h.ancestors(spec.cond)
     edges, into_cond, steps = set(), set(), {}
     for i in sorted(survivors):
@@ -230,12 +212,20 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
             reached = _walk(h, i, collider_set, spec.marg, first)
             for (j, head), pred in reached.items():
                 if j in survivors and j != i:
-                    gen = signature_edge(first, HEAD if head else TAIL, i, j)
+                    at_j = HEAD if head else TAIL
+                    gen = signature_edge(first, at_j, i, j)
                     edges.add(gen)
-                    if pred is not None and gen not in steps:
-                        witness = _witness_step(h, spec.marg, gen, i, first, pred)
-                        if witness is not None:
-                            steps[gen] = witness
+                    if pred is None or pred[0] == i or gen in steps:
+                        continue
+                    t, t_head = pred
+                    # by the walk's step rule a node of M leaves through either
+                    # mark, and any other node as a collider, through a head;
+                    # a tail exit into j wins, being legal whenever t is in M
+                    exits = (f[:3] for f in h.flows(t))
+                    last = TAIL if t in spec.marg and (j, TAIL, at_j) in exits else HEAD
+                    prefix = _ROLE[HEAD if t_head else TAIL, first]
+                    roles = tuple(sorted((prefix, _ROLE[last, at_j])))
+                    steps[gen] = TraceStep(f"{_RULE_ID[roles]}", t, gen)
                 elif head and first == TAIL and j in spec.cond:
                     into_cond.add(i)
     generated = sorted(edges - h.edges, key=edge_sort_key)
@@ -280,12 +270,11 @@ def rg_to_sg_traced(h: MixedGraph, anc_c):
     missing = anc_c - h.node_set
     if missing:
         raise UnknownNode(f"anc_c names unknown nodes: {sorted(missing)}")
-    edges = set(h.edges)
-    trace = []
-    changed = True
-    while changed:
-        changed = False
-        for e in sorted(edges, key=edge_sort_key):
+    edges, trace = set(h.edges), []
+    fresh = sorted(edges, key=edge_sort_key)
+    while fresh:
+        new = []
+        for e in fresh:
             if e.kind == ARROW and e.b in anc_c:
                 replacement = line(e.a, e.b)
             elif e.kind == ARC and (e.a in anc_c or e.b in anc_c):
@@ -298,14 +287,18 @@ def rg_to_sg_traced(h: MixedGraph, anc_c):
             if replacement not in edges:
                 edges.add(replacement)
                 generated = replacement
+                new.append(replacement)
             trace.append(TraceStep("sg-step-2", None, generated, removed=e))
-            changed = True
+        fresh = sorted(new, key=edge_sort_key)
     return MixedGraph._trusted(h.nodes, edges), trace
 
 
 def rg_to_sg(h: MixedGraph, anc_c) -> MixedGraph:
     """Strip arrowheads pointing into anc_c to fixpoint: an arrow into anc_c
-    becomes a line, an arc loses the head at its anc_c endpoint."""
+    becomes a line, an arc loses the head at its anc_c endpoint. A round
+    strips every edge it reads that needs it, so only the edges it generates
+    can need stripping in the next: the first round reads every edge, each
+    later one only the previous round's replacements, in edge order."""
     return rg_to_sg_traced(h, anc_c)[0]
 
 
@@ -327,8 +320,9 @@ def project_sg(h: MixedGraph, spec: ProjectionSpec, force: bool = False) -> Mixe
     return project_sg_traced(h, spec, force)[0]
 
 
-def sg_to_ag_traced(h: MixedGraph, force: bool = False):
-    """The ancestral closure of h with its trace.
+def sg_to_ag_traced(h: MixedGraph):
+    """The ancestral closure of h with its trace; h is not checked to be a
+    summary graph, but a result that is not ancestral raises.
 
     Neither step changes who is an ancestor of whom, so ancestry is read
     once, from h. Step 2 adds an arc, or an arrow o1 -> o2 at a V
@@ -337,7 +331,6 @@ def sg_to_ag_traced(h: MixedGraph, force: bool = False):
     holds an arc k <-> o with k in an(o), which step 3 converts, and step 3
     makes no arc. So step 2 runs to its fixpoint, and then one pass of
     step 3 over the arcs in edge order leaves nothing for either step."""
-    _gate(h, "SG", NotSummaryGraph, "a summary graph", force)
     anc = {}
 
     def is_ancestor(k, n):
@@ -399,13 +392,14 @@ def sg_to_ag_traced(h: MixedGraph, force: bool = False):
 def sg_to_ag(h: MixedGraph, force: bool = False) -> MixedGraph:
     """Turn a summary graph into the ancestral graph inducing the same
     independence model."""
-    return sg_to_ag_traced(h, force)[0]
+    _gate(h, "SG", NotSummaryGraph, "a summary graph", force)
+    return sg_to_ag_traced(h)[0]
 
 
 def project_ag_traced(h: MixedGraph, spec: ProjectionSpec, force: bool = False):
     _gate(h, "AG", NotAncestralGraph, "an ancestral graph", force)
     sgraph, trace = _project_sg_pipeline(h, spec)
-    result, ag_trace = sg_to_ag_traced(sgraph, force=True)
+    result, ag_trace = sg_to_ag_traced(sgraph)
     return result, trace + ag_trace
 
 

@@ -229,10 +229,6 @@ def document_for(graph: MixedGraph, name: str = "", marg=(), cond=()) -> GraphDo
     return _checked_document(name, graph.nodes, tuple(graph.sorted_edges()), *marks)
 
 
-def serialize(graph: MixedGraph) -> str:
-    return serialize_graph(document_for(graph))
-
-
 def graph_from_text(text: str) -> MixedGraph:
     """Shorthand: parse and build the graph in one step."""
     return parse_graph(text).graph()

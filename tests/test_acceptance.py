@@ -34,7 +34,7 @@ from mixedgraphs.project import (
     project_sg,
     table1_closure,
 )
-from mixedgraphs.textfmt import serialize
+from mixedgraphs.textfmt import document_for, serialize_graph
 from mixedgraphs.witness import (
     dag_realizable,
     dagify,
@@ -226,7 +226,7 @@ def test_criterion_8_dag_nonstability_certificate():
             "is induced by some DAG on the remaining nodes",
         },
         "certificate": {
-            "dag": serialize(g).splitlines(),
+            "dag": serialize_graph(document_for(g)).splitlines(),
             "marginalised": sorted(M),
             "marginal_model": [
                 {"A": list(s.key[0]), "B": list(s.key[1]), "C": list(s.key[2])}

@@ -289,6 +289,13 @@ def test_model_equal_and_diff():
         model_equal(J1, IndependenceModel({"a"}, []))
 
 
+def test_models_reject_foreign_statements_and_grounds():
+    with pytest.raises(NotInGround):
+        IndependenceModel({"a", "b"}, [S("a", "z")])
+    with pytest.raises(GroundMismatch):
+        model_diff(IndependenceModel({"a", "b"}, []), IndependenceModel({"a"}, []))
+
+
 def test_conforms():
     g = mk("a -> b")
     assert conforms(independence_model(g), g)

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import random
 import sys
+import warnings
 
 import pytest
 
@@ -38,11 +39,12 @@ from mixedgraphs.project import (
     project_sg_traced,
     render_trace,
     rg_to_sg,
+    rg_to_sg_traced,
     sg_to_ag,
     sg_to_ag_traced,
     table1_closure,
 )
-from mixedgraphs.textfmt import parse_graph, serialize
+from mixedgraphs.textfmt import document_for, parse_graph, serialize_graph
 
 from .helpers import (
     all_dags,
@@ -240,30 +242,29 @@ def test_sg_to_ag_step2_generates_collider_edges():
     assert "AG" in classify(out)
 
 
-def ag_outcome(closure, g, **kwargs):
+def ag_outcome(closure, g):
     """(graph, rendered trace) of an ancestral closure, or the class of the
     domain error it raised."""
     try:
-        out, trace = closure(g, **kwargs)
+        out, trace = closure(g)
     except MixedGraphError as exc:
         return type(exc), None
     return out, render_trace(trace)
 
 
-@pytest.mark.filterwarnings("ignore:projecting a graph that is not a summary graph")
 def test_ancestral_closure_matches_the_literal_loop():
     """The one-pass closure on the input's ancestry gives the graph, trace
     or error of the loop that re-reads ancestry after every edge it adds,
     and its output keeps every node's ancestors."""
     rng = random.Random(31)
-    cases = [(g, True) for g in all_mixed_graphs(("a", "b", "c"))]
+    cases = list(all_mixed_graphs(("a", "b", "c")))
     for _ in range(1000):
-        g = random_lmg(rng, rng.randint(2, 9), p=rng.choice((0.12, 0.25, 0.4)))
-        cases.append((g, True))
-    cases += [(random_sg(rng, rng.randint(2, 9)), False) for _ in range(500)]
+        p = rng.choice((0.12, 0.25, 0.4))
+        cases.append(random_lmg(rng, rng.randint(2, 9), p=p))
+    cases += [random_sg(rng, rng.randint(2, 9)) for _ in range(500)]
     fired = set()
-    for g, force in cases:
-        out, trace = ag_outcome(sg_to_ag_traced, g, force=force)
+    for g in cases:
+        out, trace = ag_outcome(sg_to_ag_traced, g)
         assert (out, trace) == ag_outcome(sg_to_ag_oracle, g), g
         if isinstance(out, MixedGraph):
             assert all(out.ancestors({v}) == g.ancestors({v}) for v in g.nodes), g
@@ -301,6 +302,20 @@ def test_project_ag_gate():
         project_ag(mk("1 <-> 2\n2 -> 1"), spec())
 
 
+def test_forced_project_ag_warns_once_and_gates_nothing_it_built():
+    # a -> b -- c is no AG (nor an SG): the forced entry point warns once,
+    # the closure of its own SG-stage output is not checked again, and the
+    # result, still holding the line with a head at b, is not ancestral
+    g = mk("a -> b\nb -- c\nc -> d\nd <-> e")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NotAncestralGraph):
+            project_ag(g, spec(), force=True)
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, "projecting a graph that is not an ancestral graph")
+    ]
+
+
 def test_project_ag_equals_composition():
     rng = random.Random(7)
     for _ in range(60):
@@ -334,6 +349,56 @@ def test_trace_render_format():
     _out, trace = project_rg_traced(g, spec(marg={"m"}))
     text = render_trace(trace)
     assert text == "rule=1 inner=m generated=j -> i\n"
+
+
+def test_rendered_traces_of_every_stage():
+    # the Lemma-1 steps, both SG strip rounds and both AG steps, byte for byte
+    cases = (
+        # at t two edges leave into j with a head there; the tail exit wins,
+        # so the witness V is i -> t -> j (row 1), not i -> t <-> j (row 8)
+        (
+            project_rg_traced,
+            "i -> t\nt -> j\nt <-> j",
+            spec(marg={"t"}),
+            "rule=1 inner=t generated=i -> j\n",
+        ),
+        # the arc's strip makes a -> b, which the second round strips into
+        # the line that rule 10 already generated
+        (
+            project_sg_traced,
+            "a <-> b\na -> c\nb -> c\nc -> s",
+            spec(cond={"s"}),
+            "rule=10 inner=c generated=a -- b\n"
+            "rule=sg-step-2 inner=- generated=a -> b removed=a <-> b\n"
+            "rule=sg-step-2 inner=- generated=a -- c removed=a -> c\n"
+            "rule=sg-step-2 inner=- generated=b -- c removed=b -> c\n"
+            "rule=sg-step-2 inner=- generated=- removed=a -> b\n",
+        ),
+        (
+            project_ag_traced,
+            "m -> a\nm -> k\nk -> b\nn -> k\nn -> b\nb -> s",
+            spec(marg={"m", "n"}),
+            "rule=4 inner=m generated=a <-> k\n"
+            "rule=4 inner=n generated=b <-> k\n"
+            "rule=ag-step-2 inner=k generated=a <-> b\n"
+            "rule=ag-step-3 inner=- generated=- removed=b <-> k\n",
+        ),
+    )
+    for traced, text, s, want in cases:
+        g = mk(text)
+        out, trace = traced(g, s)
+        assert render_trace(trace) == want, text
+        assert replay_trace(g, s, trace) == out, text
+    # the first round strips arcs before arrows; the second reads only the
+    # two arrows the first generated, in edge order
+    _out, trace = rg_to_sg_traced(mk("c <-> d\na <-> b\nb -> c"), "abcd")
+    assert render_trace(trace) == (
+        "rule=sg-step-2 inner=- generated=a -> b removed=a <-> b\n"
+        "rule=sg-step-2 inner=- generated=c -> d removed=c <-> d\n"
+        "rule=sg-step-2 inner=- generated=b -- c removed=b -> c\n"
+        "rule=sg-step-2 inner=- generated=a -- b removed=a -> b\n"
+        "rule=sg-step-2 inner=- generated=c -- d removed=c -> d\n"
+    )
 
 
 def test_closure_walk_signature_divergence_regression():
@@ -481,7 +546,7 @@ def test_trusted_graphs_equal_validated_ones(monkeypatch):
         caller = sys._getframe(1).f_code.co_name
         callers.add(caller)
         if caller != "graph":
-            assert parse_graph(serialize(out)).graph() == out
+            assert parse_graph(serialize_graph(document_for(out))).graph() == out
         return out
 
     monkeypatch.setattr(MixedGraph, "_trusted", classmethod(checked))

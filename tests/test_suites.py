@@ -2,7 +2,20 @@ from unittest import mock
 
 import pytest
 
-from mixedgraphs import independence
+from mixedgraphs import independence, suites
+from mixedgraphs.core import MixedGraph, arrow
+from mixedgraphs.independence import (
+    independence_model,
+    marginalise_condition,
+    model_equal,
+)
+from mixedgraphs.project import (
+    PROJECTORS,
+    ProjectionSpec,
+    project_rg,
+    project_sg,
+    table1_closure,
+)
 from mixedgraphs.suites import (
     SUITES,
     SuiteResult,
@@ -13,6 +26,7 @@ from mixedgraphs.suites import (
     maximality_suite,
     stability_suite,
 )
+from mixedgraphs.textfmt import parse_graph
 from mixedgraphs.witness import maximalize
 
 from .helpers import is_maximal_literal_oracle, literal_maximality_graphs, mk
@@ -100,4 +114,81 @@ def test_maximality_suite_reports_a_maximalize_that_adds_no_edge():
     assert result.checked == 3
     assert [f.splitlines()[0] for f in result.failures] == [
         "maximalize output is not pairwise Markov"
+    ]
+
+
+def _less_first_edge(projector):
+    """A wrong projector: the right output less its first edge."""
+
+    def wrong(h, spec):
+        out = projector(h, spec)
+        return MixedGraph(out.nodes, out.sorted_edges()[1:])
+
+    return wrong
+
+
+def _reproducers(result):
+    """(first line, parsed reproducer) of each counterexample reported."""
+    out = []
+    for failure in result.failures:
+        message, _, text = failure.partition("\n")
+        out.append((message, parse_graph(text)))
+    return out
+
+
+def test_suites_report_counterexamples_that_replay():
+    # each projection suite, run with a projector that drops an edge, and
+    # the maximality suite, with a maximalize that adds one, report
+    # counterexamples whose reproducers parse back to the input and to a
+    # spec under which the wrong stage shows its fault
+    g = mk("a -> m\nm -> b\nc -> b\nb -> d")
+    wrong_rg, wrong_sg = _less_first_edge(project_rg), _less_first_edge(project_sg)
+
+    def model_of(projector, s):
+        return independence_model(projector(g, s))
+
+    def changes_the_model(s):
+        want = marginalise_condition(independence_model(g), s.marg, s.cond)
+        return not model_equal(want, model_of(wrong_rg, s))
+
+    def splits_the_models(s):
+        return not model_equal(model_of(project_rg, s), model_of(wrong_sg, s))
+
+    def misses_a_closure_edge(s):
+        closed = table1_closure(g, s)[0]
+        return wrong_rg(g, s) != closed.induced_subgraph(g.node_set - s.removed)
+
+    rg_patch = mock.patch.dict(PROJECTORS, rg=wrong_rg)
+    runs = (
+        (rg_patch, stability_suite, "rg projection changed", changes_the_model),
+        (rg_patch, composition_suite, "rg two-stage != one-stage", lambda s: s.removed),
+        (
+            mock.patch.object(suites, "project_sg", wrong_sg),
+            correspondence_suite,
+            "projections induce different models",
+            splits_the_models,
+        ),
+        (
+            mock.patch.object(suites, "project_rg", wrong_rg),
+            lemma1_suite,
+            "edges between",
+            misses_a_closure_edge,
+        ),
+    )
+    for patch, suite, opening, shows_fault in runs:
+        with patch:
+            found = _reproducers(suite(g))
+        assert found, suite.__name__
+        for message, doc in found:
+            assert message.startswith(opening) and doc.graph() == g, message
+            assert shows_fault(ProjectionSpec(doc.marg, doc.cond)), message
+    maximal = mk("a -> c\nb -> c\nc -> d\nd <-> e")
+
+    def adding_a_to_b(h):
+        return MixedGraph(h.nodes, h.edges | {arrow("a", "b")})
+
+    with mock.patch.object(suites, "maximalize", adding_a_to_b):
+        found = _reproducers(maximality_suite(maximal))
+    assert [(message, doc.graph()) for message, doc in found] == [
+        ("maximalize changed the independence model", maximal)
     ]
