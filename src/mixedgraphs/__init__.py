@@ -68,7 +68,6 @@ from .textfmt import (
     document_for,
     document_from_json,
     document_to_json,
-    graph_from_text,
     parse_graph,
     serialize_graph,
 )

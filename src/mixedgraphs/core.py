@@ -1,8 +1,9 @@
 """Loopless mixed graphs with arrows, arcs, and lines.
 
 The graph value is immutable: every operation returns a new graph, and all
-derived structure (walk index, walk tables, ribbon reports, class tags) is
-cached on the instance, so graphs are safe to share between threads.
+derived structure (sorted edges, walk index, walk tables, ribbon reports,
+class tags) is cached on the instance, so graphs are safe to share between
+threads.
 
 `MixedGraph(nodes, edges)` checks every label and endpoint and canonicalises
 every edge. Graphs the library builds from edges it made itself (closures,
@@ -74,13 +75,11 @@ class Edge(NamedTuple):
 
 
 def line(x, y) -> Edge:
-    x, y = sorted((x, y))
-    return Edge(LINE, x, y)
+    return Edge(LINE, x, y) if x < y else Edge(LINE, y, x)
 
 
 def arc(x, y) -> Edge:
-    x, y = sorted((x, y))
-    return Edge(ARC, x, y)
+    return Edge(ARC, x, y) if x < y else Edge(ARC, y, x)
 
 
 def arrow(tail, head) -> Edge:
@@ -231,12 +230,17 @@ class MixedGraph:
                 parents[b].add(a)
 
     @cached_property
+    def _sorted_edges(self) -> tuple:
+        """The edges in canonical edge order, sorted once."""
+        return tuple(sorted(self._edges, key=edge_sort_key))
+
+    @cached_property
     def _flows(self) -> dict:
         """Per node, (other endpoint, mark here, mark there, edge) in
         canonical edge order: the walk structure of the separation engine,
-        built on first use. One sort of the edges orders every node's list."""
+        built on first use from the one sorted edge tuple."""
         flows = {n: [] for n in self._nodes}
-        for e in sorted(self._edges, key=edge_sort_key):
+        for e in self._sorted_edges:
             kind, a, b = e
             if kind == ARROW:
                 flows[a].append((b, TAIL, HEAD, e))
@@ -302,7 +306,7 @@ class MixedGraph:
         return self._edges
 
     def sorted_edges(self) -> list:
-        return sorted(self._edges, key=edge_sort_key)
+        return list(self._sorted_edges)
 
     def __contains__(self, node):
         return node in self._node_set

@@ -2,7 +2,9 @@
 
 A path m-connects given M and C when every collider inner node is in
 C ∪ an(C) and every non-collider inner node is in M (the `allowed` set).
-Every yes/no verdict runs on one kernel over that step rule:
+So a walk leaves an inner node t as a collider (heads on both sides of t)
+when t is in C ∪ an(C), and otherwise when t is in M. Every yes/no verdict
+runs on one kernel over that step rule:
 
 - `_walk_reach` searches walk states (node, arrived with a head) as
   bitsets over each graph's `_exits`. On ribbonless graphs a legal walk
@@ -12,8 +14,6 @@ Every yes/no verdict runs on one kernel over that step rule:
   linear in the edges. It decides separation, the Lemma-1 signatures of
   `endpoint_identical_connection`, primitive inducing paths (`witness`) and
   the connection rows of `independence`.
-- `_walk` is the same search over a dict of predecessors, kept where a
-  route must be returned: `project`'s ribbonless projections and `--trace`.
 - `_paths` enumerates simple paths depth-first. On other graphs walks can
   over-connect — e.g. a->t<-b with a line t--x admits the walk
   a->t--x--t<-b but no connecting path — so `_connected` re-checks each
@@ -88,44 +88,12 @@ class PathWitness:
         return " ".join(parts)
 
 
-def _walk(g: MixedGraph, source, collider_set, allowed, first_mark):
-    """Every state (node, arrived with a head) that an m-connecting walk out
-    of source reaches through a first edge carrying `first_mark` at the
-    source, as {state: predecessor}: the state whose step first reached it,
-    or None one edge from the source. Leaving an inner node t is legal
-    through a collider when t is in collider_set, and otherwise when t is in
-    allowed. The walk may re-enter the source as an inner node."""
-    flows = g._flows
-    reached = {}
-    stack = []
-    for o, mh, mo, _e in flows[source]:
-        if mh == first_mark:
-            state = (o, mo == HEAD)
-            if state not in reached:
-                reached[state] = None
-                stack.append(state)
-    while stack:
-        here = stack.pop()
-        t, arrived_head = here
-        tail_ok = t in allowed
-        head_ok = t in collider_set if arrived_head else tail_ok
-        if not (head_ok or tail_ok):
-            continue
-        for o, mh, mo, _e in flows[t]:
-            if head_ok if mh == HEAD else tail_ok:
-                state = (o, mo == HEAD)
-                if state not in reached:
-                    reached[state] = here
-                    stack.append(state)
-    return reached
-
-
 def _walk_reach(exits, collider_mask, allowed_mask, start):
     """The walk states reachable from the state bitset `start` in zero or
-    more steps, under `_walk`'s step rule for the collider set and allowed
-    set as node masks. `exits` is the graph's `_exits`: from `exits[0][k]`,
-    `exits[1][k]` or `exits[2][k]`, the walks out of node k with a first
-    head, a first tail, or either mark there."""
+    more steps, under the module's step rule for the collider set and the
+    allowed set as node masks. `exits` is the graph's `_exits`: from
+    `exits[0][k]`, `exits[1][k]` or `exits[2][k]`, the walks out of node k
+    with a first head, a first tail, or either mark there."""
     heads, tails, boths = exits
     n = len(boths)
     # a walk leaves through every edge after a tail at an allowed node or a
@@ -165,8 +133,8 @@ def _mask(g: MixedGraph, nodes):
 def _paths(g: MixedGraph, source, target, collider_set, allowed):
     """Every m-connecting simple path from source to target as (nodes,
     edges) tuples, depth-first in canonical edge order on an explicit stack
-    (no recursion limit). Same step rule as `_walk`; a node that no edge may
-    leave is never entered."""
+    (no recursion limit). Same step rule as `_walk_reach`; a node that no edge
+    may leave is never entered."""
     flows = g._flows
     nodes, edges, visited = [source], [], {source}
     # per node on the path, the edges it may still be left through

@@ -12,23 +12,28 @@ ancestor of the other end. The class gates sit at the entry points
 `sg_to_ag`); the stages `rg_to_sg_traced` and `sg_to_ag_traced` do not
 check their input's class. No edge the ancestral stage adds changes who is
 an ancestor of whom, so it reads ancestry once, from its input: its
-collider step runs to a fixpoint, and one pass over the arcs then turns
-each arc between an ancestor and its descendant into an arrow.
+collider step, which fires only on Vs whose second edge is an arc, pairs
+each arc at an inner node with the other heads there and runs to a
+fixpoint, and one pass over the arcs then turns each arc between an
+ancestor and its descendant into an arrow.
 
 On ribbonless inputs the first stage runs by Lemma 1: the closure joins two
 survivors by an edge with end marks (m_i, m_j) exactly when some
 m-connecting walk between them has those end marks and is a single edge or
-passes a third node. So one `msep._walk` search per survivor and first
-mark yields the surviving edges, the survivors in an(C) and, for the trace,
-the Table-1 step behind each generated edge. `table1_closure`, the fixpoint
-itself, is the route for forced inputs that are not ribbonless, where walks
-and the closure can differ, and for the rare ribbonless input whose search
-cannot show a third node for some edge. It is also the tests' oracle.
+passes a third node. So the survivors' edges in the input, and one
+predecessor walk search per survivor and first mark, seeded only with the
+first states the walk can leave, yield the surviving edges, the survivors
+in an(C) and, for the trace, the Table-1 step behind each generated edge.
+`table1_closure`, the fixpoint itself, is the route for forced inputs that
+are not ribbonless, where walks and the closure can differ, and for the
+rare ribbonless input whose search cannot show a third node for some edge.
+It is also the tests' oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -43,12 +48,10 @@ from .core import (
     UnknownNode,
     arc,
     arrow,
-    collider_vs,
     edge_sort_key,
     line,
     signature_edge,
 )
-from .msep import _walk
 
 
 class SpecInvalid(MixedGraphError):
@@ -181,19 +184,36 @@ def _gate(h, tag, exc, what, force):
     if tag not in h.class_tags:
         if not force:
             raise exc(f"input graph is not {what}")
-        warnings.warn(f"projecting a graph that is not {what}", stacklevel=3)
+        # the warning points at the first caller outside this module, however
+        # many of its entry points lie between
+        level, frame = 1, sys._getframe()
+        while frame.f_code.co_filename == _gate.__code__.co_filename:
+            level, frame = level + 1, frame.f_back
+        warnings.warn(f"projecting a graph that is not {what}", stacklevel=level)
 
 
 def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
     """Stage one on a ribbonless h by Lemma 1, or None when the searches
     leave some generated edge without a witness V.
 
-    One walk search per survivor and first mark gives every survivor edge
+    One walk search per survivor i and first mark gives every survivor edge
     and every arrow from a survivor into C; the survivors in an(C) of the
-    closed graph are those that such arrows lead into C. A walk that only
-    bounces along parallel edges between its ends (i -> j <-> i <- j)
-    carries a signature the closure cannot generate, and such an edge has
-    no witness V.
+    closed graph are those that such arrows lead into C. A state is a node
+    and the mark the walk entered it with; leaving an inner node t is legal
+    through a collider when t is in C ∪ an(C), and otherwise when t is in M.
+    A walk that only bounces along parallel edges between its ends
+    (i -> j <-> i <- j) carries a signature the closure cannot generate, and
+    such an edge has no witness V.
+
+    Every single edge is a connecting walk, so `edges` starts from h's edges
+    between survivors, and the search is seeded only with the first states
+    the walk can leave. Dropping the others changes nothing: such a seed
+    carries the signature of an h edge, so a predecessor recorded for it
+    later reaches only an h edge's step, never a generated edge's; and a
+    state the walk cannot leave is popped without pushing anything, so the
+    depth-first order among the states it can leave is unchanged. The edges
+    and steps are read from the states a step reaches; every reached state,
+    seeds included, is tested for an arrow into C.
 
     The trace step for an edge generated between i and j is the V <i, t, j>
     closing the search's first walk to j, where t is the state that walk
@@ -205,29 +225,53 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
     there, so it is a single edge or passes a third node: a route that
     bounces from t through i back to t reaches no state that t's first
     visit did not."""
-    collider_set = spec.cond | h.ancestors(spec.cond)
-    edges, into_cond, steps = set(), set(), {}
+    marg, cond = spec.marg, spec.cond
+    collider_set = cond | h.ancestors(cond)
+    flows = h._flows
+    edges = {e for e in h.edges if e.a in survivors and e.b in survivors}
+    # h's own edges need no step
+    into_cond, steps = set(), dict.fromkeys(edges)
     for i in sorted(survivors):
         for first in (TAIL, HEAD):
-            reached = _walk(h, i, collider_set, spec.marg, first)
-            for (j, head), pred in reached.items():
-                if j in survivors and j != i:
-                    at_j = HEAD if head else TAIL
+            stack = [
+                (o, mo)
+                for o, mh, mo, _e in flows[i]
+                if mh == first and (o in marg or mo == HEAD and o in collider_set)
+            ]
+            if first == TAIL and any(mo == HEAD and o in cond for o, mo in stack):
+                into_cond.add(i)
+            reached = set(stack)
+            while stack:
+                t, t_mark = stack.pop()
+                tail_ok = t in marg
+                head_ok = t in collider_set if t_mark == HEAD else tail_ok
+                if not (head_ok or tail_ok):
+                    continue
+                for j, mh, at_j, _e in flows[t]:
+                    if not (head_ok if mh == HEAD else tail_ok):
+                        continue
+                    state = (j, at_j)
+                    if state in reached:
+                        continue
+                    reached.add(state)
+                    stack.append(state)
+                    if j not in survivors:
+                        if first == TAIL and at_j == HEAD and j in cond:
+                            into_cond.add(i)
+                        continue
+                    if j == i:
+                        continue
                     gen = signature_edge(first, at_j, i, j)
                     edges.add(gen)
-                    if pred is None or pred[0] == i or gen in steps:
+                    if t == i or gen in steps:
                         continue
-                    t, t_head = pred
                     # by the walk's step rule a node of M leaves through either
                     # mark, and any other node as a collider, through a head;
                     # a tail exit into j wins, being legal whenever t is in M
-                    exits = (f[:3] for f in h.flows(t))
-                    last = TAIL if t in spec.marg and (j, TAIL, at_j) in exits else HEAD
-                    prefix = _ROLE[HEAD if t_head else TAIL, first]
-                    roles = tuple(sorted((prefix, _ROLE[last, at_j])))
+                    exits = (f[:3] for f in flows[t])
+                    last = TAIL if tail_ok and (j, TAIL, at_j) in exits else HEAD
+                    roles = tuple(sorted((_ROLE[t_mark, first], _ROLE[last, at_j])))
                     steps[gen] = TraceStep(f"{_RULE_ID[roles]}", t, gen)
-                elif head and first == TAIL and j in spec.cond:
-                    into_cond.add(i)
     generated = sorted(edges - h.edges, key=edge_sort_key)
     if any(e not in steps for e in generated):
         return None
@@ -339,23 +383,27 @@ def sg_to_ag_traced(h: MixedGraph):
         return k in anc[n]
 
     current, trace = h, []
-    # step 2: collider Vs with an arc towards the endpoint the inner node
-    # leads to; `collider_vs` lists the arrow end first for a mixed V
+    # step 2: collider Vs o1 *-> k <-> o2 whose second edge is an arc towards
+    # the endpoint the inner node leads to, read per arc at k against every
+    # other head edge at k; an arc-arc V is taken once, smaller end first
     while True:
         candidates = []
-        for o1, e1, k, e2, o2 in collider_vs(current):
-            if e2.kind != ARC:
-                continue
-            if e1.kind == ARC:
-                if not (is_ancestor(k, o1) or is_ancestor(k, o2)):
+        for k, flows in current._flows.items():
+            heads = [(o, mo) for o, mh, mo, _e in flows if mh == HEAD]
+            for o2, m2 in heads:
+                if m2 != HEAD:
                     continue
-                gen = arc(o1, o2)
-            elif is_ancestor(k, o2):
-                gen = arrow(o1, o2)
-            else:
-                continue
-            if gen not in current.edges:
-                candidates.append((k, min(o1, o2), max(o1, o2), gen))
+                for o1, m1 in heads:
+                    if m1 == HEAD:
+                        if o1 >= o2 or not (is_ancestor(k, o1) or is_ancestor(k, o2)):
+                            continue
+                        gen = arc(o1, o2)
+                    elif o1 != o2 and is_ancestor(k, o2):
+                        gen = arrow(o1, o2)
+                    else:
+                        continue
+                    if gen not in current.edges:
+                        candidates.append((k, min(o1, o2), max(o1, o2), gen))
         if not candidates:
             break
         edges = set(current.edges)

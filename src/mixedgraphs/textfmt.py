@@ -229,11 +229,6 @@ def document_for(graph: MixedGraph, name: str = "", marg=(), cond=()) -> GraphDo
     return _checked_document(name, graph.nodes, tuple(graph.sorted_edges()), *marks)
 
 
-def graph_from_text(text: str) -> MixedGraph:
-    """Shorthand: parse and build the graph in one step."""
-    return parse_graph(text).graph()
-
-
 def document_to_json(doc: GraphDocument) -> str:
     """Canonical JSON rendering: {"name", "nodes", "edges", "marg", "cond"}
     with edges as {"kind", "a", "b"} objects, byte-stable across runs."""

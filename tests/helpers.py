@@ -14,6 +14,8 @@ from collections import defaultdict
 
 from mixedgraphs.core import (
     ARROW,
+    HEAD,
+    TAIL,
     MixedGraph,
     arc,
     arrow,
@@ -27,15 +29,21 @@ from mixedgraphs.independence import (
     IndependenceStatement,
     independence_model,
 )
-from mixedgraphs.msep import _walk, m_separated
-from mixedgraphs.project import NotAncestralGraph, ProjectionSpec, TraceStep
+from mixedgraphs.msep import m_separated
+from mixedgraphs.project import (
+    NotAncestralGraph,
+    ProjectionSpec,
+    TraceStep,
+    _ROLE,
+    _RULE_ID,
+)
 from mixedgraphs.witness import maximalize
 
 
 def mk(text):
-    from mixedgraphs.textfmt import graph_from_text
+    from mixedgraphs.textfmt import parse_graph
 
-    return graph_from_text(text)
+    return parse_graph(text).graph()
 
 
 def all_dags(labels):
@@ -437,6 +445,74 @@ def path_signatures(g, i, j, M, C):
         (_mark(edges[0], i), _mark(edges[-1], j))
         for _nodes, edges in connecting_paths(g, i, j, set(M), set(C))
     )
+
+
+def _walk(g: MixedGraph, source, collider_set, allowed, first_mark):
+    """Every state (node, arrived with a head) that an m-connecting walk out
+    of source reaches through a first edge carrying `first_mark` at the
+    source, as {state: predecessor}: the state whose step first reached it,
+    or None one edge from the source. Leaving an inner node t is legal
+    through a collider when t is in collider_set, and otherwise when t is in
+    allowed. The walk may re-enter the source as an inner node."""
+    flows = g._flows
+    reached = {}
+    stack = []
+    for o, mh, mo, _e in flows[source]:
+        if mh == first_mark:
+            state = (o, mo == HEAD)
+            if state not in reached:
+                reached[state] = None
+                stack.append(state)
+    while stack:
+        here = stack.pop()
+        t, arrived_head = here
+        tail_ok = t in allowed
+        head_ok = t in collider_set if arrived_head else tail_ok
+        if not (head_ok or tail_ok):
+            continue
+        for o, mh, mo, _e in flows[t]:
+            if head_ok if mh == HEAD else tail_ok:
+                state = (o, mo == HEAD)
+                if state not in reached:
+                    reached[state] = here
+                    stack.append(state)
+    return reached
+
+
+def signature_projection_oracle(h: MixedGraph, spec: ProjectionSpec, survivors):
+    """`project._signature_projection` by one full `_walk` search per
+    survivor and first mark, every state read: (projected graph, survivors
+    in an(C), trace steps), or None when some generated edge has no witness
+    V. The trace step of an edge is the V closing the first walk to it that
+    passes a third node."""
+    collider_set = spec.cond | h.ancestors(spec.cond)
+    edges, into_cond, steps = set(), set(), {}
+    for i in sorted(survivors):
+        for first in (TAIL, HEAD):
+            reached = _walk(h, i, collider_set, spec.marg, first)
+            for (j, head), pred in reached.items():
+                if j in survivors and j != i:
+                    at_j = HEAD if head else TAIL
+                    gen = signature_edge(first, at_j, i, j)
+                    edges.add(gen)
+                    if pred is None or pred[0] == i or gen in steps:
+                        continue
+                    t, t_head = pred
+                    # a node of M leaves through either mark, any other as a
+                    # collider through a head; a tail exit into j wins
+                    exits = (f[:3] for f in h.flows(t))
+                    last = TAIL if t in spec.marg and (j, TAIL, at_j) in exits else HEAD
+                    prefix = _ROLE[HEAD if t_head else TAIL, first]
+                    roles = tuple(sorted((prefix, _ROLE[last, at_j])))
+                    steps[gen] = TraceStep(f"{_RULE_ID[roles]}", t, gen)
+                elif head and first == TAIL and j in spec.cond:
+                    into_cond.add(i)
+    generated = sorted(edges - h.edges, key=edge_sort_key)
+    if any(e not in steps for e in generated):
+        return None
+    projected = MixedGraph(survivors, edges)
+    anc_c = into_cond | projected.ancestors(into_cond)
+    return projected, anc_c, [steps[e] for e in generated]
 
 
 def replay_trace(graph: MixedGraph, spec: ProjectionSpec, trace):

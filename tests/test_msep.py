@@ -9,7 +9,6 @@ from mixedgraphs.msep import (
     ConnectionQuery,
     NotDisjoint,
     OverlapError,
-    _walk,
     _walk_reach,
     connecting_path_exists,
     endpoint_identical_connection,
@@ -19,6 +18,7 @@ from mixedgraphs.msep import (
 from mixedgraphs.witness import _pip_edges
 
 from .helpers import (
+    _walk,
     all_mixed_graphs,
     connecting_paths,
     mk,

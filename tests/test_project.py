@@ -31,6 +31,7 @@ from mixedgraphs.project import (
     PROJECTORS,
     ProjectionSpec,
     SpecInvalid,
+    _signature_projection,
     project_ag,
     project_ag_traced,
     project_rg,
@@ -55,6 +56,7 @@ from .helpers import (
     replay_trace,
     rg_to_sg_oracle,
     sg_to_ag_oracle,
+    signature_projection_oracle,
 )
 
 
@@ -316,6 +318,29 @@ def test_forced_project_ag_warns_once_and_gates_nothing_it_built():
     ]
 
 
+def test_forced_warnings_point_at_the_caller():
+    # every entry point, traced or not, warns once about a forced input, at
+    # the line that called it
+    ribbon = mk("h -> i\nj -> i\ni -- k")
+    for f in (
+        project_rg,
+        project_sg,
+        project_ag,
+        project_rg_traced,
+        project_sg_traced,
+        project_ag_traced,
+        sg_to_ag,
+    ):
+        args = (ribbon,) if f is sg_to_ag else (ribbon, spec())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                f(*args, force=True)
+            except NotAncestralGraph:
+                pass
+        assert [w.filename for w in caught] == [__file__], f.__name__
+
+
 def test_project_ag_equals_composition():
     rng = random.Random(7)
     for _ in range(60):
@@ -575,6 +600,29 @@ def test_bouncing_walk_signature_is_not_projected():
     assert ("tail", "tail") not in endpoint_identical_connection(g, "b", "c", (), {"a"})
     want = mk("b <-> c\nb -> c\nc -> b")
     assert project_rg(g, s) == closure_pipeline(g, s)["rg"] == want
+
+
+def test_signature_projection_matches_the_full_walk_oracle():
+    # the Lemma-1 search, seeded only with the states a walk can leave,
+    # gives the graph, the survivors in an(C) and the trace steps (or the
+    # fallback) of one full predecessor walk per survivor and first mark
+    cases = [
+        (g, s)
+        for g in all_mixed_graphs(("a", "b", "c"), multi=True)
+        if g.is_ribbonless
+        for s in all_splits(g.nodes)
+    ]
+    rng = random.Random(31)
+    for k in range(2000):
+        g = (random_dag, random_rg)[k % 2](rng, rng.randint(4, 9))
+        cases.append((g, random_spec(rng, g)))
+    fallbacks = 0
+    for g, s in cases:
+        survivors = g.node_set - s.removed
+        want = signature_projection_oracle(g, s, survivors)
+        assert _signature_projection(g, s, survivors) == want, (g, s)
+        fallbacks += want is None
+    assert 0 < fallbacks < len(cases) // 100
 
 
 def test_signatures_are_the_closure_edges_on_every_three_node_multigraph():

@@ -25,7 +25,6 @@ from mixedgraphs.textfmt import (
     document_for,
     document_from_json,
     document_to_json,
-    graph_from_text,
     parse_graph,
     serialize_graph,
     to_dot,
@@ -143,7 +142,7 @@ def test_parse_serialize_parse_fixpoint():
 
 
 def test_document_round_trips_marks():
-    g = graph_from_text("a -> b")
+    g = parse_graph("a -> b").graph()
     doc = document_for(g, marg=("b",))
     assert parse_graph(serialize_graph(doc)) == doc
 
@@ -197,14 +196,14 @@ def test_repeated_json_edge_is_a_duplicate(edges, repeat):
 
 
 def test_to_dot_mentions_every_edge():
-    g = graph_from_text("a -> b\nb <-> c\nc -- a")
+    g = parse_graph("a -> b\nb <-> c\nc -- a").graph()
     dot = to_dot(g)
     assert '"a" -> "b";' in dot
     assert '[dir=both]' in dot and '[dir=none]' in dot
 
 
 def test_to_dot_quotes_a_name_that_is_no_dot_id():
-    g = graph_from_text("a -> b")
+    g = parse_graph("a -> b").graph()
     assert to_dot(g, "chain").startswith("digraph chain {\n")
     assert to_dot(g, "a-b").startswith('digraph "a-b" {\n')
     assert to_dot(g, "2nd").startswith('digraph "2nd" {\n')
@@ -234,7 +233,7 @@ def test_parse_errors_point_at_the_bad_token(text, lineno, col):
 
 
 def test_document_for_rejects_marks_outside_the_graph():
-    g = graph_from_text("a -> b")
+    g = parse_graph("a -> b").graph()
     with pytest.raises(UndeclaredNode, match="marg mark on undeclared node 'zz'"):
         document_for(g, marg={"zz"})
     with pytest.raises(UndeclaredNode, match="cond mark on undeclared node 'zz'"):
