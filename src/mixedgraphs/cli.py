@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .core import MixedGraphError, classify
 from .independence import (
+    MODEL_NODE_LIMIT,
     _check_ground,
     independence_model,
     marginalise_condition,
@@ -239,7 +240,10 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.add_argument(
-        "--limit", type=_model_limit, default=8, help="node-count enumeration bound"
+        "--limit",
+        type=_model_limit,
+        default=MODEL_NODE_LIMIT,
+        help="node-count enumeration bound",
     )
     p.set_defaults(func=_cmd_model)
 
@@ -248,7 +252,7 @@ def build_parser():
     p.add_argument("--marg")
     p.add_argument("--cond")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--limit", type=_model_limit, default=8)
+    p.add_argument("--limit", type=_model_limit, default=MODEL_NODE_LIMIT)
     p.set_defaults(func=_cmd_marginalise)
 
     p = sub.add_parser("dagify", help="DAG + roles that project back onto the input")

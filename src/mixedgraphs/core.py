@@ -10,6 +10,8 @@ every edge. Graphs the library builds from edges it made itself (closures,
 projections, subgraphs) go through the private `MixedGraph._trusted`, which
 skips those checks. Construction indexes only the parents, which ancestry and
 `cycle_nodes` read; every other adjacency query reads the walk index `_flows`.
+Ribbon detection pairs the head exits that `_flows` lists at each candidate
+inner node.
 """
 
 from __future__ import annotations
@@ -320,7 +322,7 @@ class MixedGraph:
         return hash((self._node_set, self._edges))
 
     def __repr__(self):
-        edges = ", ".join(e.render() for e in self.sorted_edges())
+        edges = ", ".join(e.render() for e in self._sorted_edges)
         return f"MixedGraph(nodes={list(self._nodes)}, edges=[{edges}])"
 
     def _check_node(self, node):
@@ -402,26 +404,6 @@ class MixedGraph:
         return _classify(self)
 
 
-def collider_vs(g: MixedGraph):
-    """All collider V-configurations as (h, edge1, inner, edge2, j).
-
-    Each unordered configuration is yielded once; for a mixed arrow/arc
-    collider the arrow endpoint is listed first.
-    """
-    for t in g.nodes:
-        head_edges = [e for (_o, mt, _mo, e) in g.flows(t) if mt == HEAD]
-        for e1, e2 in itertools.combinations(head_edges, 2):
-            o1, o2 = e1.other(t), e2.other(t)
-            if o1 == o2:
-                continue
-            # `_flows` lists arcs before arrows and, within one kind, the
-            # smaller other end first: only an arc/arrow V needs a swap
-            if e1.kind != e2.kind:
-                yield (o2, e2, t, e1, o1)
-            else:
-                yield (o1, e1, t, e2, o2)
-
-
 def _ribbon_reports(g: MixedGraph):
     # the inner nodes with a witness: they or a descendant touch a line or
     # lie on a direction-preserving cycle
@@ -430,11 +412,16 @@ def _ribbon_reports(g: MixedGraph):
         return []
     candidates = touching | g.ancestors(touching)
     reports = []
-    for h, e1, t, e2, j in collider_vs(g):
-        if t in candidates and (
-            signature_edge(e1.mark_at(h), e2.mark_at(j), h, j) not in g.edges
-        ):
-            reports.append(RibbonReport(h, t, j, *_ribbon_witness(g, t)))
+    for t in sorted(candidates):
+        # each collider V at t once, from its head exits in `_flows` order:
+        # arcs before arrows and, within one kind, the smaller other end
+        # first, so only an arc/arrow V is swapped to list the arrow's end first
+        heads = [(o, mo) for o, mt, mo, _e in g._flows[t] if mt == HEAD]
+        for (h, mh), (j, mj) in itertools.combinations(heads, 2):
+            if mh != mj:
+                h, mh, j, mj = j, mj, h, mh
+            if h != j and signature_edge(mh, mj, h, j) not in g.edges:
+                reports.append(RibbonReport(h, t, j, *_ribbon_witness(g, t)))
     return reports
 
 

@@ -40,6 +40,10 @@ from .msep import NotDisjoint, PathWitness, _paths, _walk_reach
 from .textfmt import ParseError, _json_field, _json_payload
 
 
+# The default node-count bound on model enumeration.
+MODEL_NODE_LIMIT = 8
+
+
 class TooLarge(MixedGraphError):
     pass
 
@@ -342,7 +346,9 @@ def _path_masks(path, bit):
     return co, sum(bit[v] for v in w.nodes[1:-1]) - co
 
 
-def independence_model(g: MixedGraph, limit: int = 8) -> IndependenceModel:
+def independence_model(
+    g: MixedGraph, limit: int = MODEL_NODE_LIMIT
+) -> IndependenceModel:
     """J_m(g): every triple <A,B|C> with A m-separated from B by C.
 
     The model is enumerated (`_enumerate`) when its statements are first

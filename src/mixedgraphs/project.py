@@ -9,13 +9,17 @@ an(C), taken in the closed graph, each round reading only the edges the round
 before generated; the ancestral stage resolves arcs whose endpoint is an
 ancestor of the other end. The class gates sit at the entry points
 (`project_rg`, `project_sg`, `project_ag`, their `_traced` forms, and
-`sg_to_ag`); the stages `rg_to_sg_traced` and `sg_to_ag_traced` do not
-check their input's class. No edge the ancestral stage adds changes who is
-an ancestor of whom, so it reads ancestry once, from its input: its
-collider step, which fires only on Vs whose second edge is an arc, pairs
-each arc at an inner node with the other heads there and runs to a
-fixpoint, and one pass over the arcs then turns each arc between an
-ancestor and its descendant into an arrow.
+`sg_to_ag`), each of which gates and then calls the ungated stages;
+`rg_to_sg_traced` and `sg_to_ag_traced` do not check their input's class.
+No edge the ancestral stage adds changes who is an ancestor of whom, so it
+reads ancestry once, from its input: its collider step, which fires only on
+Vs whose second edge is an arc, pairs each arc at an inner node with the
+other heads there and runs to a fixpoint, and one pass over the arcs then
+turns each arc between an ancestor and its descendant into an arrow.
+
+The two V-closures, Table 1 and the ancestral collider step, share one
+round loop (`_rounds`), and the two strip stages, the summary-graph strip
+and the ancestral arc step, share one replace step (`_replace`).
 
 On ribbonless inputs the first stage runs by Lemma 1: the closure joins two
 survivors by an edge with end marks (m_i, m_j) exactly when some
@@ -33,7 +37,6 @@ It is also the tests' oracle.
 from __future__ import annotations
 
 import itertools
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -139,6 +142,35 @@ _ROLE = {
 }
 
 
+def _rounds(current: MixedGraph, candidates):
+    """Apply V-rules round by round until a round adds no edge; returns
+    (graph, trace). `candidates(graph)` yields (rule, inner node, lower end,
+    upper end, edge) tuples; a round sorts those whose edge is not in the
+    graph yet and adds the first candidate for each new edge, with its step."""
+    trace = []
+    while True:
+        edges = current.edges
+        fresh = sorted(c for c in candidates(current) if c[4] not in edges)
+        if not fresh:
+            return current, trace
+        edges = set(edges)
+        for rule, t, _lo, _hi, gen in fresh:
+            if gen not in edges:
+                edges.add(gen)
+                trace.append(TraceStep(str(rule), t, gen))
+        current = MixedGraph._trusted(current.nodes, edges)
+
+
+def _replace(edges: set, trace: list, rule: str, old: Edge, new: Edge):
+    """Swap old for new in edges and trace the removal; returns new, or None
+    when new was there already."""
+    edges.discard(old)
+    generated = None if new in edges else new
+    edges.add(new)
+    trace.append(TraceStep(rule, None, generated, removed=old))
+    return generated
+
+
 def table1_closure(h: MixedGraph, spec: ProjectionSpec):
     """Least fixpoint of the ten V-rules; nodes are not removed yet.
 
@@ -149,47 +181,29 @@ def table1_closure(h: MixedGraph, spec: ProjectionSpec):
     ribbonless; on the others it is the oracle for the signature route.
     """
     spec.validate_for(h)
-    current, trace = h, []
-    while True:
-        enabler = spec.cond | current.ancestors(spec.cond)
-        candidates = []
-        for t in current.nodes:
-            t_marg = t in spec.marg
-            t_enab = t in enabler
+    marg, cond = spec.marg, spec.cond
+
+    def candidates(current):
+        enabler = cond | current.ancestors(cond)
+        for t, flows in current._flows.items():
+            t_marg, t_enab = t in marg, t in enabler
             if not (t_marg or t_enab):
                 continue
-            for (i, at_t1, at_i, _e1), (j, at_t2, at_j, _e2) in itertools.combinations(
-                current.flows(t), 2
-            ):
-                if i == j:
-                    continue
-                roles = sorted((_ROLE[at_t1, at_i], _ROLE[at_t2, at_j]))
-                rule = _RULE_ID[tuple(roles)]
-                if not (t_enab if rule >= 8 else t_marg):
-                    continue
-                gen = signature_edge(at_i, at_j, i, j)
-                if gen not in current.edges:
-                    candidates.append((rule, t, min(i, j), max(i, j), gen))
-        if not candidates:
-            return current, trace
-        edges = set(current.edges)
-        for rule, t, _lo, _hi, gen in sorted(candidates):
-            if gen not in edges:
-                edges.add(gen)
-                trace.append(TraceStep(f"{rule}", t, gen))
-        current = MixedGraph._trusted(current.nodes, edges)
+            for (i, m1, at_i, _), (j, m2, at_j, _) in itertools.combinations(flows, 2):
+                rule = _RULE_ID[tuple(sorted((_ROLE[m1, at_i], _ROLE[m2, at_j])))]
+                if i != j and (t_enab if rule >= 8 else t_marg):
+                    yield rule, t, *sorted((i, j)), signature_edge(at_i, at_j, i, j)
+
+    return _rounds(h, candidates)
 
 
 def _gate(h, tag, exc, what, force):
+    """Raise exc when h lacks the class tag; forced, warn at the line that
+    called the entry point, which calls this directly."""
     if tag not in h.class_tags:
         if not force:
             raise exc(f"input graph is not {what}")
-        # the warning points at the first caller outside this module, however
-        # many of its entry points lie between
-        level, frame = 1, sys._getframe()
-        while frame.f_code.co_filename == _gate.__code__.co_filename:
-            level, frame = level + 1, frame.f_back
-        warnings.warn(f"projecting a graph that is not {what}", stacklevel=level)
+        warnings.warn(f"projecting a graph that is not {what}", stacklevel=3)
 
 
 def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
@@ -212,8 +226,9 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
     later reaches only an h edge's step, never a generated edge's; and a
     state the walk cannot leave is popped without pushing anything, so the
     depth-first order among the states it can leave is unchanged. The edges
-    and steps are read from the states a step reaches; every reached state,
-    seeds included, is tested for an arrow into C.
+    and steps are read from the states a step reaches; every popped state is
+    tested for an arrow into C, since every seed and every reached state is
+    pushed once and popped once, and no node of C survives.
 
     The trace step for an edge generated between i and j is the V <i, t, j>
     closing the search's first walk to j, where t is the state that walk
@@ -238,11 +253,11 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
                 for o, mh, mo, _e in flows[i]
                 if mh == first and (o in marg or mo == HEAD and o in collider_set)
             ]
-            if first == TAIL and any(mo == HEAD and o in cond for o, mo in stack):
-                into_cond.add(i)
             reached = set(stack)
             while stack:
                 t, t_mark = stack.pop()
+                if first == TAIL and t_mark == HEAD and t in cond:
+                    into_cond.add(i)
                 tail_ok = t in marg
                 head_ok = t in collider_set if t_mark == HEAD else tail_ok
                 if not (head_ok or tail_ok):
@@ -255,11 +270,7 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
                         continue
                     reached.add(state)
                     stack.append(state)
-                    if j not in survivors:
-                        if first == TAIL and at_j == HEAD and j in cond:
-                            into_cond.add(i)
-                        continue
-                    if j == i:
+                    if j == i or j not in survivors:
                         continue
                     gen = signature_edge(first, at_j, i, j)
                     edges.add(gen)
@@ -306,7 +317,8 @@ def project_rg_traced(h: MixedGraph, spec: ProjectionSpec, force: bool = False):
 def project_rg(h: MixedGraph, spec: ProjectionSpec, force: bool = False) -> MixedGraph:
     """Generate the ribbonless graph representing h after marginalisation
     over spec.marg and conditioning on spec.cond."""
-    return project_rg_traced(h, spec, force)[0]
+    _gate(h, "RG", NotRibbonless, "ribbonless", force)
+    return _generate(h, spec)[0]
 
 
 def rg_to_sg_traced(h: MixedGraph, anc_c):
@@ -326,14 +338,8 @@ def rg_to_sg_traced(h: MixedGraph, anc_c):
                 replacement = arrow(source, e.other(source))
             else:
                 continue
-            edges.discard(e)
-            generated = None
-            if replacement not in edges:
-                edges.add(replacement)
-                generated = replacement
-                new.append(replacement)
-            trace.append(TraceStep("sg-step-2", None, generated, removed=e))
-        fresh = sorted(new, key=edge_sort_key)
+            new.append(_replace(edges, trace, "sg-step-2", e, replacement))
+        fresh = sorted(filter(None, new), key=edge_sort_key)
     return MixedGraph._trusted(h.nodes, edges), trace
 
 
@@ -361,7 +367,8 @@ def project_sg(h: MixedGraph, spec: ProjectionSpec, force: bool = False) -> Mixe
     """Generate the summary graph for h after marginalisation/conditioning:
     the V-rule closure, node removal, then arrowhead stripping on the
     surviving part of an(C) (an(C) taken in the post-closure graph)."""
-    return project_sg_traced(h, spec, force)[0]
+    _gate(h, "SG", NotSummaryGraph, "a summary graph", force)
+    return _project_sg_pipeline(h, spec)[0]
 
 
 def sg_to_ag_traced(h: MixedGraph):
@@ -382,12 +389,10 @@ def sg_to_ag_traced(h: MixedGraph):
             anc[n] = h.ancestors((n,))
         return k in anc[n]
 
-    current, trace = h, []
     # step 2: collider Vs o1 *-> k <-> o2 whose second edge is an arc towards
     # the endpoint the inner node leads to, read per arc at k against every
     # other head edge at k; an arc-arc V is taken once, smaller end first
-    while True:
-        candidates = []
+    def candidates(current):
         for k, flows in current._flows.items():
             heads = [(o, mo) for o, mh, mo, _e in flows if mh == HEAD]
             for o2, m2 in heads:
@@ -402,33 +407,18 @@ def sg_to_ag_traced(h: MixedGraph):
                         gen = arrow(o1, o2)
                     else:
                         continue
-                    if gen not in current.edges:
-                        candidates.append((k, min(o1, o2), max(o1, o2), gen))
-        if not candidates:
-            break
-        edges = set(current.edges)
-        for k, _lo, _hi, gen in sorted(candidates):
-            if gen not in edges:
-                edges.add(gen)
-                trace.append(TraceStep("ag-step-2", k, gen))
-        current = MixedGraph._trusted(h.nodes, edges)
+                    yield "ag-step-2", k, min(o1, o2), max(o1, o2), gen
+
+    current, trace = _rounds(h, candidates)
     # step 3: arcs with one endpoint an ancestor of the other become arrows
     edges = set(current.edges)
-    for e in current.sorted_edges():
+    for e in current._sorted_edges:
         if e.kind != ARC:
             continue
         if is_ancestor(e.a, e.b):
-            repl = arrow(e.a, e.b)
+            _replace(edges, trace, "ag-step-3", e, arrow(e.a, e.b))
         elif is_ancestor(e.b, e.a):
-            repl = arrow(e.b, e.a)
-        else:
-            continue
-        edges.discard(e)
-        generated = None
-        if repl not in edges:
-            edges.add(repl)
-            generated = repl
-        trace.append(TraceStep("ag-step-3", None, generated, removed=e))
+            _replace(edges, trace, "ag-step-3", e, arrow(e.b, e.a))
     result = MixedGraph._trusted(h.nodes, edges)
     if "AG" not in result.class_tags:
         raise NotAncestralGraph(
@@ -454,7 +444,8 @@ def project_ag_traced(h: MixedGraph, spec: ProjectionSpec, force: bool = False):
 def project_ag(h: MixedGraph, spec: ProjectionSpec, force: bool = False) -> MixedGraph:
     """Generate the ancestral graph for h after marginalisation/conditioning
     (the summary-graph stage followed by the ancestral closure)."""
-    return project_ag_traced(h, spec, force)[0]
+    _gate(h, "AG", NotAncestralGraph, "an ancestral graph", force)
+    return sg_to_ag_traced(_project_sg_pipeline(h, spec)[0])[0]
 
 
 PROJECTORS = {"rg": project_rg, "sg": project_sg, "ag": project_ag}

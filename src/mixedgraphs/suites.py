@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 
 from .core import MixedGraph, MixedGraphError
 from .generators import random_spec
-from .independence import independence_model, marginalise_condition, model_diff, model_equal
+from .independence import (
+    MODEL_NODE_LIMIT,
+    independence_model,
+    marginalise_condition,
+    model_diff,
+    model_equal,
+)
 from .msep import endpoint_identical_connection, signature_edges
 from .project import (
     PROJECTORS,
@@ -26,8 +32,6 @@ from .project import (
 )
 from .textfmt import document_for, serialize_graph
 from .witness import _separates_every_pair, is_maximal, maximalize
-
-MODEL_NODE_LIMIT = 8
 
 
 class UnsuitableGraph(MixedGraphError):
@@ -80,10 +84,16 @@ def _require(condition, message):
         raise UnsuitableGraph(message)
 
 
+def _require_small(g, suite):
+    _require(
+        len(g.nodes) <= MODEL_NODE_LIMIT, f"{suite} needs <= {MODEL_NODE_LIMIT} nodes"
+    )
+
+
 def stability_suite(g: MixedGraph, seeds: int = 20) -> SuiteResult:
     """Projected graphs must induce the marginalised/conditioned model."""
     result = SuiteResult("stability")
-    _require(len(g.nodes) <= MODEL_NODE_LIMIT, "stability needs <= 8 nodes")
+    _require_small(g, "stability")
     projectors = _applicable_projectors(g)
     _require(projectors, "stability needs a ribbonless input")
     base_model = independence_model(g)
@@ -139,7 +149,7 @@ def correspondence_suite(g: MixedGraph, seeds: int = 20) -> SuiteResult:
     """The RG, SG, and AG projections of a DAG induce the same model."""
     result = SuiteResult("correspondence")
     _require("DAG" in g.class_tags, "correspondence needs a DAG input")
-    _require(len(g.nodes) <= MODEL_NODE_LIMIT, "correspondence needs <= 8 nodes")
+    _require_small(g, "correspondence")
     for k in range(seeds):
         rng = _rng(k)
         spec = random_spec(rng, g)
@@ -205,7 +215,7 @@ def maximality_suite(g: MixedGraph, seeds: int = 0) -> SuiteResult:
     its literal verdict is g's, so no model is enumerated."""
     result = SuiteResult("maximality")
     _require("RG" in g.class_tags, "maximality needs a ribbonless input")
-    _require(len(g.nodes) <= MODEL_NODE_LIMIT, "maximality needs <= 8 nodes")
+    _require_small(g, "maximality")
     pip_maximal = is_maximal(g)
     literal = _separates_every_pair(g)
     result.checked += 1

@@ -226,7 +226,7 @@ def document_for(graph: MixedGraph, name: str = "", marg=(), cond=()) -> GraphDo
             if n not in graph.node_set:
                 raise UndeclaredNode(f"{role} mark on undeclared node {n!r}", 0)
         marks.append(tuple(sorted(set(names))))
-    return _checked_document(name, graph.nodes, tuple(graph.sorted_edges()), *marks)
+    return _checked_document(name, graph.nodes, graph._sorted_edges, *marks)
 
 
 def document_to_json(doc: GraphDocument) -> str:
@@ -316,7 +316,7 @@ def to_dot(graph: MixedGraph, name: str = "G") -> str:
     out = [f"digraph {_dot_id(name or 'G')} {{"]
     for n in graph.nodes:
         out.append(f'  "{n}";')
-    for e in graph.sorted_edges():
+    for e in graph._sorted_edges:
         if e.kind == ARROW:
             out.append(f'  "{e.a}" -> "{e.b}";')
         elif e.kind == ARC:

@@ -38,7 +38,7 @@ from .core import (
     signature_edge,
 )
 from .core import MixedGraphError
-from .independence import TooLarge, _bits, _connections
+from .independence import MODEL_NODE_LIMIT, TooLarge, _bits, _connections
 from .msep import _walk_reach
 from .project import NotRibbonless, ProjectionSpec
 
@@ -184,7 +184,7 @@ def is_maximal(g: MixedGraph) -> bool:
     return next(_pip_edges(g), None) is None
 
 
-def is_maximal_literal(g: MixedGraph, limit: int = 8) -> bool:
+def is_maximal_literal(g: MixedGraph, limit: int = MODEL_NODE_LIMIT) -> bool:
     """Direct check: every non-adjacent pair admits some separating set.
     Raises `TooLarge` above `limit` nodes, as `independence_model` does."""
     n = len(g.nodes)

@@ -611,6 +611,44 @@ def rg_to_sg_oracle(g: MixedGraph, anc_c):
     return MixedGraph(g.nodes, edges)
 
 
+def table1_closure_oracle(h: MixedGraph, spec: ProjectionSpec):
+    """The V-rule closure as its own round loop, kept from before the closure
+    shared one with the AG collider step: each round rescans every V of the
+    graph the round before built, sorts the candidates by (rule id, inner
+    node, endpoints, edge), and adds the first for each new edge with its
+    trace step. Returns (closed graph, trace)."""
+    spec.validate_for(h)
+    current, trace = h, []
+    while True:
+        enabler = spec.cond | current.ancestors(spec.cond)
+        candidates = []
+        for t in current.nodes:
+            t_marg = t in spec.marg
+            t_enab = t in enabler
+            if not (t_marg or t_enab):
+                continue
+            for (i, at_t1, at_i, _e1), (j, at_t2, at_j, _e2) in itertools.combinations(
+                current.flows(t), 2
+            ):
+                if i == j:
+                    continue
+                roles = sorted((_ROLE[at_t1, at_i], _ROLE[at_t2, at_j]))
+                rule = _RULE_ID[tuple(roles)]
+                if not (t_enab if rule >= 8 else t_marg):
+                    continue
+                gen = signature_edge(at_i, at_j, i, j)
+                if gen not in current.edges:
+                    candidates.append((rule, t, min(i, j), max(i, j), gen))
+        if not candidates:
+            return current, trace
+        edges = set(current.edges)
+        for rule, t, _lo, _hi, gen in sorted(candidates):
+            if gen not in edges:
+                edges.add(gen)
+                trace.append(TraceStep(f"{rule}", t, gen))
+        current = MixedGraph._trusted(current.nodes, edges)
+
+
 def sg_to_ag_oracle(h: MixedGraph):
     """The ancestral closure as a literal loop: ancestry recomputed from the
     edge set after every edge added; step 2 in rounds to its fixpoint;

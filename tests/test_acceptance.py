@@ -248,7 +248,7 @@ def test_criterion_8_dag_nonstability_certificate():
     report(
         8,
         "PASS non-stability certified; <=4-node sweep provably empty, smallest "
-        "certificate has 5 nodes (fixture emitted)",
+        "certificate has 5 nodes (checked against the fixture)",
     )
 
 

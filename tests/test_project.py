@@ -57,6 +57,7 @@ from .helpers import (
     rg_to_sg_oracle,
     sg_to_ag_oracle,
     signature_projection_oracle,
+    table1_closure_oracle,
 )
 
 
@@ -579,7 +580,7 @@ def test_trusted_graphs_equal_validated_ones(monkeypatch):
     for _name, test in selected:
         test()
     assert callers == {
-        "table1_closure",
+        "_rounds",
         "_signature_projection",
         "induced_subgraph",
         "rg_to_sg_traced",
@@ -623,6 +624,31 @@ def test_signature_projection_matches_the_full_walk_oracle():
         assert _signature_projection(g, s, survivors) == want, (g, s)
         fallbacks += want is None
     assert 0 < fallbacks < len(cases) // 100
+
+
+def test_closure_rounds_match_the_round_loop_oracle():
+    # the shared round loop gives the closed graph and the rendered trace of
+    # the closure's own loop, on every three-node multigraph under four
+    # seeded (M, C) splits and on random LMGs, ribbonless or not
+    rng = random.Random(37)
+    cases = []
+    for g in all_mixed_graphs(("a", "b", "c"), multi=True):
+        splits = list(all_splits(g.nodes))
+        cases.extend((g, s) for s in rng.sample(splits, 4))
+    ribbonless = 0
+    for _ in range(1200):
+        g = random_lmg(rng, rng.randint(4, 9), p=rng.uniform(0.03, 0.25))
+        cases.append((g, random_spec(rng, g)))
+        ribbonless += g.is_ribbonless
+    assert 0 < ribbonless < 1200
+    fired = set()
+    for g, s in cases:
+        closed, trace = table1_closure(g, s)
+        want, want_trace = table1_closure_oracle(g, s)
+        assert closed == want, (g, s)
+        assert render_trace(trace) == render_trace(want_trace), (g, s)
+        fired.update(step.rule for step in trace)
+    assert fired == {str(rule) for rule in range(1, 11)}
 
 
 def test_signatures_are_the_closure_edges_on_every_three_node_multigraph():
