@@ -73,22 +73,16 @@ def _csv(value):
 
 
 def _spec_from(args, doc):
-    marg = set(doc.marg)
-    cond = set(doc.cond)
-    flag_marg = set(_csv(args.marg)) if args.marg else None
-    flag_cond = set(_csv(args.cond)) if args.cond else None
-    if (flag_marg is not None or flag_cond is not None) and (marg or cond):
+    """The file's marks, unless a flag names nodes: then the flags alone,
+    with a warning when the file had marks."""
+    if not (args.marg or args.cond):
+        return ProjectionSpec(doc.marg, doc.cond)
+    if doc.marg or doc.cond:
         print("warning: command-line roles override file marks", file=sys.stderr)
-        marg, cond = set(), set()
-    if flag_marg is not None:
-        marg = flag_marg
-    if flag_cond is not None:
-        cond = flag_cond
-    return ProjectionSpec(marg, cond)
+    return ProjectionSpec(_csv(args.marg or ""), _csv(args.cond or ""))
 
 
-def _cmd_validate(args):
-    doc = _load(args.file)
+def _cmd_validate(doc, args):
     tags = sorted(classify(doc.graph()))
     print(" ".join(tags))
     if args.require and args.require.upper() not in tags:
@@ -105,23 +99,20 @@ def _emit_graph(doc, args):
         sys.stdout.write(serialize_graph(doc))
 
 
-def _cmd_project(args):
-    doc = _load(args.file)
-    graph = doc.graph()
+def _cmd_project(doc, args):
     spec = _spec_from(args, doc)
-    projected, trace = PROJECTORS_TRACED[args.type](graph, spec, force=args.force)
+    projected, trace = PROJECTORS_TRACED[args.type](doc.graph(), spec, force=args.force)
     if args.trace:
         sys.stderr.write(render_trace(trace))
     _emit_graph(document_for(projected, name=doc.name), args)
     return 0
 
 
-def _cmd_msep(args):
-    doc = _load(args.file)
+def _cmd_msep(doc, args):
     graph = doc.graph()
     A = frozenset(_csv(args.A))
     B = frozenset(_csv(args.B))
-    C = frozenset(_csv(args.C)) if args.C else frozenset()
+    C = frozenset(_csv(args.C))
     separated = m_separated(graph, A, B, C)
     print("separated" if separated else "connected")
     if not separated and args.witness:
@@ -136,15 +127,13 @@ def _cmd_msep(args):
     return 0 if separated else 1
 
 
-def _cmd_model(args):
-    doc = _load(args.file)
+def _cmd_model(doc, args):
     model = independence_model(doc.graph(), limit=args.limit)
     _emit_model(model, args.json)
     return 0
 
 
-def _cmd_marginalise(args):
-    doc = _load(args.file)
+def _cmd_marginalise(doc, args):
     graph = doc.graph()
     spec = _spec_from(args, doc)
     _check_ground(graph.node_set, spec.marg, spec.cond)
@@ -163,8 +152,7 @@ def _emit_model(model, as_json):
             print(statement.render())
 
 
-def _cmd_dagify(args):
-    doc = _load(args.file)
+def _cmd_dagify(doc, args):
     result = dagify(doc.graph())
     _emit_graph(
         document_for(result.dag, name=doc.name, marg=result.marg, cond=result.cond),
@@ -173,15 +161,13 @@ def _cmd_dagify(args):
     return 0
 
 
-def _cmd_maximalize(args):
-    doc = _load(args.file)
+def _cmd_maximalize(doc, args):
     maximal = maximalize(doc.graph())
     _emit_graph(document_for(maximal, name=doc.name), args)
     return 0
 
 
-def _cmd_check(args):
-    doc = _load(args.file)
+def _cmd_check(doc, args):
     result = SUITES[args.suite](doc.graph(), seeds=args.seeds)
     print(result.summary())
     for failure in result.failures:
@@ -204,18 +190,22 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="print class tags of a graph file")
-    p.add_argument("file")
+    def command(name, func, help):
+        """The subcommand `name`, which runs `func` on its one graph file."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("file")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("validate", _cmd_validate, "print class tags of a graph file")
     p.add_argument(
         "--class",
         dest="require",
         choices=["rg", "sg", "ag", "dag", "ug", "bg"],
         help="exit 1 unless the graph is in this class",
     )
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("project", help="project a graph over marg/cond sets")
-    p.add_argument("file")
+    p = command("project", _cmd_project, "project a graph over marg/cond sets")
     p.add_argument("--type", required=True, choices=list(PROJECTORS_TRACED))
     p.add_argument("--marg", help="comma-separated marginalised nodes")
     p.add_argument("--cond", help="comma-separated conditioned nodes")
@@ -226,18 +216,14 @@ def build_parser():
     )
     p.add_argument("--force", action="store_true", help="skip the class gate")
     _add_graph_format(p)
-    p.set_defaults(func=_cmd_project)
 
-    p = sub.add_parser("msep", help="m-separation query")
-    p.add_argument("file")
+    p = command("msep", _cmd_msep, "m-separation query")
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
     p.add_argument("--C", default="")
     p.add_argument("--witness", action="store_true", help="print one connecting path")
-    p.set_defaults(func=_cmd_msep)
 
-    p = sub.add_parser("model", help="enumerate the induced independence model")
-    p.add_argument("file")
+    p = command("model", _cmd_model, "enumerate the induced independence model")
     p.add_argument("--json", action="store_true")
     p.add_argument(
         "--limit",
@@ -245,35 +231,26 @@ def build_parser():
         default=MODEL_NODE_LIMIT,
         help="node-count enumeration bound",
     )
-    p.set_defaults(func=_cmd_model)
 
-    p = sub.add_parser("marginalise", help="marginalise/condition the induced model")
-    p.add_argument("file")
+    p = command(
+        "marginalise", _cmd_marginalise, "marginalise/condition the induced model"
+    )
     p.add_argument("--marg")
     p.add_argument("--cond")
     p.add_argument("--json", action="store_true")
     p.add_argument("--limit", type=_model_limit, default=MODEL_NODE_LIMIT)
-    p.set_defaults(func=_cmd_marginalise)
 
-    p = sub.add_parser("dagify", help="DAG + roles that project back onto the input")
-    p.add_argument("file")
+    p = command("dagify", _cmd_dagify, "DAG + roles that project back onto the input")
     _add_graph_format(p)
-    p.set_defaults(func=_cmd_dagify)
 
-    p = sub.add_parser("maximalize", help="insert edges until the graph is maximal")
-    p.add_argument("file")
-    _add_graph_format(p)
-    p.set_defaults(func=_cmd_maximalize)
-
-    p = sub.add_parser("check", help="run a property suite rooted at the graph")
-    p.add_argument("file")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=list(SUITES),
+    p = command(
+        "maximalize", _cmd_maximalize, "insert edges until the graph is maximal"
     )
+    _add_graph_format(p)
+
+    p = command("check", _cmd_check, "run a property suite rooted at the graph")
+    p.add_argument("--suite", required=True, choices=list(SUITES))
     p.add_argument("--seeds", type=_non_negative, default=20)
-    p.set_defaults(func=_cmd_check)
 
     return parser
 
@@ -281,7 +258,7 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_load(args.file), args)
     except MixedGraphError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

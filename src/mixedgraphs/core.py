@@ -362,6 +362,7 @@ class MixedGraph:
         return [e for o, _mh, _mo, e in self._flows[i] if o == j]
 
     def flows(self, node) -> tuple:
+        self._check_node(node)
         return self._flows[node]
 
     def ancestors(self, targets) -> frozenset:

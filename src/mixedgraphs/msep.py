@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import HEAD, TAIL, MixedGraph, MixedGraphError, signature_edge
+from .core import ARROW, EDGE_TOKEN, HEAD, TAIL, MixedGraph, MixedGraphError
+from .core import signature_edge
 
 
 class NotDisjoint(MixedGraphError):
@@ -77,12 +78,8 @@ class PathWitness:
     def render(self):
         parts = []
         for u, e in zip(self.nodes, self.edges):
-            if e.kind == "arrow":
-                token = "->" if e.a == u else "<-"
-            elif e.kind == "arc":
-                token = "<->"
-            else:
-                token = "--"
+            # only an arrow walked from its head end reads backwards
+            token = "<-" if e.kind == ARROW and e.b == u else EDGE_TOKEN[e.kind]
             parts.extend((u, token))
         parts.append(self.nodes[-1])
         return " ".join(parts)

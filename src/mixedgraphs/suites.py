@@ -22,14 +22,7 @@ from .independence import (
     model_equal,
 )
 from .msep import endpoint_identical_connection, signature_edges
-from .project import (
-    PROJECTORS,
-    ProjectionSpec,
-    project_ag,
-    project_rg,
-    project_sg,
-    table1_closure,
-)
+from .project import PROJECTORS, ProjectionSpec, project_rg, table1_closure
 from .textfmt import document_for, serialize_graph
 from .witness import _separates_every_pair, is_maximal, maximalize
 
@@ -48,19 +41,10 @@ class SuiteResult:
     def ok(self):
         return not self.failures
 
-    def fail(self, message, graph=None, spec=None):
-        parts = [message]
-        if graph is not None:
-            parts.append(
-                serialize_graph(
-                    document_for(
-                        graph,
-                        marg=spec.marg if spec else (),
-                        cond=spec.cond if spec else (),
-                    )
-                ).rstrip()
-            )
-        self.failures.append("\n".join(parts))
+    def fail(self, message, graph, spec=ProjectionSpec()):
+        """Record a counterexample: the message, then the graph's reproducer."""
+        doc = document_for(graph, marg=spec.marg, cond=spec.cond)
+        self.failures.append(f"{message}\n{serialize_graph(doc).rstrip()}")
 
     def summary(self):
         status = "ok" if self.ok else f"{len(self.failures)} counterexamples"
@@ -72,11 +56,9 @@ def _rng(k):
 
 
 def _applicable_projectors(g: MixedGraph):
-    out = []
-    for name, tag in (("rg", "RG"), ("sg", "SG"), ("ag", "AG")):
-        if tag in g.class_tags:
-            out.append((name, PROJECTORS[name]))
-    return out
+    """The projectors into the classes g is in: each projector is named
+    after the class it maps into."""
+    return [(name, p) for name, p in PROJECTORS.items() if name.upper() in g.class_tags]
 
 
 def _require(condition, message):
@@ -153,19 +135,9 @@ def correspondence_suite(g: MixedGraph, seeds: int = 20) -> SuiteResult:
     for k in range(seeds):
         rng = _rng(k)
         spec = random_spec(rng, g)
-        models = {
-            name: independence_model(projector(g, spec))
-            for name, projector in (
-                ("rg", project_rg),
-                ("sg", project_sg),
-                ("ag", project_ag),
-            )
-        }
+        first, *rest = [independence_model(p(g, spec)) for p in PROJECTORS.values()]
         result.checked += 1
-        if not (
-            model_equal(models["rg"], models["sg"])
-            and model_equal(models["rg"], models["ag"])
-        ):
+        if not all(model_equal(first, model) for model in rest):
             result.fail("projections induce different models", g, spec)
     return result
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 from .core import (
     ARC,
     ARROW,
+    EDGE_TOKEN,
     KIND_RANK,
     LINE,
     _LABEL_RE,
@@ -44,7 +45,7 @@ from .core import (
 )
 
 # edge tokens by the rank of their kind, the first field of an edge's sort key
-_TOKEN_RANK = {"--": KIND_RANK[LINE], "<->": KIND_RANK[ARC], "->": KIND_RANK[ARROW]}
+_TOKEN_RANK = {EDGE_TOKEN[kind]: rank for kind, rank in KIND_RANK.items()}
 _RANK_KIND = {rank: kind for kind, rank in KIND_RANK.items()}
 _ARROW_RANK = KIND_RANK[ARROW]
 _DIRECTIVES = ("nodes", "marg", "cond")
@@ -311,17 +312,15 @@ def _dot_id(name):
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+_DOT_ATTRS = {ARROW: "", ARC: " [dir=both]", LINE: " [dir=none]"}
+
+
 def to_dot(graph: MixedGraph, name: str = "G") -> str:
     """Export-only DOT rendering (arrows directed, arcs dir=both, lines plain)."""
     out = [f"digraph {_dot_id(name or 'G')} {{"]
     for n in graph.nodes:
         out.append(f'  "{n}";')
     for e in graph._sorted_edges:
-        if e.kind == ARROW:
-            out.append(f'  "{e.a}" -> "{e.b}";')
-        elif e.kind == ARC:
-            out.append(f'  "{e.a}" -> "{e.b}" [dir=both];')
-        else:
-            out.append(f'  "{e.a}" -> "{e.b}" [dir=none];')
+        out.append(f'  "{e.a}" -> "{e.b}"{_DOT_ATTRS[e.kind]};')
     out.append("}")
     return "\n".join(out) + "\n"

@@ -113,7 +113,15 @@ def dagify(h: MixedGraph) -> DagifyResult:
     origin = {}
     marg = set()
     cond = set()
-    extra_nodes = []
+
+    def fresh(names, role, why):
+        """Draw the next name of a role, add it to the role's set and record
+        its origin."""
+        n = next(names)
+        role.add(n)
+        origin[n] = why
+        return n
+
     # Cutting t -> head adds only a sink c and a source m, so it puts no
     # other arrow on a cycle. Cutting the smallest arrow still on a cycle,
     # again and again, therefore cuts in increasing order: one sorted pass
@@ -129,28 +137,18 @@ def dagify(h: MixedGraph) -> DagifyResult:
         cyclic = _cyclic(parents)
         parents = {n: parents[n] & cyclic for n in cyclic}
         arrows.discard((t, head))
-        c = next(cond_names)
-        m = next(marg_names)
-        extra_nodes.extend((c, m))
-        cond.add(c)
-        marg.add(m)
-        origin[c] = ("cycle-arrow", arrow(t, head))
-        origin[m] = ("cycle-arrow", arrow(t, head))
+        why = ("cycle-arrow", arrow(t, head))
+        c = fresh(cond_names, cond, why)
+        m = fresh(marg_names, marg, why)
         arrows.update({(t, c), (m, c), (m, head)})
     for e in sorted((e for e in h.edges if e.kind == ARC), key=edge_sort_key):
-        m = next(marg_names)
-        extra_nodes.append(m)
-        marg.add(m)
-        origin[m] = ("arc", e)
+        m = fresh(marg_names, marg, ("arc", e))
         arrows.update({(m, e.a), (m, e.b)})
     for e in sorted((e for e in h.edges if e.kind == LINE), key=edge_sort_key):
-        c = next(cond_names)
-        extra_nodes.append(c)
-        cond.add(c)
-        origin[c] = ("line", e)
+        c = fresh(cond_names, cond, ("line", e))
         arrows.update({(e.a, c), (e.b, c)})
     dag = MixedGraph._trusted(
-        list(h.nodes) + extra_nodes, [arrow(t, head) for t, head in arrows]
+        h.node_set | origin.keys(), [arrow(t, head) for t, head in arrows]
     )
     if dag.cycle_nodes:
         raise AssertionError("dagify produced a cyclic graph")

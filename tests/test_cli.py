@@ -388,6 +388,15 @@ def test_flags_override_file_marks_with_warning(tmp_path, capsys):
     code, out, err = run(capsys, "project", f, "--type", "rg")
     assert (code, err) == (0, "")
     assert out == "nodes: 2 3\n2 -- 3\n3 -> 2\n"
+    # a flag replaces both file marks, and an empty flag names no node
+    g = tmp_path / "roles.mg"
+    g.write_text("a -> m\nm -> b\nb -> c\nmarg: m\ncond: c\n", encoding="utf-8")
+    code, out, err = run(capsys, "project", g, "--type", "rg", "--cond", "c")
+    assert code == 0 and "override" in err
+    assert out == "nodes: a b m\na -> m\nm -> b\n"
+    code, out, err = run(capsys, "project", g, "--type", "rg", "--marg", "")
+    assert (code, err) == (0, "")
+    assert out == "nodes: a b\na -> b\n"
 
 
 def test_forced_ag_projection_failure_is_a_domain_error(tmp_path):

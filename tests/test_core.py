@@ -101,6 +101,23 @@ def test_unknown_node_query():
         mk("a -> b").parents("z")
 
 
+@pytest.mark.parametrize(
+    "accessor, args",
+    [
+        ("parents", ("zz",)),
+        ("children", ("zz",)),
+        ("spouses", ("zz",)),
+        ("neighbours", ("zz",)),
+        ("flows", ("zz",)),
+        ("adjacent", ("a", "zz")),
+        ("edges_between", ("zz", "a")),
+    ],
+)
+def test_every_node_accessor_rejects_an_unknown_node(accessor, args):
+    with pytest.raises(UnknownNode):
+        getattr(mk("a -> b"), accessor)(*args)
+
+
 def test_ancestors_chain():
     g = mk("a -> b\nb -> c")
     assert g.ancestors({"c"}) == {"a", "b"}

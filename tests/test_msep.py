@@ -234,6 +234,10 @@ def test_witness_render():
     g = mk("a -> m\nm -> b")
     w = enumerate_connecting_paths(g, q("a", "b", M={"m"}))[0]
     assert w.render() == "a -> m -> b"
+    # every token: an arrow walked from its head end, an arc, a line
+    g = mk("m -> a\nm <-> x\nx -- b")
+    (w,) = enumerate_connecting_paths(g, q("a", "b", M={"m", "x"}))
+    assert w.render() == "a <- m <-> x -- b"
 
 
 def test_every_three_node_multigraph_matches_definition_oracles():

@@ -163,7 +163,7 @@ def test_suites_report_counterexamples_that_replay():
         (rg_patch, stability_suite, "rg projection changed", changes_the_model),
         (rg_patch, composition_suite, "rg two-stage != one-stage", lambda s: s.removed),
         (
-            mock.patch.object(suites, "project_sg", wrong_sg),
+            mock.patch.dict(PROJECTORS, sg=wrong_sg),
             correspondence_suite,
             "projections induce different models",
             splits_the_models,

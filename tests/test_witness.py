@@ -138,13 +138,30 @@ def test_rg_round_trip_random():
 
 def test_dagify_result_structure():
     rng = random.Random(63)
-    for _ in range(60):
-        g = random_rg(rng, rng.randint(2, 5))
+    graphs = [random_rg(rng, rng.randint(2, 5)) for _ in range(60)]
+    graphs += [random_cyclic_rg(rng, rng.randint(2, 7)) for _ in range(60)]
+    for g in graphs:
         if not dag_realizable(g):
             continue
         r = dagify(g)
         fresh = r.marg | r.cond
         assert set(r.origin) == fresh
+        assert not r.marg & r.cond, g
+        assert r.dag.node_set == g.node_set | set(r.origin), g
+        # each fresh node's role follows from its origin: an arc's node is
+        # marginalised, a line's conditioned, and a cut arrow has one of each,
+        # its conditioned node drawn first
+        cuts = {}
+        for n, (why, e) in r.origin.items():
+            if why == "arc":
+                assert n in r.marg, (g, n)
+            elif why == "line":
+                assert n in r.cond, (g, n)
+            else:
+                assert why == "cycle-arrow", (g, n)
+                cuts.setdefault(e, []).append(n)
+        for e, (c, m) in cuts.items():
+            assert c in r.cond and m in r.marg, (g, e)
         # fresh nodes always have degree two
         for n in fresh:
             assert len(r.dag.parents(n)) + len(r.dag.children(n)) == 2, (g, n)
