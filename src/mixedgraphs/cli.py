@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+import warnings
 from pathlib import Path
 
 from .core import MixedGraphError, classify
@@ -101,7 +102,15 @@ def _emit_graph(doc, args):
 
 def _cmd_project(doc, args):
     spec = _spec_from(args, doc)
-    projected, trace = PROJECTORS_TRACED[args.type](doc.graph(), spec, force=args.force)
+    # a forced projection's warning as one fixed line, without the file, line
+    # and source echo that the warnings module prints
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        projected, trace = PROJECTORS_TRACED[args.type](
+            doc.graph(), spec, force=args.force
+        )
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     if args.trace:
         sys.stderr.write(render_trace(trace))
     _emit_graph(document_for(projected, name=doc.name), args)

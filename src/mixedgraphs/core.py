@@ -8,10 +8,13 @@ threads.
 `MixedGraph(nodes, edges)` checks every label and endpoint and canonicalises
 every edge. Graphs the library builds from edges it made itself (closures,
 projections, subgraphs) go through the private `MixedGraph._trusted`, which
-skips those checks. Construction indexes only the parents, which ancestry and
-`cycle_nodes` read; every other adjacency query reads the walk index `_flows`.
-Ribbon detection pairs the head exits that `_flows` lists at each candidate
-inner node.
+skips those checks. A checked document's graph goes through it too, and hands
+over the document's canonical node and edge tuples as the graph's orders, so
+they are not sorted again. Construction indexes nothing: the parents, which
+ancestry and `cycle_nodes` read, are built on first read like every other
+table, and every other adjacency query reads the walk index `_flows`. Ribbon
+detection pairs the head exits that `_flows` lists at each candidate inner
+node.
 """
 
 from __future__ import annotations
@@ -213,28 +216,38 @@ class MixedGraph:
         self._index(node_set, canon)
 
     @classmethod
-    def _trusted(cls, nodes, edges) -> "MixedGraph":
+    def _trusted(cls, nodes, edges, ordered=False) -> "MixedGraph":
         """The graph over edges the library built itself, unchecked: every
         label valid, every endpoint among nodes, no loops, and every edge
-        canonical (lines and arcs with sorted endpoints)."""
+        canonical (lines and arcs with sorted endpoints). With `ordered`,
+        nodes and edges are tuples in canonical order already, a checked
+        document's, and become the graph's orders without a sort."""
         g = cls.__new__(cls)
-        g._index(nodes, edges)
+        if ordered:
+            g._nodes, g._sorted_edges = nodes, edges
+            g._node_set, g._edges = frozenset(nodes), frozenset(edges)
+        else:
+            g._index(nodes, edges)
         return g
 
     def _index(self, nodes, edges):
         self._node_set = frozenset(nodes)
         self._nodes = tuple(sorted(self._node_set))
         self._edges = frozenset(edges)
-        # per node, its parents; never mutated, so `parents` hands out copies
-        self._parents = parents = {n: set() for n in self._nodes}
-        for kind, a, b in self._edges:
-            if kind == ARROW:
-                parents[b].add(a)
 
     @cached_property
     def _sorted_edges(self) -> tuple:
         """The edges in canonical edge order, sorted once."""
         return tuple(sorted(self._edges, key=edge_sort_key))
+
+    @cached_property
+    def _parents(self) -> dict:
+        """Per node, its parents; never mutated, so `parents` hands out copies."""
+        parents = {n: set() for n in self._nodes}
+        for kind, a, b in self._edges:
+            if kind == ARROW:
+                parents[b].add(a)
+        return parents
 
     @cached_property
     def _flows(self) -> dict:

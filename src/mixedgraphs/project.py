@@ -287,7 +287,8 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
     if any(e not in steps for e in generated):
         return None
     projected = MixedGraph._trusted(survivors, edges)
-    anc_c = into_cond | projected.ancestors(into_cond)
+    # with no arrow into C, skip the ancestry read and the parent index it builds
+    anc_c = into_cond | projected.ancestors(into_cond) if into_cond else into_cond
     return projected, anc_c, [steps[e] for e in generated]
 
 

@@ -17,9 +17,9 @@ The documents that `parse_graph`, `document_for` and `document_from_json`
 return are *checked*: canonical, with every label, endpoint and mark
 checked. They are sorted once, when they are made: `canonical()` returns a
 checked document as it is, and its `graph()` builds the graph without
-checking it again. A document built any other way (`GraphDocument(...)`,
-`dataclasses.replace`) is unchecked, and is checked and sorted as outside
-input whenever it is used.
+checking or sorting it again. A document built any other way
+(`GraphDocument(...)`, `dataclasses.replace`) is unchecked, and is checked
+and sorted as outside input whenever it is used.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class GraphDocument:
 
     def graph(self) -> MixedGraph:
         if self._checked:
-            return MixedGraph._trusted(self.nodes, self.edges)
+            return MixedGraph._trusted(self.nodes, self.edges, ordered=True)
         return MixedGraph(self.nodes, self.edges)
 
     def canonical(self) -> "GraphDocument":

@@ -418,6 +418,29 @@ def test_forced_ag_projection_failure_is_a_domain_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_forced_projection_warns_in_one_fixed_line(tmp_path):
+    # the class gate's warning reaches stderr as one line, with no source
+    # path, line number or echoed code
+    src = Path(mixedgraphs.__file__).resolve().parent.parent
+    runs = (
+        ("rg", "a -> b\nc -> b\nb -- d\n", "ribbonless"),
+        ("sg", "a -> b\nb -- c\n", "a summary graph"),
+        ("ag", "a -> b\na <-> b\n", "an ancestral graph"),
+    )
+    for kind, text, what in runs:
+        f = tmp_path / f"{kind}.mg"
+        f.write_text(text, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixedgraphs", "project", str(f), "--type", kind, "--force"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == f"warning: projecting a graph that is not {what}\n"
+
+
 def test_package_runs_as_a_module():
     src = Path(mixedgraphs.__file__).resolve().parent.parent
     chain = str(fixture("chain.mg"))

@@ -546,7 +546,8 @@ def test_trusted_graphs_equal_validated_ones(monkeypatch):
     """Every graph the library builds unchecked, on the inputs of the
     closure-pipeline check and of the dagify and maximalize tests, equals the
     validated graph over its nodes and edges, with the same hash and walk
-    index: no caller hands `_trusted` a symmetric edge stored backwards.
+    index and orders: no caller hands `_trusted` a symmetric edge stored
+    backwards, nor, with `ordered`, tuples out of canonical order.
     Each one also goes through a text round trip, whose parsed document
     builds its graph unchecked too."""
     from . import test_witness
@@ -564,10 +565,11 @@ def test_trusted_graphs_equal_validated_ones(monkeypatch):
     build = MixedGraph._trusted.__func__
     callers = set()
 
-    def checked(cls, nodes, edges):
-        out = build(cls, nodes, edges)
+    def checked(cls, nodes, edges, ordered=False):
+        out = build(cls, nodes, edges, ordered)
         want = MixedGraph(out.nodes, out.edges)
         assert out == want and hash(out) == hash(want), out
+        assert out.nodes == want.nodes and out._sorted_edges == want._sorted_edges
         assert out._flows == want._flows, out
         caller = sys._getframe(1).f_code.co_name
         callers.add(caller)

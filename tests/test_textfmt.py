@@ -8,12 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mixedgraphs.core import (
+    ARROW,
     Edge,
     LoopEdge,
+    MixedGraph,
     MixedGraphError,
     UnknownNode,
     arc,
     arrow,
+    edge_sort_key,
     line,
 )
 from mixedgraphs.generators import random_lmg
@@ -353,3 +356,33 @@ def test_a_checked_document_keeps_its_checks():
     assert doc._checked and not plain._checked
     assert doc == plain and hash(doc) == hash(plain) and repr(doc) == repr(plain)
     assert doc.canonical() is doc
+
+
+def test_checked_documents_hand_their_orders_to_the_graph():
+    """A checked document's graph takes the document's node and edge tuples
+    as its orders, which equal a fresh sort, and builds no parent index
+    until one is read: for documents parsed from scrambled text, read from
+    scrambled JSON and made by `document_for`."""
+    rng = random.Random(21)
+    for k in range(600):
+        g = random_lmg(rng, rng.randint(1, 9), p=rng.uniform(0.05, 0.3))
+        payload = {
+            "nodes": rng.sample(g.nodes, len(g.nodes)),
+            "edges": [{"kind": e.kind, "a": e.a, "b": e.b} for e in g.edges],
+        }
+        rng.shuffle(payload["edges"])
+        docs = (
+            parse_graph(_messy_text(rng, g, (), ())),
+            document_from_json(json.dumps(payload)),
+            document_for(MixedGraph(reversed(g.nodes), g.edges)),
+        )
+        for doc in docs:
+            h = doc.graph()
+            assert "_parents" not in vars(h)
+            assert h._nodes is doc.nodes and h._sorted_edges is doc.edges
+            assert h._sorted_edges == tuple(sorted(h.edges, key=edge_sort_key))
+            assert h.nodes == tuple(sorted(h.nodes))
+            assert h == g
+            for n in h.nodes:
+                want = {e.a for e in h.edges if e.kind == ARROW and e.b == n}
+                assert h.parents(n) == want, (doc, n)
