@@ -10,11 +10,12 @@ every edge. Graphs the library builds from edges it made itself (closures,
 projections, subgraphs) go through the private `MixedGraph._trusted`, which
 skips those checks. A checked document's graph goes through it too, and hands
 over the document's canonical node and edge tuples as the graph's orders, so
-they are not sorted again. Construction indexes nothing: the parents, which
-ancestry and `cycle_nodes` read, are built on first read like every other
-table, and every other adjacency query reads the walk index `_flows`. Ribbon
-detection pairs the head exits that `_flows` lists at each candidate inner
-node.
+they are not sorted again; a graph built over another graph's nodes shares
+that graph's node tuple and set. Construction indexes nothing: the parents,
+which ancestry and `cycle_nodes` read, are built on first read like every
+other table, and every other adjacency query reads the walk index `_flows`.
+Ribbon detection pairs the head exits that `_flows` lists at each candidate
+inner node.
 """
 
 from __future__ import annotations
@@ -219,11 +220,15 @@ class MixedGraph:
     def _trusted(cls, nodes, edges, ordered=False) -> "MixedGraph":
         """The graph over edges the library built itself, unchecked: every
         label valid, every endpoint among nodes, no loops, and every edge
-        canonical (lines and arcs with sorted endpoints). With `ordered`,
-        nodes and edges are tuples in canonical order already, a checked
-        document's, and become the graph's orders without a sort."""
+        canonical (lines and arcs with sorted endpoints). `nodes` may be a
+        graph, whose node tuple and set the new graph shares without a sort.
+        With `ordered`, nodes and edges are tuples in canonical order already,
+        a checked document's, and become the graph's orders without a sort."""
         g = cls.__new__(cls)
-        if ordered:
+        if isinstance(nodes, MixedGraph):
+            g._nodes, g._node_set = nodes._nodes, nodes._node_set
+            g._edges = frozenset(edges)
+        elif ordered:
             g._nodes, g._sorted_edges = nodes, edges
             g._node_set, g._edges = frozenset(nodes), frozenset(edges)
         else:

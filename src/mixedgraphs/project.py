@@ -25,9 +25,15 @@ On ribbonless inputs the first stage runs by Lemma 1: the closure joins two
 survivors by an edge with end marks (m_i, m_j) exactly when some
 m-connecting walk between them has those end marks and is a single edge or
 passes a third node. So the survivors' edges in the input, and one
-predecessor walk search per survivor and first mark, seeded only with the
-first states the walk can leave, yield the surviving edges, the survivors
-in an(C) and, for the trace, the Table-1 step behind each generated edge.
+predecessor walk search per survivor and first mark, yield the surviving
+edges, the survivors in an(C) and, for the trace, the Table-1 step behind
+each generated edge. The search pushes only the states a walk can leave (a
+node of M, or of C ∪ an(C) entered with a head). A connecting walk read
+backwards connects its ends with the marks swapped, so each generated edge
+is built once, by the search from its smaller end; that search gives its
+step too, unless its walk stepped from that end itself, and then the larger
+end's search does. The witness exit of a step is looked up in the flows
+again only when a head exit left a node of M.
 `table1_closure`, the fixpoint itself, is the route for forced inputs that
 are not ribbonless, where walks and the closure can differ, and for the
 rare ribbonless input whose search cannot show a third node for some edge.
@@ -158,7 +164,7 @@ def _rounds(current: MixedGraph, candidates):
             if gen not in edges:
                 edges.add(gen)
                 trace.append(TraceStep(str(rule), t, gen))
-        current = MixedGraph._trusted(current.nodes, edges)
+        current = MixedGraph._trusted(current, edges)
 
 
 def _replace(edges: set, trace: list, rule: str, old: Edge, new: Edge):
@@ -219,21 +225,37 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
     (i -> j <-> i <- j) carries a signature the closure cannot generate, and
     such an edge has no witness V.
 
-    Every single edge is a connecting walk, so `edges` starts from h's edges
-    between survivors, and the search is seeded only with the first states
-    the walk can leave. Dropping the others changes nothing: such a seed
-    carries the signature of an h edge, so a predecessor recorded for it
-    later reaches only an h edge's step, never a generated edge's; and a
-    state the walk cannot leave is popped without pushing anything, so the
-    depth-first order among the states it can leave is unchanged. The edges
-    and steps are read from the states a step reaches; every popped state is
-    tested for an arrow into C, since every seed and every reached state is
-    pushed once and popped once, and no node of C survives.
+    Every single edge is a connecting walk, so the result starts from h's
+    edges between survivors, and a hit that carries an h edge's signature
+    adds nothing. Three rules keep the search to the work whose result it
+    keeps. None of them changes the depth-first order among the states a
+    walk can leave, so the graph, the survivors in an(C), the steps and the
+    fallback are those of a search that pushes and tests every state.
+
+    1. A reached state goes on the stack only if the walk can leave it: a
+       node of M, or a node of C ∪ an(C) entered with a head. Any other
+       state is only marked reached, since popping it would push nothing.
+       The seeds follow the same rule: a first state the walk cannot leave
+       carries an h edge's signature, so reaching it later builds nothing.
+       An arrow into C ends at a node of C entered with a head, which the
+       walk can leave, so every such state is popped and tested.
+    2. A hit on a survivor j < i builds no edge. Read backwards, a
+       connecting walk from i to j connects j to i with the end marks
+       swapped, and a generated edge is never a seed. So each generated edge
+       is hit exactly once from each end, and first by its smaller end's
+       search, which gives it its step. The exception is a walk that
+       stepped from the smaller end itself: its edge is left pending, keyed
+       by both ends and marks, and the larger end's hit gives the step. The
+       fallback fires exactly when an edge is still pending at the end.
+    3. The step's second edge is the exit just taken, except when a head
+       exit left a node of M. Only then is `flows[t]` read again, for a
+       tail exit into j, which wins, being legal whenever t is in M.
 
     The trace step for an edge generated between i and j is the V <i, t, j>
-    closing the search's first walk to j, where t is the state that walk
-    stepped from: its first edge carries the signature of the walk's prefix
-    to t and its second edge is in h. A walk reduces to one closure edge
+    closing the first walk to j of i's search, where t is the state that
+    walk stepped from: its first edge carries the signature of the walk's
+    prefix to t and its second edge is in h. i is the smaller end, unless
+    that end's walk stepped from itself. A walk reduces to one closure edge
     exactly when it is a single edge or passes a node other than its ends,
     since Table 1 never joins a node to itself. The walk to j passes t, so
     it shows a V unless t is i. The prefix to t is the search's first route
@@ -242,10 +264,8 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
     visit did not."""
     marg, cond = spec.marg, spec.cond
     collider_set = cond | h.ancestors(cond)
-    flows = h._flows
-    edges = {e for e in h.edges if e.a in survivors and e.b in survivors}
-    # h's own edges need no step
-    into_cond, steps = set(), dict.fromkeys(edges)
+    flows, own = h._flows, h.edges
+    into_cond, steps, pending = set(), {}, {}
     for i in sorted(survivors):
         for first in (TAIL, HEAD):
             stack = [
@@ -260,8 +280,6 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
                     into_cond.add(i)
                 tail_ok = t in marg
                 head_ok = t in collider_set if t_mark == HEAD else tail_ok
-                if not (head_ok or tail_ok):
-                    continue
                 for j, mh, at_j, _e in flows[t]:
                     if not (head_ok if mh == HEAD else tail_ok):
                         continue
@@ -269,27 +287,41 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
                     if state in reached:
                         continue
                     reached.add(state)
-                    stack.append(state)
-                    if j == i or j not in survivors:
+                    # rule 1: push only what the walk can leave
+                    if j in marg:
+                        stack.append(state)
                         continue
-                    gen = signature_edge(first, at_j, i, j)
-                    edges.add(gen)
-                    if t == i or gen in steps:
+                    if at_j == HEAD and j in collider_set:
+                        stack.append(state)
+                    if j in cond or j == i:
                         continue
-                    # by the walk's step rule a node of M leaves through either
-                    # mark, and any other node as a collider, through a head;
-                    # a tail exit into j wins, being legal whenever t is in M
-                    exits = (f[:3] for f in flows[t])
-                    last = TAIL if tail_ok and (j, TAIL, at_j) in exits else HEAD
+                    # rule 2: j's search, earlier, built this edge
+                    if j < i:
+                        key = (j, at_j, i, first)
+                        if t == i or key not in pending:
+                            continue
+                        gen = pending.pop(key)
+                    else:
+                        gen = signature_edge(first, at_j, i, j)
+                        if gen in own:
+                            continue
+                        if t == i:
+                            pending[i, first, j, at_j] = gen
+                            continue
+                    # rule 3: a node of M left through a head prefers a tail exit
+                    last = mh
+                    if mh == HEAD and tail_ok:
+                        if (j, TAIL, at_j) in (f[:3] for f in flows[t]):
+                            last = TAIL
                     roles = tuple(sorted((_ROLE[t_mark, first], _ROLE[last, at_j])))
                     steps[gen] = TraceStep(f"{_RULE_ID[roles]}", t, gen)
-    generated = sorted(edges - h.edges, key=edge_sort_key)
-    if any(e not in steps for e in generated):
+    if pending:
         return None
-    projected = MixedGraph._trusted(survivors, edges)
+    edges = [e for e in own if e.a in survivors and e.b in survivors]
+    projected = MixedGraph._trusted(survivors, edges + list(steps))
     # with no arrow into C, skip the ancestry read and the parent index it builds
     anc_c = into_cond | projected.ancestors(into_cond) if into_cond else into_cond
-    return projected, anc_c, [steps[e] for e in generated]
+    return projected, anc_c, [steps[e] for e in sorted(steps, key=edge_sort_key)]
 
 
 def _generate(h: MixedGraph, spec: ProjectionSpec):
@@ -341,7 +373,7 @@ def rg_to_sg_traced(h: MixedGraph, anc_c):
                 continue
             new.append(_replace(edges, trace, "sg-step-2", e, replacement))
         fresh = sorted(filter(None, new), key=edge_sort_key)
-    return MixedGraph._trusted(h.nodes, edges), trace
+    return MixedGraph._trusted(h, edges), trace
 
 
 def rg_to_sg(h: MixedGraph, anc_c) -> MixedGraph:
@@ -420,7 +452,7 @@ def sg_to_ag_traced(h: MixedGraph):
             _replace(edges, trace, "ag-step-3", e, arrow(e.a, e.b))
         elif is_ancestor(e.b, e.a):
             _replace(edges, trace, "ag-step-3", e, arrow(e.b, e.a))
-    result = MixedGraph._trusted(h.nodes, edges)
+    result = MixedGraph._trusted(h, edges)
     if "AG" not in result.class_tags:
         raise NotAncestralGraph(
             f"the ancestral closure of {h!r} is not an ancestral graph"

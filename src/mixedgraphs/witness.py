@@ -224,7 +224,7 @@ def maximalize_report(g: MixedGraph):
         if not additions:
             return current, sweeps
         sweeps += 1
-        current = MixedGraph._trusted(current.nodes, current.edges | additions)
+        current = MixedGraph._trusted(current, current.edges | additions)
 
 
 def maximalize(g: MixedGraph) -> MixedGraph:

@@ -14,6 +14,7 @@ from mixedgraphs.core import (
     arrow,
     classify,
     line,
+    signature_edge,
 )
 from mixedgraphs.generators import (
     RANDOM_BY_CLASS,
@@ -370,6 +371,17 @@ def test_traces_replay_to_the_output():
             assert replay_trace(g, s, trace) == out
 
 
+def test_stages_share_their_input_node_orders():
+    # a stage that builds its graph over its input's nodes hands over the
+    # input's node tuple and set instead of sorting them again
+    from mixedgraphs.witness import maximalize
+
+    g = mk("a <-> q\nq <-> b\nq -> c\nc -> a")
+    closed, _trace = table1_closure(g, spec(cond={"c"}))
+    for out in (closed, rg_to_sg(g, {"a"}), sg_to_ag(g), maximalize(g)):
+        assert out != g and out.nodes is g.nodes and out.node_set is g.node_set
+
+
 def test_trace_render_format():
     g = mk("m -> i\nj -> m")
     _out, trace = project_rg_traced(g, spec(marg={"m"}))
@@ -626,6 +638,44 @@ def test_signature_projection_matches_the_full_walk_oracle():
         assert _signature_projection(g, s, survivors) == want, (g, s)
         fallbacks += want is None
     assert 0 < fallbacks < len(cases) // 100
+
+
+def test_larger_end_steps_an_edge_the_smaller_end_reached_from_itself():
+    # a's walk a -> b <-> a <- c reaches c by stepping from a itself, so it
+    # shows no V for a -- c; c's search, which comes later, gives the step
+    # through the collider b in C
+    g = mk("a <-> b\na -> b\nc -> a")
+    s = spec(cond={"b"})
+    survivors = g.node_set - s.removed
+    got = _signature_projection(g, s, survivors)
+    projected, anc_c, steps = got
+    assert projected == mk("a -- c\nc -> a")
+    assert anc_c == {"a", "c"}
+    assert render_trace(steps) == "rule=10 inner=b generated=a -- c\n"
+    assert got == signature_projection_oracle(g, s, survivors)
+
+
+def test_signature_projection_builds_each_edge_once(monkeypatch):
+    # each generated edge is found from both ends, but only the smaller
+    # end's search builds it; hits on h's own edges build at most one each
+    import mixedgraphs.project as project
+
+    builds = 0
+
+    def counting(*args):
+        nonlocal builds
+        builds += 1
+        return signature_edge(*args)
+
+    monkeypatch.setattr(project, "signature_edge", counting)
+    for seed in (3, 4, 5):
+        rng = random.Random(seed)
+        g = random_dag(rng, 40, 3 / 39)
+        removed = rng.sample(g.nodes, 20)
+        s = spec(marg=removed[:10], cond=removed[10:])
+        builds = 0
+        projected, _anc_c, _steps = _signature_projection(g, s, g.node_set - s.removed)
+        assert builds <= len(projected.edges), (seed, builds, len(projected.edges))
 
 
 def test_closure_rounds_match_the_round_loop_oracle():
