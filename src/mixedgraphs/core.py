@@ -10,8 +10,9 @@ every edge. Graphs the library builds from edges it made itself (closures,
 projections, subgraphs) go through the private `MixedGraph._trusted`, which
 skips those checks. A checked document's graph goes through it too, and hands
 over the document's canonical node and edge tuples as the graph's orders, so
-they are not sorted again; a graph built over another graph's nodes shares
-that graph's node tuple and set. Construction indexes nothing: the parents,
+they are not sorted again; the Lemma-1 projection hands over its sorted
+tuples the same way. A graph built over another graph's nodes shares that
+graph's node tuple and set. Construction indexes nothing: the parents,
 which ancestry and `cycle_nodes` read, are built on first read like every
 other table, and every other adjacency query reads the walk index `_flows`.
 Ribbon detection pairs the head exits that `_flows` lists at each candidate
@@ -223,7 +224,8 @@ class MixedGraph:
         canonical (lines and arcs with sorted endpoints). `nodes` may be a
         graph, whose node tuple and set the new graph shares without a sort.
         With `ordered`, nodes and edges are tuples in canonical order already,
-        a checked document's, and become the graph's orders without a sort."""
+        a checked document's or the Lemma-1 projection's, and become the
+        graph's orders without a sort."""
         g = cls.__new__(cls)
         if isinstance(nodes, MixedGraph):
             g._nodes, g._node_set = nodes._nodes, nodes._node_set

@@ -21,10 +21,11 @@ The two V-closures, Table 1 and the ancestral collider step, share one
 round loop (`_rounds`), and the two strip stages, the summary-graph strip
 and the ancestral arc step, share one replace step (`_replace`).
 
-On ribbonless inputs the first stage runs by Lemma 1: the closure joins two
-survivors by an edge with end marks (m_i, m_j) exactly when some
-m-connecting walk between them has those end marks and is a single edge or
-passes a third node. So the survivors' edges in the input, and one
+On inputs the gate tagged RG (ribbonless; a DAG or SG is tagged so without a
+ribbon search, and never builds its ribbon report) the first stage runs by
+Lemma 1: the closure joins two survivors by an edge with end marks
+(m_i, m_j) exactly when some m-connecting walk between them has those end
+marks and is a single edge or passes a third node. So the survivors' edges in the input, and one
 predecessor walk search per survivor and first mark, yield the surviving
 edges, the survivors in an(C) and, for the trace, the Table-1 step behind
 each generated edge. The search pushes only the states a walk can leave (a
@@ -33,7 +34,13 @@ backwards connects its ends with the marks swapped, so each generated edge
 is built once, by the search from its smaller end; that search gives its
 step too, unless its walk stepped from that end itself, and then the larger
 end's search does. The witness exit of a step is looked up in the flows
-again only when a head exit left a node of M.
+again only when a head exit left a node of M. One pass over a survivor's
+flows splits its seeds by first mark, and a mark with no seed starts no
+search; each step's Table-1 row is read from a table keyed by the four
+marks of its two edges. The projected graph is handed over with its node
+and edge tuples in canonical order, and the trace is read off that edge
+tuple, so the summary-graph strip's first round reads it as it is and the
+writer sorts nothing again.
 `table1_closure`, the fixpoint itself, is the route for forced inputs that
 are not ribbonless, where walks and the closure can differ, and for the
 rare ribbonless input whose search cannot show a third node for some edge.
@@ -147,6 +154,15 @@ _ROLE = {
     (TAIL, HEAD): "OUT",
 }
 
+# the Table-1 row id, as trace text, of a V keyed by the marks of its first
+# edge (at the inner node, at the first end) and of its second (at the inner
+# node, at the second end)
+_STEP_RULE = {
+    (t1, e1, t2, e2): str(_RULE_ID[tuple(sorted((_ROLE[t1, e1], _ROLE[t2, e2])))])
+    for t1, e1 in _ROLE
+    for t2, e2 in _ROLE
+}
+
 
 def _rounds(current: MixedGraph, candidates):
     """Apply V-rules round by round until a round adds no edge; returns
@@ -237,6 +253,8 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
        state is only marked reached, since popping it would push nothing.
        The seeds follow the same rule: a first state the walk cannot leave
        carries an h edge's signature, so reaching it later builds nothing.
+       One pass over `flows[i]` splits the seeds by first mark, and a mark
+       with no seed starts no search.
        An arrow into C ends at a node of C entered with a head, which the
        walk can leave, so every such state is popped and tested.
     2. A hit on a survivor j < i builds no edge. Read backwards, a
@@ -249,7 +267,12 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
        fallback fires exactly when an edge is still pending at the end.
     3. The step's second edge is the exit just taken, except when a head
        exit left a node of M. Only then is `flows[t]` read again, for a
-       tail exit into j, which wins, being legal whenever t is in M.
+       tail exit into j, which wins, being legal whenever t is in M. The
+       step's row is `_STEP_RULE` at the marks of its two edges.
+
+    The projected graph takes sorted node and edge tuples as its orders: h's
+    edges between survivors, read in order from `h._sorted_edges`, and the
+    generated edges, in one sort. The trace is read off that edge tuple.
 
     The trace step for an edge generated between i and j is the V <i, t, j>
     closing the first walk to j of i's search, where t is the state that
@@ -265,14 +288,17 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
     marg, cond = spec.marg, spec.cond
     collider_set = cond | h.ancestors(cond)
     flows, own = h._flows, h.edges
+    order = tuple(sorted(survivors))
     into_cond, steps, pending = set(), {}, {}
-    for i in sorted(survivors):
-        for first in (TAIL, HEAD):
-            stack = [
-                (o, mo)
-                for o, mh, mo, _e in flows[i]
-                if mh == first and (o in marg or mo == HEAD and o in collider_set)
-            ]
+    for i in order:
+        # rule 1 on the seeds, split by first mark in one pass
+        seeds = {TAIL: [], HEAD: []}
+        for o, mh, mo, _e in flows[i]:
+            if o in marg or mo == HEAD and o in collider_set:
+                seeds[mh].append((o, mo))
+        for first, stack in seeds.items():
+            if not stack:
+                continue
             reached = set(stack)
             while stack:
                 t, t_mark = stack.pop()
@@ -297,10 +323,11 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
                         continue
                     # rule 2: j's search, earlier, built this edge
                     if j < i:
-                        key = (j, at_j, i, first)
-                        if t == i or key not in pending:
+                        if t == i or not pending:
                             continue
-                        gen = pending.pop(key)
+                        gen = pending.pop((j, at_j, i, first), None)
+                        if gen is None:
+                            continue
                     else:
                         gen = signature_edge(first, at_j, i, j)
                         if gen in own:
@@ -313,26 +340,28 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
                     if mh == HEAD and tail_ok:
                         if (j, TAIL, at_j) in (f[:3] for f in flows[t]):
                             last = TAIL
-                    roles = tuple(sorted((_ROLE[t_mark, first], _ROLE[last, at_j])))
-                    steps[gen] = TraceStep(f"{_RULE_ID[roles]}", t, gen)
+                    rule = _STEP_RULE[t_mark, first, last, at_j]
+                    steps[gen] = TraceStep(rule, t, gen)
     if pending:
         return None
-    edges = [e for e in own if e.a in survivors and e.b in survivors]
-    projected = MixedGraph._trusted(survivors, edges + list(steps))
+    kept = [e for e in h._sorted_edges if e.a in survivors and e.b in survivors]
+    edges = tuple(sorted(kept + list(steps), key=edge_sort_key))
+    projected = MixedGraph._trusted(order, edges, ordered=True)
     # with no arrow into C, skip the ancestry read and the parent index it builds
     anc_c = into_cond | projected.ancestors(into_cond) if into_cond else into_cond
-    return projected, anc_c, [steps[e] for e in sorted(steps, key=edge_sort_key)]
+    return projected, anc_c, [steps[e] for e in edges if e in steps]
 
 
 def _generate(h: MixedGraph, spec: ProjectionSpec):
     """Stage one of every projection: (the generated graph on the survivors,
-    the survivors in an(C) of the closed graph, trace). Ribbonless inputs go
-    through the Lemma-1 signatures. Forced other inputs, where walks and the
-    closure can differ, and the rare ribbonless input with an edge that no
-    witness V shows, go through the closure itself."""
+    the survivors in an(C) of the closed graph, trace). Inputs whose class
+    tags, which the entry point's gate read, hold RG go through the Lemma-1
+    signatures. Forced other inputs, where walks and the closure can differ,
+    and the rare ribbonless input with an edge that no witness V shows, go
+    through the closure itself."""
     spec.validate_for(h)
     survivors = h.node_set - spec.removed
-    if h.is_ribbonless:
+    if "RG" in h.class_tags:
         result = _signature_projection(h, spec, survivors)
         if result is not None:
             return result
@@ -360,7 +389,7 @@ def rg_to_sg_traced(h: MixedGraph, anc_c):
     if missing:
         raise UnknownNode(f"anc_c names unknown nodes: {sorted(missing)}")
     edges, trace = set(h.edges), []
-    fresh = sorted(edges, key=edge_sort_key)
+    fresh = h._sorted_edges
     while fresh:
         new = []
         for e in fresh:

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedgraphs.core import (
@@ -268,6 +268,7 @@ def build(edge_specs):
     return MixedGraph(nodes, edges)
 
 
+@settings(derandomize=True, database=None)
 @given(st.lists(edge_strategy, max_size=14), st.sets(names), st.sets(names))
 def test_ancestors_monotone_and_closed(edge_specs, s, t):
     g = build(edge_specs)
@@ -277,6 +278,7 @@ def test_ancestors_monotone_and_closed(edge_specs, s, t):
     assert g.ancestors(closure) <= closure
 
 
+@settings(derandomize=True, database=None)
 @given(st.lists(edge_strategy, max_size=14))
 def test_dag_tag_iff_arrows_only_acyclic(edge_specs):
     g = build(edge_specs)

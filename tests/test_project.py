@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 import warnings
+from unittest import mock
 
 import pytest
 
@@ -13,6 +14,7 @@ from mixedgraphs.core import (
     arc,
     arrow,
     classify,
+    edge_sort_key,
     line,
     signature_edge,
 )
@@ -32,6 +34,7 @@ from mixedgraphs.project import (
     PROJECTORS,
     ProjectionSpec,
     SpecInvalid,
+    _generate,
     _signature_projection,
     project_ag,
     project_ag_traced,
@@ -380,6 +383,53 @@ def test_stages_share_their_input_node_orders():
     closed, _trace = table1_closure(g, spec(cond={"c"}))
     for out in (closed, rg_to_sg(g, {"a"}), sg_to_ag(g), maximalize(g)):
         assert out != g and out.nodes is g.nodes and out.node_set is g.node_set
+
+
+def test_stage_one_hands_its_graph_over_in_canonical_order():
+    # the Lemma-1 route builds its graph with sorted node and edge tuples and
+    # reads its trace off them, so the SG strip's first round sorts nothing,
+    # and a DAG, tagged RG by the gate, never runs the ribbon search
+    rng = random.Random(23)
+    inputs = []
+    for k in range(240):
+        dag = k % 2 == 1
+        g = random_dag(rng, rng.randint(3, 12)) if dag else random_rg(rng, 8)
+        s = random_spec(rng, g)
+        inputs.append((g, s, dag))
+        doc = parse_graph(serialize_graph(document_for(g, s.marg, s.cond)))
+        inputs.append((doc.graph(), ProjectionSpec(doc.marg, doc.cond), dag))
+    calls = []
+
+    def counting_key(e):
+        calls.append(e)
+        return edge_sort_key(e)
+
+    searched = 0
+    for g, s, dag in inputs:
+        if _signature_projection(g, s, g.node_set - s.removed) is None:
+            continue
+        searched += 1
+        projected, anc_c, trace = _generate(g, s)
+        assert "_sorted_edges" in vars(projected)
+        edges = projected._sorted_edges
+        assert edges == tuple(sorted(projected.edges, key=edge_sort_key))
+        assert projected.nodes == tuple(sorted(projected.node_set))
+        order = {e: k for k, e in enumerate(edges)}
+        at = [order[step.generated] for step in trace]
+        assert at == sorted(at)
+        with mock.patch("mixedgraphs.project.edge_sort_key", counting_key):
+            calls.clear()
+            _out, sg_trace = rg_to_sg_traced(projected, anc_c)
+            # only a later round's new edges are sorted
+            assert len(calls) == sum(step.generated is not None for step in sg_trace)
+            calls.clear()
+            rg_to_sg_traced(projected, ())
+            assert not calls
+        if dag:
+            for project in (project_rg, project_sg, project_ag):
+                project(g, s)
+            assert "ribbons" not in vars(g) and "is_ribbonless" not in vars(g)
+    assert searched > 450
 
 
 def test_trace_render_format():

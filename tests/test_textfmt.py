@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedgraphs.core import (
@@ -123,6 +123,7 @@ raw_edges = st.lists(
 )
 
 
+@settings(derandomize=True, database=None)
 @given(raw_edges)
 def test_serialization_is_canonical_for_any_graph(specs):
     from mixedgraphs.core import MixedGraph
