@@ -12,14 +12,26 @@ ancestor of the other end. The class gates sit at the entry points
 `sg_to_ag`), each of which gates and then calls the ungated stages;
 `rg_to_sg_traced` and `sg_to_ag_traced` do not check their input's class.
 No edge the ancestral stage adds changes who is an ancestor of whom, so it
-reads ancestry once, from its input: its collider step, which fires only on
-Vs whose second edge is an arc, pairs each arc at an inner node with the
-other heads there and runs to a fixpoint, and one pass over the arcs then
-turns each arc between an ancestor and its descendant into an arrow.
+reads ancestry once, from its input: its collider step fires only on Vs
+o1 *-> k <-> o2 with k in an(o2), so it reads only the arcs their inner
+node leads along, one ancestry test per arc end, pairs each with the
+parents and the other arcs at that node, and runs to a fixpoint without
+building the walk index; one pass over the sorted arcs then turns each arc
+between an ancestor and its descendant into an arrow.
 
 The two V-closures, Table 1 and the ancestral collider step, share one
 round loop (`_rounds`), and the two strip stages, the summary-graph strip
-and the ancestral arc step, share one replace step (`_replace`).
+and the ancestral arc step, share one replace step (`_replace`). The rounds
+are semi-naive: after the first, a round reads only the Vs that hold an
+edge the round before added, and for Table 1 the Vs at the nodes that have
+just joined C ∪ an(C). An older V whose edge is missing was a candidate in
+the round before, and every candidate's edge was added then; for Table 1
+the only other way a V starts to fire is that its inner node joins
+C ∪ an(C). Every round still sorts its candidates, so each trace is that of
+full rescans. A stage that changes nothing, the summary-graph strip with
+no edge to replace or the ancestral closure with no step to fire, returns
+its input graph, so the class check and the writer reuse its parent index
+and its edge order.
 
 On inputs the gate tagged RG (ribbonless; a DAG or SG is tagged so without a
 ribbon search, and never builds its ribbon report) the first stage runs by
@@ -154,31 +166,45 @@ _ROLE = {
     (TAIL, HEAD): "OUT",
 }
 
-# the Table-1 row id, as trace text, of a V keyed by the marks of its first
-# edge (at the inner node, at the first end) and of its second (at the inner
-# node, at the second end)
-_STEP_RULE = {
-    (t1, e1, t2, e2): str(_RULE_ID[tuple(sorted((_ROLE[t1, e1], _ROLE[t2, e2])))])
+# the Table-1 row id of a V keyed by the marks of its first edge (at the inner
+# node, at the first end) and of its second (at the inner node, at the second
+# end); rows 8-10, the collider rows, are those with a head at the inner node
+# on both edges
+_V_RULE = {
+    (t1, e1, t2, e2): _RULE_ID[tuple(sorted((_ROLE[t1, e1], _ROLE[t2, e2])))]
     for t1, e1 in _ROLE
     for t2, e2 in _ROLE
 }
 
+# the same rows as trace text
+_STEP_RULE = {marks: str(rule) for marks, rule in _V_RULE.items()}
+
 
 def _rounds(current: MixedGraph, candidates):
     """Apply V-rules round by round until a round adds no edge; returns
-    (graph, trace). `candidates(graph)` yields (rule, inner node, lower end,
-    upper end, edge) tuples; a round sorts those whose edge is not in the
-    graph yet and adds the first candidate for each new edge, with its step."""
-    trace = []
+    (graph, trace), the graph being `current` itself when no round adds one.
+
+    `candidates(graph, added)` yields (rule, inner node, lower end, upper
+    end, edge) tuples; a round sorts those whose edge is not in the graph yet
+    and adds the first candidate for each new edge, with its step. The rounds
+    are semi-naive: `added` is None in the first round, which reads every V,
+    and from then on lists the edges the round before added, and a generator
+    need only yield the Vs that hold one of them. An older V whose edge is
+    missing was a candidate in the round before, and every candidate's edge
+    was added in that round; only a rule whose enabling set grows can make
+    an older V fire, and the generator rescans where it grew. Every round
+    still sorts its candidates, so the steps are those of full rescans."""
+    trace, added = [], None
     while True:
         edges = current.edges
-        fresh = sorted(c for c in candidates(current) if c[4] not in edges)
+        fresh = sorted(c for c in candidates(current, added) if c[4] not in edges)
         if not fresh:
             return current, trace
-        edges = set(edges)
+        edges, added = set(edges), []
         for rule, t, _lo, _hi, gen in fresh:
             if gen not in edges:
                 edges.add(gen)
+                added.append(gen)
                 trace.append(TraceStep(str(rule), t, gen))
         current = MixedGraph._trusted(current, edges)
 
@@ -198,23 +224,51 @@ def table1_closure(h: MixedGraph, spec: ProjectionSpec):
 
     Returns (closed graph, trace). Scan order is (rule id, inner node,
     endpoints); the fixpoint itself is order-independent because adding an
-    edge never destroys a V. Each round rescans every V of the graph the
-    previous round built, so projections use it only for inputs that are not
-    ribbonless; on the others it is the oracle for the signature route.
+    edge never destroys a V. The first round reads every V at a node of M or
+    C ∪ an(C), each later one (see `_rounds`) pairs each edge the round
+    before added with the other edges at its two ends, and rescans in full
+    the nodes that have just joined C ∪ an(C): a V none of whose edges is new
+    starts to fire only when its inner node joins the set enabling the
+    collider rows. Each pair's row is read from `_V_RULE`. Projections use the
+    closure only for inputs that are not ribbonless; on the others it is the
+    oracle for the signature route.
     """
     spec.validate_for(h)
     marg, cond = spec.marg, spec.cond
+    enabler = frozenset()
 
-    def candidates(current):
-        enabler = cond | current.ancestors(cond)
-        for t, flows in current._flows.items():
+    def candidates(current, added):
+        nonlocal enabler
+        flows = current._flows
+        grown = cond | current.ancestors(cond)
+        rescan = marg | grown if added is None else grown - enabler
+        enabler = grown
+        for t in rescan:
             t_marg, t_enab = t in marg, t in enabler
-            if not (t_marg or t_enab):
-                continue
-            for (i, m1, at_i, _), (j, m2, at_j, _) in itertools.combinations(flows, 2):
-                rule = _RULE_ID[tuple(sorted((_ROLE[m1, at_i], _ROLE[m2, at_j])))]
-                if i != j and (t_enab if rule >= 8 else t_marg):
-                    yield rule, t, *sorted((i, j)), signature_edge(at_i, at_j, i, j)
+            for (i, m1, at_i, _), (j, m2, at_j, _) in itertools.combinations(flows[t], 2):
+                if i == j:
+                    continue
+                rule = _V_RULE[m1, at_i, m2, at_j]
+                if t_enab if rule >= 8 else t_marg:
+                    gen = signature_edge(at_i, at_j, i, j)
+                    yield (rule, t, i, j, gen) if i < j else (rule, t, j, i, gen)
+        # a V of two new edges is read once, from the one read second
+        done = set()
+        for e in added or ():
+            for t, i in ((e.a, e.b), (e.b, e.a)):
+                t_marg, t_enab = t in marg, t in enabler
+                if not (t_marg or t_enab) or t in rescan:
+                    continue
+                m1, at_i = e.mark_at(t), e.mark_at(i)
+                # j == i also skips e itself
+                for j, m2, at_j, f in flows[t]:
+                    if j == i or f in done:
+                        continue
+                    rule = _V_RULE[m1, at_i, m2, at_j]
+                    if t_enab if rule >= 8 else t_marg:
+                        gen = signature_edge(at_i, at_j, i, j)
+                        yield (rule, t, i, j, gen) if i < j else (rule, t, j, i, gen)
+            done.add(e)
 
     return _rounds(h, candidates)
 
@@ -402,7 +456,7 @@ def rg_to_sg_traced(h: MixedGraph, anc_c):
                 continue
             new.append(_replace(edges, trace, "sg-step-2", e, replacement))
         fresh = sorted(filter(None, new), key=edge_sort_key)
-    return MixedGraph._trusted(h, edges), trace
+    return (MixedGraph._trusted(h, edges) if trace else h), trace
 
 
 def rg_to_sg(h: MixedGraph, anc_c) -> MixedGraph:
@@ -410,7 +464,8 @@ def rg_to_sg(h: MixedGraph, anc_c) -> MixedGraph:
     becomes a line, an arc loses the head at its anc_c endpoint. A round
     strips every edge it reads that needs it, so only the edges it generates
     can need stripping in the next: the first round reads every edge, each
-    later one only the previous round's replacements, in edge order."""
+    later one only the previous round's replacements, in edge order. With
+    nothing to strip, h itself is returned."""
     return rg_to_sg_traced(h, anc_c)[0]
 
 
@@ -434,8 +489,9 @@ def project_sg(h: MixedGraph, spec: ProjectionSpec, force: bool = False) -> Mixe
 
 
 def sg_to_ag_traced(h: MixedGraph):
-    """The ancestral closure of h with its trace; h is not checked to be a
-    summary graph, but a result that is not ancestral raises.
+    """The ancestral closure of h with its trace, h itself when no step
+    fires; h is not checked to be a summary graph, but a result that is not
+    ancestral raises.
 
     Neither step changes who is an ancestor of whom, so ancestry is read
     once, from h. Step 2 adds an arc, or an arrow o1 -> o2 at a V
@@ -443,7 +499,15 @@ def sg_to_ag_traced(h: MixedGraph):
     step 3 adds a -> b only for a in an(b). Every V that step 2 fires on
     holds an arc k <-> o with k in an(o), which step 3 converts, and step 3
     makes no arc. So step 2 runs to its fixpoint, and then one pass of
-    step 3 over the arcs in edge order leaves nothing for either step."""
+    step 3 over the sorted arcs leaves nothing for either step.
+
+    So step 2 reads only the nodes k that lead along some arc k <-> o, with
+    one ancestry test per arc end, and pairs each such arc with the heads at
+    k: k's parents, from `_parents`, and its other arcs. Its rounds are
+    semi-naive (see `_rounds`): a later round pairs a new arc that its end
+    leads along with every head there, and a new arrow into k or a new arc
+    at k with the arcs k leads along. The walk index `_flows` is never
+    built."""
     anc = {}
 
     def is_ancestor(k, n):
@@ -451,37 +515,54 @@ def sg_to_ag_traced(h: MixedGraph):
             anc[n] = h.ancestors((n,))
         return k in anc[n]
 
-    # step 2: collider Vs o1 *-> k <-> o2 whose second edge is an arc towards
-    # the endpoint the inner node leads to, read per arc at k against every
-    # other head edge at k; an arc-arc V is taken once, smaller end first
-    def candidates(current):
-        for k, flows in current._flows.items():
-            heads = [(o, mo) for o, mh, mo, _e in flows if mh == HEAD]
-            for o2, m2 in heads:
-                if m2 != HEAD:
-                    continue
-                for o1, m1 in heads:
-                    if m1 == HEAD:
-                        if o1 >= o2 or not (is_ancestor(k, o1) or is_ancestor(k, o2)):
-                            continue
-                        gen = arc(o1, o2)
-                    elif o1 != o2 and is_ancestor(k, o2):
-                        gen = arrow(o1, o2)
-                    else:
-                        continue
-                    yield "ag-step-2", k, min(o1, o2), max(o1, o2), gen
+    # per node, its spouses, and the spouses it is an ancestor of
+    spouses, leads = {}, {}
+
+    def step2(k, o2, parents, others):
+        # the Vs o1 *-> k <-> o2 whose arc leads from k to o2
+        for o1 in parents:
+            if o1 != o2:
+                yield "ag-step-2", k, min(o1, o2), max(o1, o2), arrow(o1, o2)
+        for o1 in others:
+            if o1 != o2:
+                yield "ag-step-2", k, min(o1, o2), max(o1, o2), arc(o1, o2)
+
+    def candidates(current, added):
+        parents = current._parents
+        new = current.edges if added is None else added
+        for kind, a, b in new:
+            if kind == ARC:
+                for k, o in ((a, b), (b, a)):
+                    spouses.setdefault(k, set()).add(o)
+                    if is_ancestor(k, o):
+                        leads.setdefault(k, set()).add(o)
+        if added is None:
+            for k, targets in leads.items():
+                for o2 in targets:
+                    yield from step2(k, o2, parents[k], spouses[k])
+            return
+        for kind, a, b in added:
+            if kind == ARROW:
+                for o2 in leads.get(b, ()):
+                    yield from step2(b, o2, (a,), ())
+                continue
+            for k, o in ((a, b), (b, a)):
+                targets = leads.get(k, ())
+                if o in targets:
+                    yield from step2(k, o, parents[k], spouses[k])
+                for o2 in targets:
+                    yield from step2(k, o2, (), (o,))
 
     current, trace = _rounds(h, candidates)
     # step 3: arcs with one endpoint an ancestor of the other become arrows
     edges = set(current.edges)
-    for e in current._sorted_edges:
-        if e.kind != ARC:
-            continue
+    arcs = sorted((e for e in edges if e.kind == ARC), key=edge_sort_key)
+    for e in arcs:
         if is_ancestor(e.a, e.b):
             _replace(edges, trace, "ag-step-3", e, arrow(e.a, e.b))
         elif is_ancestor(e.b, e.a):
             _replace(edges, trace, "ag-step-3", e, arrow(e.b, e.a))
-    result = MixedGraph._trusted(h, edges)
+    result = MixedGraph._trusted(h, edges) if trace else h
     if "AG" not in result.class_tags:
         raise NotAncestralGraph(
             f"the ancestral closure of {h!r} is not an ancestral graph"

@@ -4,7 +4,8 @@ Each suite runs checks rooted at one input graph and reports a serialized
 reproducer for every counterexample it finds. The checks are randomized,
 except those of `maximality`, which compares the primitive-inducing-path
 criterion with the literal one read off connection rows, and enumerates
-models only when `maximalize` adds an edge.
+models only when `maximalize` adds an edge, and then reads both literal
+verdicts off them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .core import MixedGraph, MixedGraphError
 from .generators import random_spec
 from .independence import (
     MODEL_NODE_LIMIT,
+    _bits,
     independence_model,
     marginalise_condition,
     model_diff,
@@ -180,27 +182,46 @@ def lemma1_suite(g: MixedGraph, seeds: int = 20) -> SuiteResult:
     return result
 
 
+def _separates_every_pair_in(model, g: MixedGraph) -> bool:
+    """The literal maximality verdict read off J_m(g), whose masks are over
+    g's nodes: every non-adjacent pair i < j has a statement <{i}, {j} | C>,
+    the triple (bit i, bit j, C)."""
+    separated = {(a, b) for a, b, _c in model.triples}
+    n = len(g.nodes)
+    full = (1 << n) - 1
+    return all(
+        (1 << k, 1 << j) in separated
+        for k, s in enumerate(g._exits[2])
+        for j in _bits(full & ~(s | s >> n | (2 << k) - 1))
+    )
+
+
 def maximality_suite(g: MixedGraph, seeds: int = 0) -> SuiteResult:
     """PIP-emptiness vs the literal definition, plus maximalize invariants.
-    The literal verdicts come from connection-row sweeps. When maximalize
-    adds no edge, its output is g: the model is unchanged by identity and
-    its literal verdict is g's, so no model is enumerated."""
+    Each graph's connection rows are read once. When maximalize adds no
+    edge, its output is g: the model is unchanged by identity and its
+    literal verdict is g's, from one sweep that stops once every pair is
+    separated. When it adds edges, the models of g and of its output are
+    enumerated, and both literal verdicts are read off their singleton
+    statements."""
     result = SuiteResult("maximality")
     _require("RG" in g.class_tags, "maximality needs a ribbonless input")
     _require_small(g, "maximality")
     pip_maximal = is_maximal(g)
-    literal = _separates_every_pair(g)
+    maximal = maximalize(g)
+    if maximal == g:
+        literal = _separates_every_pair(g)
+        same_model, pairwise = True, literal
+    else:
+        model, maximal_model = independence_model(g), independence_model(maximal)
+        literal = _separates_every_pair_in(model, g)
+        same_model = model_equal(model, maximal_model)
+        pairwise = _separates_every_pair_in(maximal_model, maximal)
     result.checked += 1
     if pip_maximal != literal:
         result.fail(
             f"PIP criterion says maximal={pip_maximal}, literal says {literal}", g
         )
-    maximal = maximalize(g)
-    if maximal == g:
-        same_model, pairwise = True, literal
-    else:
-        same_model = model_equal(independence_model(g), independence_model(maximal))
-        pairwise = _separates_every_pair(maximal)
     result.checked += 1
     if not same_model:
         result.fail("maximalize changed the independence model", g)

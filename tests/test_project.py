@@ -7,6 +7,7 @@ from unittest import mock
 
 import pytest
 
+from mixedgraphs import project
 from mixedgraphs.core import (
     MixedGraph,
     MixedGraphError,
@@ -259,18 +260,72 @@ def ag_outcome(closure, g):
     return out, render_trace(trace)
 
 
-def test_ancestral_closure_matches_the_literal_loop():
-    """The one-pass closure on the input's ancestry gives the graph, trace
-    or error of the loop that re-reads ancestry after every edge it adds,
-    and its output keeps every node's ancestors."""
+class RoundSpy:
+    """Wraps `project._rounds` to count each closure's rounds (the calls of
+    its candidate generator) and to check the semi-naive rule: from round
+    two on, every candidate (rule, t, lo, hi, edge) is a V at t holding an
+    edge the round before added, between t and lo or hi, or sits at a node t
+    that has just joined `cond` ∪ an(`cond`) (set `cond` to C for Table 1)."""
+
+    def __init__(self):
+        self.cond = frozenset()
+        self.rounds = []
+        self.later = 0
+        self._real = project._rounds
+
+    def __call__(self, current, candidates):
+        self.rounds.append(0)
+        previous = current
+
+        def checked(graph, added):
+            nonlocal previous
+            self.rounds[-1] += 1
+            if added is None:
+                yield from candidates(graph, added)
+                return
+            cond = self.cond
+            joined = graph.ancestors(cond) - previous.ancestors(cond) - cond
+            ends = {frozenset((e.a, e.b)) for e in added}
+            for c in candidates(graph, added):
+                _rule, t, lo, hi, _gen = c
+                assert t in joined or {t, lo} in ends or {t, hi} in ends, c
+                self.later += 1
+                yield c
+            previous = graph
+
+        return self._real(current, checked)
+
+
+@pytest.fixture
+def round_spy(monkeypatch):
+    spy = RoundSpy()
+    monkeypatch.setattr(project, "_rounds", spy)
+    return spy
+
+
+def ancestral_cases():
+    """Every 3-node mixed graph, random LMGs and SGs, and the SG projections
+    of 30-40-node DAGs, some of whose closures take three rounds."""
     rng = random.Random(31)
     cases = list(all_mixed_graphs(("a", "b", "c")))
     for _ in range(1000):
         p = rng.choice((0.12, 0.25, 0.4))
         cases.append(random_lmg(rng, rng.randint(2, 9), p=p))
     cases += [random_sg(rng, rng.randint(2, 9)) for _ in range(500)]
+    for _ in range(60):
+        g = random_dag(rng, rng.randint(30, 40), p=0.2)
+        cases.append(project_sg(g, removal_spec(rng, g, 0.3, marg=0.8)))
+    return cases
+
+
+def test_ancestral_closure_matches_the_literal_loop(round_spy):
+    """The one-pass closure on the input's ancestry gives the graph, trace
+    or error of the loop that re-reads ancestry after every edge it adds,
+    and its output keeps every node's ancestors. Its rounds after the first
+    read only Vs at new edges; some closures compared run three rounds, so
+    the semi-naive ones are compared past round two."""
     fired = set()
-    for g in cases:
+    for g in ancestral_cases():
         out, trace = ag_outcome(sg_to_ag_traced, g)
         assert (out, trace) == ag_outcome(sg_to_ag_oracle, g), g
         if isinstance(out, MixedGraph):
@@ -279,6 +334,22 @@ def test_ancestral_closure_matches_the_literal_loop():
         else:
             fired.add(out)
     assert fired == {"rule=ag-step-2", "rule=ag-step-3", NotAncestralGraph}
+    assert max(round_spy.rounds) >= 3 and round_spy.later > 0
+
+
+def test_ancestral_closure_without_a_step_returns_its_input():
+    # an SG with no arc gives step 2 and step 3 nothing to read: the closure
+    # returns its input, never builds the walk index, and the class check
+    # reads the parent index the ancestry tests built
+    rng = random.Random(47)
+    for _ in range(200):
+        sg = random_sg(rng, rng.randint(2, 9))
+        g = MixedGraph(sg.nodes, [e for e in sg.edges if e.kind != "arc"])
+        out, trace = sg_to_ag_traced(g)
+        assert out is g and trace == [] and "_flows" not in vars(g), g
+    # so does the SG strip that replaces no edge
+    g = mk("a -> b\nb <-> c")
+    assert rg_to_sg_traced(g, {"a"}) == (g, []) and rg_to_sg(g, {"a"}) is g
 
 
 def test_sg_strip_matches_the_per_edge_rule():
@@ -570,10 +641,12 @@ def all_splits(nodes):
         )
 
 
-def removal_spec(rng, g, fraction):
+def removal_spec(rng, g, fraction, marg=0.5):
+    """Remove a fraction of g's nodes, each marginalised with chance marg
+    and conditioned otherwise."""
     removed = rng.sample(g.nodes, round(fraction * len(g.nodes)))
-    marg = {x for x in removed if rng.random() < 0.5}
-    return spec(marg, set(removed) - marg)
+    marginalised = {x for x in removed if rng.random() < marg}
+    return spec(marginalised, set(removed) - marginalised)
 
 
 def assert_projections_match_closure(g, s):
@@ -728,10 +801,10 @@ def test_signature_projection_builds_each_edge_once(monkeypatch):
         assert builds <= len(projected.edges), (seed, builds, len(projected.edges))
 
 
-def test_closure_rounds_match_the_round_loop_oracle():
-    # the shared round loop gives the closed graph and the rendered trace of
-    # the closure's own loop, on every three-node multigraph under four
-    # seeded (M, C) splits and on random LMGs, ribbonless or not
+def closure_cases():
+    """Every three-node multigraph under four seeded (M, C) splits, random
+    LMGs, ribbonless or not, and 12-20-node LMGs that are not ribbonless,
+    whose closures take three rounds or more."""
     rng = random.Random(37)
     cases = []
     for g in all_mixed_graphs(("a", "b", "c"), multi=True):
@@ -743,14 +816,30 @@ def test_closure_rounds_match_the_round_loop_oracle():
         cases.append((g, random_spec(rng, g)))
         ribbonless += g.is_ribbonless
     assert 0 < ribbonless < 1200
+    ribbons = 0
+    while ribbons < 40:
+        g = random_lmg(rng, rng.randint(12, 20), p=rng.uniform(0.1, 0.2))
+        if not g.is_ribbonless:
+            cases.append((g, random_spec(rng, g)))
+            ribbons += 1
+    return cases
+
+
+def test_closure_rounds_match_the_round_loop_oracle(round_spy):
+    # the shared round loop gives the closed graph and the rendered trace of
+    # the closure's own loop, and its rounds after the first read only Vs
+    # at new edges or at nodes new to C ∪ an(C); some closures compared run
+    # four rounds, so the semi-naive ones are compared past round two
     fired = set()
-    for g, s in cases:
+    for g, s in closure_cases():
+        round_spy.cond = s.cond
         closed, trace = table1_closure(g, s)
         want, want_trace = table1_closure_oracle(g, s)
         assert closed == want, (g, s)
         assert render_trace(trace) == render_trace(want_trace), (g, s)
         fired.update(step.rule for step in trace)
     assert fired == {str(rule) for rule in range(1, 11)}
+    assert max(round_spy.rounds) >= 4 and round_spy.later > 0
 
 
 def test_signatures_are_the_closure_edges_on_every_three_node_multigraph():

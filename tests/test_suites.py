@@ -2,7 +2,7 @@ from unittest import mock
 
 import pytest
 
-from mixedgraphs import independence, suites
+from mixedgraphs import independence, suites, witness
 from mixedgraphs.core import MixedGraph, arrow
 from mixedgraphs.independence import (
     independence_model,
@@ -103,6 +103,26 @@ def test_maximality_suite_enumerates_models_only_when_maximalize_adds_edges():
             result = maximality_suite(g)
         assert result.ok and result.checked == 3, result.failures
         assert enumerate_.call_count == enumerations, text
+
+
+def test_maximality_suite_reads_each_graphs_rows_once():
+    # maximalize adds an edge here, so the suite enumerates the models of the
+    # 4-node input and of its output, 16 row sets each, and reads both
+    # literal verdicts off their singleton statements with no sweep of its own
+    g = mk("a <-> q\nq <-> b\nq -> c\nc -> a")
+    real, rows = independence._connections, []
+
+    def counted(*args):
+        for cmask, conn in real(*args):
+            rows.append(cmask)
+            yield cmask, conn
+
+    with mock.patch.object(independence, "_connections", counted), mock.patch.object(
+        witness, "_connections", counted
+    ):
+        result = maximality_suite(g)
+    assert result.ok and result.checked == 3, result.failures
+    assert len(rows) == 32
 
 
 def test_maximality_suite_reports_a_maximalize_that_adds_no_edge():
