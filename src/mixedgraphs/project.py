@@ -21,17 +21,16 @@ between an ancestor and its descendant into an arrow.
 
 The two V-closures, Table 1 and the ancestral collider step, share one
 round loop (`_rounds`), and the two strip stages, the summary-graph strip
-and the ancestral arc step, share one replace step (`_replace`). The rounds
-are semi-naive: after the first, a round reads only the Vs that hold an
-edge the round before added, and for Table 1 the Vs at the nodes that have
-just joined C ∪ an(C). An older V whose edge is missing was a candidate in
-the round before, and every candidate's edge was added then; for Table 1
-the only other way a V starts to fire is that its inner node joins
-C ∪ an(C). Every round still sorts its candidates, so each trace is that of
-full rescans. A stage that changes nothing, the summary-graph strip with
-no edge to replace or the ancestral closure with no step to fire, returns
-its input graph, so the class check and the writer reuse its parent index
-and its edge order.
+and the ancestral arc step, share one replace step (`_replace`). The
+collider step's rounds are semi-naive: after the first, a round reads only
+the Vs that hold an edge the round before added. An older V whose edge is
+missing was a candidate in the round before, and every candidate's edge was
+added then, and ancestry does not change, so no older V can start to fire.
+Every round still sorts its candidates, so each trace is that of full
+rescans. Table 1 still rescans every V each round. A stage that changes
+nothing, the summary-graph strip with no edge to replace or the ancestral
+closure with no step to fire, returns its input graph, so the class check
+and the writer reuse its parent index and its edge order.
 
 On inputs the gate tagged RG (ribbonless; a DAG or SG is tagged so without a
 ribbon search, and never builds its ribbon report) the first stage runs by
@@ -186,14 +185,13 @@ def _rounds(current: MixedGraph, candidates):
 
     `candidates(graph, added)` yields (rule, inner node, lower end, upper
     end, edge) tuples; a round sorts those whose edge is not in the graph yet
-    and adds the first candidate for each new edge, with its step. The rounds
-    are semi-naive: `added` is None in the first round, which reads every V,
-    and from then on lists the edges the round before added, and a generator
-    need only yield the Vs that hold one of them. An older V whose edge is
-    missing was a candidate in the round before, and every candidate's edge
-    was added in that round; only a rule whose enabling set grows can make
-    an older V fire, and the generator rescans where it grew. Every round
-    still sorts its candidates, so the steps are those of full rescans."""
+    and adds the first candidate for each new edge, with its step. `added` is
+    None in the first round, which reads every V, and from then on lists the
+    edges the round before added. A generator whose rules' enabling sets do
+    not grow may run semi-naive and yield only the Vs that hold one of them:
+    an older V whose edge is missing was a candidate in the round before,
+    and every candidate's edge was added in that round. Every round still
+    sorts its candidates, so the steps are those of full rescans."""
     trace, added = [], None
     while True:
         edges = current.edges
@@ -224,51 +222,27 @@ def table1_closure(h: MixedGraph, spec: ProjectionSpec):
 
     Returns (closed graph, trace). Scan order is (rule id, inner node,
     endpoints); the fixpoint itself is order-independent because adding an
-    edge never destroys a V. The first round reads every V at a node of M or
-    C ∪ an(C), each later one (see `_rounds`) pairs each edge the round
-    before added with the other edges at its two ends, and rescans in full
-    the nodes that have just joined C ∪ an(C): a V none of whose edges is new
-    starts to fire only when its inner node joins the set enabling the
-    collider rows. Each pair's row is read from `_V_RULE`. Projections use the
-    closure only for inputs that are not ribbonless; on the others it is the
-    oracle for the signature route.
+    edge never destroys a V. Each round rescans every V of the graph the
+    previous round built, reading each pair's row from `_V_RULE`, so
+    projections use it only for inputs that are not ribbonless; on the
+    others it is the oracle for the signature route.
     """
     spec.validate_for(h)
     marg, cond = spec.marg, spec.cond
-    enabler = frozenset()
 
-    def candidates(current, added):
-        nonlocal enabler
-        flows = current._flows
-        grown = cond | current.ancestors(cond)
-        rescan = marg | grown if added is None else grown - enabler
-        enabler = grown
-        for t in rescan:
+    def candidates(current, _added):
+        enabler = cond | current.ancestors(cond)
+        for t, flows in current._flows.items():
             t_marg, t_enab = t in marg, t in enabler
-            for (i, m1, at_i, _), (j, m2, at_j, _) in itertools.combinations(flows[t], 2):
+            if not (t_marg or t_enab):
+                continue
+            for (i, m1, at_i, _), (j, m2, at_j, _) in itertools.combinations(flows, 2):
                 if i == j:
                     continue
                 rule = _V_RULE[m1, at_i, m2, at_j]
                 if t_enab if rule >= 8 else t_marg:
                     gen = signature_edge(at_i, at_j, i, j)
                     yield (rule, t, i, j, gen) if i < j else (rule, t, j, i, gen)
-        # a V of two new edges is read once, from the one read second
-        done = set()
-        for e in added or ():
-            for t, i in ((e.a, e.b), (e.b, e.a)):
-                t_marg, t_enab = t in marg, t in enabler
-                if not (t_marg or t_enab) or t in rescan:
-                    continue
-                m1, at_i = e.mark_at(t), e.mark_at(i)
-                # j == i also skips e itself
-                for j, m2, at_j, f in flows[t]:
-                    if j == i or f in done:
-                        continue
-                    rule = _V_RULE[m1, at_i, m2, at_j]
-                    if t_enab if rule >= 8 else t_marg:
-                        gen = signature_edge(at_i, at_j, i, j)
-                        yield (rule, t, i, j, gen) if i < j else (rule, t, j, i, gen)
-            done.add(e)
 
     return _rounds(h, candidates)
 

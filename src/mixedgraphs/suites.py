@@ -17,7 +17,6 @@ from .core import MixedGraph, MixedGraphError
 from .generators import random_spec
 from .independence import (
     MODEL_NODE_LIMIT,
-    _bits,
     independence_model,
     marginalise_condition,
     model_diff,
@@ -26,7 +25,12 @@ from .independence import (
 from .msep import endpoint_identical_connection, signature_edges
 from .project import PROJECTORS, ProjectionSpec, project_rg, table1_closure
 from .textfmt import document_for, serialize_graph
-from .witness import _separates_every_pair, is_maximal, maximalize
+from .witness import (
+    _separates_every_pair,
+    _separates_every_pair_in,
+    is_maximal,
+    maximalize,
+)
 
 
 class UnsuitableGraph(MixedGraphError):
@@ -180,20 +184,6 @@ def lemma1_suite(g: MixedGraph, seeds: int = 20) -> SuiteResult:
         if not ok:
             break
     return result
-
-
-def _separates_every_pair_in(model, g: MixedGraph) -> bool:
-    """The literal maximality verdict read off J_m(g), whose masks are over
-    g's nodes: every non-adjacent pair i < j has a statement <{i}, {j} | C>,
-    the triple (bit i, bit j, C)."""
-    separated = {(a, b) for a, b, _c in model.triples}
-    n = len(g.nodes)
-    full = (1 << n) - 1
-    return all(
-        (1 << k, 1 << j) in separated
-        for k, s in enumerate(g._exits[2])
-        for j in _bits(full & ~(s | s >> n | (2 << k) - 1))
-    )
 
 
 def maximality_suite(g: MixedGraph, seeds: int = 0) -> SuiteResult:

@@ -164,11 +164,10 @@ def _pip_edges(g: MixedGraph):
     that node a collider and keeps both ends."""
     nodes = g.nodes
     n = len(nodes)
-    full = (1 << n) - 1
-    heads, tails, boths = exits = g._exits
+    heads, tails, _boths = exits = g._exits
     anc = g._ancestor_masks
-    for k, i in enumerate(nodes):
-        for m in _bits(full & ~(boths[k] | boths[k] >> n | (2 << k) - 1)):
+    for k, (i, above) in enumerate(zip(nodes, _unadjacent_above(g))):
+        for m in _bits(above):
             colliders = (anc[k] | anc[m]) & ~(1 << k | 1 << m)
             for first, start in ((TAIL, tails[k]), (HEAD, heads[k])):
                 reached = _walk_reach(exits, colliders, 0, start)
@@ -191,15 +190,21 @@ def is_maximal_literal(g: MixedGraph, limit: int = MODEL_NODE_LIMIT) -> bool:
     return _separates_every_pair(g)
 
 
+def _unadjacent_above(g: MixedGraph) -> list:
+    """Per node index k, the mask of the nodes j > k not adjacent to it: the
+    pairs that maximality asks to be separated, each once."""
+    n = len(g.nodes)
+    full = (1 << n) - 1
+    return [full & ~(s | s >> n | (2 << k) - 1) for k, s in enumerate(g._exits[2])]
+
+
 def _separates_every_pair(g: MixedGraph) -> bool:
     """The literal maximality verdict: every non-adjacent pair i < j is
     m-separated by some C. The connection rows come per C in increasing
     order; C settles the pair when neither node is in C and bit j of row i
     is unset. True as soon as every pair is settled, False after the last C."""
-    n = len(g.nodes)
-    full = (1 << n) - 1
     # per node i, the nodes j > i not adjacent to it and not yet separated
-    unsettled = [full & ~(s | s >> n | (2 << k) - 1) for k, s in enumerate(g._exits[2])]
+    unsettled = _unadjacent_above(g)
     pending = sum(1 << k for k, m in enumerate(unsettled) if m)
     if not pending:
         return True
@@ -211,6 +216,18 @@ def _separates_every_pair(g: MixedGraph) -> bool:
                 if not pending:
                     return True
     return False
+
+
+def _separates_every_pair_in(model, g: MixedGraph) -> bool:
+    """The literal maximality verdict read off J_m(g), whose masks are over
+    g's nodes: every non-adjacent pair i < j has a statement <{i}, {j} | C>,
+    the triple (bit i, bit j, C)."""
+    separated = {(a, b) for a, b, _c in model.triples}
+    return all(
+        (1 << k, 1 << j) in separated
+        for k, above in enumerate(_unadjacent_above(g))
+        for j in _bits(above)
+    )
 
 
 def maximalize_report(g: MixedGraph):
