@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 
 from .core import MixedGraph, MixedGraphError
-from .msep import NotDisjoint, PathWitness, _paths, _walk_reach
+from .msep import NotDisjoint, _paths, _walk_reach
 from .textfmt import ParseError, _json_field, _json_payload
 
 
@@ -341,9 +341,9 @@ def _connections(g: MixedGraph, fixed, drop):
 
 def _path_masks(path, bit):
     """The (collider mask, non-collider mask) of a path's inner nodes."""
-    w = PathWitness(*path)
-    co = sum(bit[v] for v, collider in zip(w.nodes[1:-1], w.colliders) if collider)
-    return co, sum(bit[v] for v in w.nodes[1:-1]) - co
+    inner = path.nodes[1:-1]
+    co = sum(bit[v] for v, collider in zip(inner, path.colliders) if collider)
+    return co, sum(bit[v] for v in inner) - co
 
 
 def independence_model(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .core import ARROW, EDGE_TOKEN, HEAD, TAIL, MixedGraph, MixedGraphError
 from .core import signature_edge
@@ -60,8 +61,7 @@ class ConnectionQuery:
             raise OverlapError("source/target may not be collider enablers")
 
 
-@dataclass(frozen=True)
-class PathWitness:
+class PathWitness(NamedTuple):
     """A connecting path: its node sequence and the edge chosen at each step."""
 
     nodes: tuple
@@ -128,8 +128,8 @@ def _mask(g: MixedGraph, nodes):
 
 
 def _paths(g: MixedGraph, source, target, collider_set, allowed):
-    """Every m-connecting simple path from source to target as (nodes,
-    edges) tuples, depth-first in canonical edge order on an explicit stack
+    """Every m-connecting simple path from source to target as a
+    `PathWitness`, depth-first in canonical edge order on an explicit stack
     (no recursion limit). Same step rule as `_walk_reach`; a node that no edge
     may leave is never entered."""
     flows = g._flows
@@ -141,7 +141,7 @@ def _paths(g: MixedGraph, source, target, collider_set, allowed):
             if o in visited:
                 continue
             if o == target:
-                yield (*nodes, o), (*edges, e)
+                yield PathWitness((*nodes, o), (*edges, e))
                 continue
             o_tail = o in allowed
             o_head = o in collider_set if mo == HEAD else o_tail
@@ -204,7 +204,7 @@ def enumerate_connecting_paths(
     paths = _paths(
         g, query.source, query.target, collider_set, query.allowed_noncolliders
     )
-    return tuple(PathWitness(nodes, edges) for nodes, edges in islice(paths, limit))
+    return tuple(islice(paths, limit))
 
 
 def m_separated(g: MixedGraph, A, B, C) -> bool:

@@ -36,22 +36,12 @@ On inputs the gate tagged RG (ribbonless; a DAG or SG is tagged so without a
 ribbon search, and never builds its ribbon report) the first stage runs by
 Lemma 1: the closure joins two survivors by an edge with end marks
 (m_i, m_j) exactly when some m-connecting walk between them has those end
-marks and is a single edge or passes a third node. So the survivors' edges in the input, and one
-predecessor walk search per survivor and first mark, yield the surviving
-edges, the survivors in an(C) and, for the trace, the Table-1 step behind
-each generated edge. The search pushes only the states a walk can leave (a
-node of M, or of C ∪ an(C) entered with a head). A connecting walk read
-backwards connects its ends with the marks swapped, so each generated edge
-is built once, by the search from its smaller end; that search gives its
-step too, unless its walk stepped from that end itself, and then the larger
-end's search does. The witness exit of a step is looked up in the flows
-again only when a head exit left a node of M. One pass over a survivor's
-flows splits its seeds by first mark, and a mark with no seed starts no
-search; each step's Table-1 row is read from a table keyed by the four
-marks of its two edges. The projected graph is handed over with its node
-and edge tuples in canonical order, and the trace is read off that edge
-tuple, so the summary-graph strip's first round reads it as it is and the
-writer sorts nothing again.
+marks and is a single edge or passes a third node. So the survivors' edges in
+the input, and one predecessor walk search per survivor and first mark, yield
+the surviving edges, the survivors in an(C) and, for the trace, the Table-1
+step behind each generated edge; `_signature_projection` states the rules
+that keep the search to the work it uses, and hands its graph over in
+canonical order, so neither the summary-graph strip nor the writer sorts it.
 `table1_closure`, the fixpoint itself, is the route for forced inputs that
 are not ribbonless, where walks and the closure can differ, and for the
 rare ribbonless input whose search cannot show a third node for some edge.
@@ -63,6 +53,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     ARC,
@@ -105,6 +96,8 @@ class ProjectionSpec:
     cond: frozenset = frozenset()
 
     def __post_init__(self):
+        if isinstance(self.marg, str) or isinstance(self.cond, str):
+            raise SpecInvalid("marg and cond take collections of nodes, not a string")
         object.__setattr__(self, "marg", frozenset(self.marg))
         object.__setattr__(self, "cond", frozenset(self.cond))
         if self.marg & self.cond:
@@ -120,8 +113,7 @@ class ProjectionSpec:
         return self.marg | self.cond
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One closure event; `removed` is set for replacement steps."""
 
     rule: str

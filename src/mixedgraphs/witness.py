@@ -157,11 +157,11 @@ def dagify(h: MixedGraph) -> DagifyResult:
 
 def _pip_edges(g: MixedGraph):
     """The endpoint-identical edge of every primitive inducing path, once
-    per non-adjacent pair i < j and end-mark signature. A walk out of i, from
-    its head or tail exits, whose inner nodes are all colliders in
-    (an(i) | an(j)) - {i, j} contains such a path with its end marks: cutting
-    each repeat of a node from its first arrival to its last departure keeps
-    that node a collider and keeps both ends."""
+    per non-adjacent pair i < j and end-mark signature, so none is in g. A
+    walk out of i, from its head or tail exits, whose inner nodes are all
+    colliders in (an(i) | an(j)) - {i, j} contains such a path with its end
+    marks: cutting each repeat of a node from its first arrival to its last
+    departure keeps that node a collider and keeps both ends."""
     nodes = g.nodes
     n = len(nodes)
     heads, tails, _boths = exits = g._exits
@@ -237,7 +237,7 @@ def maximalize_report(g: MixedGraph):
     current = g
     sweeps = 0
     while True:
-        additions = set(_pip_edges(current)) - current.edges
+        additions = set(_pip_edges(current))
         if not additions:
             return current, sweeps
         sweeps += 1

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from mixedgraphs.core import HEAD, TAIL
+from mixedgraphs.core import HEAD, TAIL, arrow
 from mixedgraphs.generators import random_dag, random_lmg
 from mixedgraphs.msep import (
     ConnectionQuery,
     NotDisjoint,
     OverlapError,
+    PathWitness,
+    _paths,
     _walk_reach,
     connecting_path_exists,
     endpoint_identical_connection,
@@ -238,6 +240,25 @@ def test_witness_render():
     g = mk("m -> a\nm <-> x\nx -- b")
     (w,) = enumerate_connecting_paths(g, q("a", "b", M={"m", "x"}))
     assert w.render() == "a <- m <-> x -- b"
+
+
+def test_path_witness_record_contract():
+    g = mk("a -> c\nb -> c")
+    assert all(isinstance(p, PathWitness) for p in _paths(g, "a", "b", {"c"}, ()))
+    (w,) = enumerate_connecting_paths(g, q("a", "b", C={"c"}))
+    nodes, edges = w
+    assert nodes == ("a", "c", "b") and edges == (arrow("a", "c"), arrow("b", "c"))
+    assert w._fields == ("nodes", "edges")
+    assert w.colliders == (True,) and w.render() == "a -> c <- b"
+    assert repr(w) == (
+        "PathWitness(nodes=('a', 'c', 'b'), edges=(Edge(kind='arrow', a='a', "
+        "b='c'), Edge(kind='arrow', a='b', b='c')))"
+    )
+    again = PathWitness(nodes=nodes, edges=edges)
+    assert again == w and hash(again) == hash(w)
+    assert w != PathWitness(nodes[::-1], edges[::-1])
+    with pytest.raises(AttributeError):
+        w.nodes = ()
 
 
 def test_every_three_node_multigraph_matches_definition_oracles():

@@ -148,6 +148,32 @@ def test_spec_validation():
         ProjectionSpec({"a"}, {"a"})
     with pytest.raises(SpecInvalid):
         project_rg(mk("a -> b"), spec(marg="z"))
+    # iterated, "ab" would name the nodes a and b, and "m1" the nodes m and 1
+    for bad in ({"marg": "ab"}, {"cond": "ab"}, {"marg": "m1"}):
+        with pytest.raises(SpecInvalid):
+            ProjectionSpec(**bad)
+    g = mk("a -> ab\nab -> b\nb -> c")
+    assert project_rg(g, ProjectionSpec(marg=("ab",))) == mk("a -> b\nb -> c")
+
+
+def test_trace_step_record_contract():
+    gen, old = arc("a", "b"), arrow("a", "b")
+    step = project.TraceStep("1", "t", gen)
+    assert step._fields == ("rule", "inner", "generated", "removed")
+    assert step.removed is None
+    assert repr(step) == (
+        "TraceStep(rule='1', inner='t', "
+        "generated=Edge(kind='arc', a='a', b='b'), removed=None)"
+    )
+    assert step.render() == "rule=1 inner=t generated=a <-> b"
+    swap = project.TraceStep("sg-step-2", None, None, removed=old)
+    assert swap == project.TraceStep("sg-step-2", None, None, old)
+    assert swap.render() == "rule=sg-step-2 inner=- generated=- removed=a -> b"
+    again = project.TraceStep(rule="1", inner="t", generated=gen)
+    assert again == step and hash(again) == hash(step) and step != swap
+    assert len({step, again, swap}) == 2
+    with pytest.raises(AttributeError):
+        step.rule = "2"
 
 
 def test_project_rg_identity_on_empty_spec():
