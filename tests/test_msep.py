@@ -256,6 +256,9 @@ def test_path_witness_record_contract():
     )
     again = PathWitness(nodes=nodes, edges=edges)
     assert again == w and hash(again) == hash(w)
+    # a named tuple: equal to, and hashed like, its plain pair; indexable
+    assert w == (nodes, edges) and hash(w) == hash((nodes, edges))
+    assert len({w, (nodes, edges)}) == 1 and w[0] == nodes and len(w) == 2
     assert w != PathWitness(nodes[::-1], edges[::-1])
     with pytest.raises(AttributeError):
         w.nodes = ()

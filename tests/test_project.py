@@ -172,6 +172,9 @@ def test_trace_step_record_contract():
     again = project.TraceStep(rule="1", inner="t", generated=gen)
     assert again == step and hash(again) == hash(step) and step != swap
     assert len({step, again, swap}) == 2
+    # a named tuple: equal to, and hashed like, its plain 4-tuple
+    assert step == ("1", "t", gen, None) and hash(step) == hash(("1", "t", gen, None))
+    assert tuple(swap) == ("sg-step-2", None, None, old) and swap[3] == old
     with pytest.raises(AttributeError):
         step.rule = "2"
 
