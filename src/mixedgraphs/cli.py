@@ -103,14 +103,17 @@ def _emit_graph(doc, args):
 def _cmd_project(doc, args):
     spec = _spec_from(args, doc)
     # a forced projection's warning as one fixed line, without the file, line
-    # and source echo that the warnings module prints
+    # and source echo that the warnings module prints, also when the forced
+    # projection then fails
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        projected, trace = PROJECTORS_TRACED[args.type](
-            doc.graph(), spec, force=args.force
-        )
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+        try:
+            projected, trace = PROJECTORS_TRACED[args.type](
+                doc.graph(), spec, force=args.force
+            )
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
     if args.trace:
         sys.stderr.write(render_trace(trace))
     _emit_graph(document_for(projected, name=doc.name), args)

@@ -12,9 +12,11 @@ skips those checks. A checked document's graph goes through it too, and hands
 over the document's canonical node and edge tuples as the graph's orders, so
 they are not sorted again; the Lemma-1 projection hands over its sorted
 tuples the same way. A graph built over another graph's nodes shares that
-graph's node tuple and set. Construction indexes nothing: the parents,
-which ancestry and `cycle_nodes` read, are built on first read like every
-other table, and every other adjacency query reads the walk index `_flows`.
+graph's node tuple and set. Construction indexes nothing: the parents are
+built on first read like every other table, and every other adjacency query
+reads the walk index `_flows`. One pass over the parents, their strongly
+connected components, serves both `cycle_nodes` and the per-node ancestor
+masks, which the class tests read; `ancestors` walks the parents itself.
 Ribbon detection pairs the head exits that `_flows` lists at each candidate
 inner node.
 """
@@ -134,15 +136,23 @@ def reach(step, seeds) -> set:
     return seen
 
 
-def _cyclic(parents) -> frozenset:
-    """The nodes of `parents` (node -> its parents, each a key) on some
-    direction-preserving cycle: those in strongly connected components of
-    more than one node, from one iterative Tarjan pass in dict order."""
+def _components(parents) -> list:
+    """The strongly connected components of `parents` (node -> its parents,
+    each a key) as node tuples, from one iterative Tarjan pass in dict order.
+    A component comes out only once every component its nodes reach along
+    parents has, so it follows every component that holds an ancestor of
+    its nodes. A node without parents, a component with no ancestors, is
+    left out.
+
+    The members of a multi-node component reach each other along parents,
+    so each lies on a direction-preserving cycle through another member and
+    is its own ancestor. No other node is: the graph has no loops, and a
+    cycle through another node would put both in one component."""
     # One dict: each entered node's low-link, set to `done` (above every index)
     # once its component is emitted. A work entry carries its node's index
     # and stack position. A node without parents is never entered.
     done = len(parents)
-    low, stack, cyclic = {}, [], []
+    low, stack, components = {}, [], []
     for root in parents:
         if root in low or not parents[root]:
             continue
@@ -166,14 +176,16 @@ def _cyclic(parents) -> frozenset:
             else:
                 work.pop()
                 if low[v] == i:
-                    if len(stack) - k > 1:
-                        cyclic.extend(stack[k:])
-                    for w in stack[k:]:
+                    # a tuple, not the slice itself: a graph keeps its
+                    # components, and a kept list per node made the cyclic
+                    # garbage collector run about twice as often
+                    components.append(tuple(stack[k:]))
+                    for w in components[-1]:
                         low[w] = done
                     del stack[k:]
                 elif low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
-    return frozenset(cyclic)
+    return components
 
 
 class RibbonReport(NamedTuple):
@@ -257,6 +269,13 @@ class MixedGraph:
         return parents
 
     @cached_property
+    def _components(self) -> list:
+        """The strongly connected components of the nodes with parents,
+        parents first, from the module's one Tarjan pass: `cycle_nodes` and
+        `_ancestor_masks` read them."""
+        return _components(self._parents)
+
+    @cached_property
     def _flows(self) -> dict:
         """Per node, (other endpoint, mark here, mark there, edge) in
         canonical edge order: the walk structure of the separation engine,
@@ -308,10 +327,23 @@ class MixedGraph:
         return heads, tails, [head | tail for head, tail in zip(heads, tails)]
 
     @cached_property
-    def _ancestor_masks(self) -> list:
-        """Per node k, the mask of its ancestors."""
+    def _ancestor_masks(self) -> dict:
+        """Per node, in node order, the mask of its ancestors, in one pass over
+        `_components`, parents first: a component's mask is the OR of its
+        members' parents' bits and those parents' masks, shared by every
+        member. A multi-node component holds each of its members among their
+        parents, so each member is its own ancestor; a single node is not,
+        since it has no loop and is on no cycle."""
         bit, parents = self._bit, self._parents
-        return [sum(bit[u] for u in reach(parents, (v,))) for v in self._nodes]
+        masks = dict.fromkeys(self._nodes, 0)
+        for component in self._components:
+            mask = 0
+            for v in component:
+                for u in parents[v]:
+                    mask |= bit[u] | masks[u]
+            for v in component:
+                masks[v] = mask
+        return masks
 
     # --- basic accessors -------------------------------------------------
 
@@ -400,8 +432,9 @@ class MixedGraph:
 
     @cached_property
     def cycle_nodes(self) -> frozenset:
-        """Nodes lying on some direction-preserving cycle (`_cyclic`)."""
-        return _cyclic(self._parents)
+        """Nodes lying on some direction-preserving cycle: the members of the
+        multi-node `_components`."""
+        return frozenset(v for c in self._components if len(c) > 1 for v in c)
 
     def induced_subgraph(self, keep) -> "MixedGraph":
         keep = set(keep)
@@ -464,13 +497,10 @@ def _classify(g: MixedGraph) -> frozenset:
         tags.add("BG")
     if kinds <= {ARROW} and acyclic:
         tags.add("DAG")
-    # per arc endpoint, its spouses, read off the edges without building `_flows`
-    spouses = {}
-    for kind, a, b in g.edges:
-        if kind == ARC:
-            spouses.setdefault(a, []).append(b)
-            spouses.setdefault(b, []).append(a)
-    if acyclic and not any(g._parents[n] or n in spouses for n in g._line_ends):
+    # the arcs and their ends, read off the edges without building `_flows`
+    arcs = [(a, b) for kind, a, b in g.edges if kind == ARC] if ARC in kinds else []
+    arc_ends = set(itertools.chain(*arcs))
+    if acyclic and not any(g._parents[n] or n in arc_ends for n in g._line_ends):
         # An SG is an RG, with no ribbon search. A ribbon needs a collider V
         # whose inner node, or a descendant of it, touches a line or lies on
         # a cycle. The inner node has a head, so none of its descendants
@@ -482,7 +512,8 @@ def _classify(g: MixedGraph) -> frozenset:
         # only edge between its ends, and acyclicity leaves one arrow per
         # pair. The only possible parallel pair is a <-> b with a -> b, where
         # a is an ancestor of its spouse b, which the ancestral test rejects.
-        if not any(n in reach(g._parents, s) for n, s in spouses.items()):
+        anc = g._ancestor_masks if arcs else {}
+        if not any(g._bit[a] & anc[b] or g._bit[b] & anc[a] for a, b in arcs):
             tags.add("AG")
     elif g.is_ribbonless:
         tags.add("RG")

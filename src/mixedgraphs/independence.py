@@ -286,7 +286,7 @@ def _connections(g: MixedGraph, fixed, drop):
     adjacent = [(s | s >> n) & full | 1 << k for k, s in enumerate(starts)]
     # per node, the free non-adjacent nodes above it
     apart = [free & ~a & ~((2 << k) - 1) for k, a in enumerate(adjacent)]
-    single = g._ancestor_masks
+    single = list(g._ancestor_masks.values())
     fixed_anc = 0
     for k in bits[fixed]:
         fixed_anc |= single[k]

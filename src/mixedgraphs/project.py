@@ -460,7 +460,8 @@ def sg_to_ag_traced(h: MixedGraph):
     ancestral raises.
 
     Neither step changes who is an ancestor of whom, so ancestry is read
-    once, from h. Step 2 adds an arc, or an arrow o1 -> o2 at a V
+    once, from h's ancestor masks (`MixedGraph._ancestor_masks`), one bit
+    test per question. Step 2 adds an arc, or an arrow o1 -> o2 at a V
     o1 -> k <-> o2 with k in an(o2), where o1 is already an ancestor of o2;
     step 3 adds a -> b only for a in an(b). Every V that step 2 fires on
     holds an arc k <-> o with k in an(o), which step 3 converts, and step 3
@@ -474,13 +475,8 @@ def sg_to_ag_traced(h: MixedGraph):
     leads along with every head there, and a new arrow into k or a new arc
     at k with the arcs k leads along. The walk index `_flows` is never
     built."""
-    anc = {}
-
-    def is_ancestor(k, n):
-        if n not in anc:
-            anc[n] = h.ancestors((n,))
-        return k in anc[n]
-
+    # k is an ancestor of n when bit[k] & anc[n]
+    bit, anc = h._bit, h._ancestor_masks
     # per node, its spouses, and the spouses it is an ancestor of
     spouses, leads = {}, {}
 
@@ -500,7 +496,7 @@ def sg_to_ag_traced(h: MixedGraph):
             if kind == ARC:
                 for k, o in ((a, b), (b, a)):
                     spouses.setdefault(k, set()).add(o)
-                    if is_ancestor(k, o):
+                    if bit[k] & anc[o]:
                         leads.setdefault(k, set()).add(o)
         if added is None:
             for k, targets in leads.items():
@@ -524,9 +520,9 @@ def sg_to_ag_traced(h: MixedGraph):
     edges = set(current.edges)
     arcs = sorted((e for e in edges if e.kind == ARC), key=edge_sort_key)
     for e in arcs:
-        if is_ancestor(e.a, e.b):
+        if bit[e.a] & anc[e.b]:
             _replace(edges, trace, "ag-step-3", e, arrow(e.a, e.b))
-        elif is_ancestor(e.b, e.a):
+        elif bit[e.b] & anc[e.a]:
             _replace(edges, trace, "ag-step-3", e, arrow(e.b, e.a))
     result = MixedGraph._trusted(h, edges) if trace else h
     if "AG" not in result.class_tags:

@@ -30,7 +30,7 @@ from .core import (
     LINE,
     TAIL,
     MixedGraph,
-    _cyclic,
+    _components,
     arrow,
     edge_sort_key,
     line,
@@ -134,7 +134,7 @@ def dagify(h: MixedGraph) -> DagifyResult:
         if t not in cyclic or head not in cyclic or head not in reach(parents, (t,)):
             continue
         parents[head].discard(t)
-        cyclic = _cyclic(parents)
+        cyclic = frozenset(v for c in _components(parents) if len(c) > 1 for v in c)
         parents = {n: parents[n] & cyclic for n in cyclic}
         arrows.discard((t, head))
         why = ("cycle-arrow", arrow(t, head))
@@ -165,7 +165,7 @@ def _pip_edges(g: MixedGraph):
     nodes = g.nodes
     n = len(nodes)
     heads, tails, _boths = exits = g._exits
-    anc = g._ancestor_masks
+    anc = list(g._ancestor_masks.values())
     for k, (i, above) in enumerate(zip(nodes, _unadjacent_above(g))):
         for m in _bits(above):
             colliders = (anc[k] | anc[m]) & ~(1 << k | 1 << m)

@@ -402,20 +402,27 @@ def test_flags_override_file_marks_with_warning(tmp_path, capsys):
 def test_forced_ag_projection_failure_is_a_domain_error(tmp_path):
     # a line meeting an arrowhead is outside the SG class, so the forced
     # ancestral closure cannot land in AG; that must be a domain error (exit
-    # 3), not an internal assertion escaping as a traceback
+    # 3), not an internal assertion escaping as a traceback; the forced run's
+    # warning line still comes first, with or without the trace
     f = tmp_path / "g.mg"
     f.write_text("a -- b\na -> b\n", encoding="utf-8")
     src = Path(mixedgraphs.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "mixedgraphs.cli", "project", str(f), "--type", "ag", "--force"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        timeout=120,
-    )
-    assert proc.returncode == 3
-    assert "NotAncestralGraph" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    argv = [sys.executable, "-m", "mixedgraphs.cli", "project", str(f), "--type", "ag"]
+    for extra in (["--force"], ["--force", "--trace"]):
+        proc = subprocess.run(
+            argv + extra,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "warning: projecting a graph that is not an ancestral graph\n"
+            "NotAncestralGraph: the ancestral closure of MixedGraph(nodes=['a', 'b'],"
+            " edges=[a -- b, a -> b]) is not an ancestral graph\n"
+        )
 
 
 def test_forced_projection_warns_in_one_fixed_line(tmp_path):

@@ -21,6 +21,7 @@ from mixedgraphs.core import (
 from mixedgraphs.generators import random_ag, random_dag, random_lmg, random_sg
 
 from .helpers import (
+    _ancestors,
     adjacency_oracle,
     all_mixed_graphs,
     class_tags_oracle,
@@ -162,6 +163,10 @@ def test_walk_index_and_cycles_match_the_edge_set_oracles():
                 assert g.edges_between(n, m) == between, (g, n, m)
                 assert g.adjacent(n, m) == bool(between), (g, n, m)
         assert g.cycle_nodes == cycle_nodes_oracle(g), g
+        # bit j of a node's mask is set exactly when node j is its ancestor
+        for n, mask in g._ancestor_masks.items():
+            anc = _ancestors(g.edges, {n})
+            assert mask == sum(1 << j for j, m in enumerate(g.nodes) if m in anc), (g, n)
 
 
 def test_deep_directed_cycle_needs_no_recursion():
@@ -169,6 +174,11 @@ def test_deep_directed_cycle_needs_no_recursion():
     edges = [arrow(names[k - 1], names[k]) for k in range(3000)]
     g = MixedGraph(names + ["x"], edges + [line("v0", "x")])
     assert g.cycle_nodes == frozenset(names)
+    # every cycle node has exactly the 3,000 cycle bits, and x none
+    cycle = sum(g._bit[v] for v in names)
+    masks = dict(g._ancestor_masks)
+    assert masks.pop("x") == 0
+    assert set(masks.values()) == {cycle}
     assert classify(g) == {"LMG", "RG"}
 
 
