@@ -79,7 +79,6 @@ from .witness import (
     is_maximal,
     is_maximal_literal,
     maximalize,
-    maximalize_report,
     unrealizable_pairs,
 )
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .core import (
     ARC,
@@ -41,7 +41,6 @@ from .core import (
     MixedGraph,
     MixedGraphError,
     canonical_edge,
-    edge_sort_key,
 )
 
 # edge tokens by the rank of their kind, the first field of an edge's sort key
@@ -92,13 +91,7 @@ class GraphDocument:
     def canonical(self) -> "GraphDocument":
         if self._checked:
             return self
-        return replace(
-            self,
-            nodes=tuple(sorted(set(self.nodes))),
-            edges=tuple(sorted(set(self.edges), key=edge_sort_key)),
-            marg=tuple(sorted(set(self.marg))),
-            cond=tuple(sorted(set(self.cond))),
-        )
+        return document_for(self.graph(), self.name, self.marg, self.cond)
 
 
 def _checked_document(name, nodes, edges, marg, cond) -> GraphDocument:

@@ -7,14 +7,14 @@ through a fresh conditioned node, and each arrow on a direction-preserving
 cycle is cut, in one sorted pass over the arrows, through a fresh
 conditioned/marginalised pair.
 
-Maximality is characterized by primitive inducing paths: paths between
-non-adjacent endpoints whose inner nodes are all colliders and all ancestors
-of an endpoint. Only their end marks matter, and the `msep` bitset walk
-gives those per pair, over the graph's walk tables. maximalize() inserts the
-endpoint-identical edge for each such path until none remain. The literal
-definition, that every non-adjacent pair is separated by some set, is read
-off the connection rows of `independence._connections` over the
-conditioning sets in increasing order, and stops once every pair is
+On ribbonless graphs, maximality is characterized by primitive inducing
+paths (PIPs): paths between non-adjacent endpoints whose inner nodes are all
+colliders and all ancestors of an endpoint. Only their end marks matter, and
+the `msep` bitset walk gives those per pair, over the graph's walk tables.
+maximalize() inserts the endpoint-identical edge of each such path in one
+sweep. The literal definition, that every non-adjacent pair is separated by
+some set, is read off the connection rows of `independence._connections`
+over the conditioning sets in increasing order, and stops once every pair is
 separated; no model is built.
 """
 
@@ -177,7 +177,10 @@ def _pip_edges(g: MixedGraph):
 
 
 def is_maximal(g: MixedGraph) -> bool:
-    """Maximality via the primitive-inducing-path criterion."""
+    """Maximality via the primitive-inducing-path criterion: no non-adjacent
+    pair is joined by a PIP. The criterion decides maximality only on
+    ribbonless graphs; off them it can pass a graph with an inseparable pair.
+    `is_maximal_literal` is exact on any graph."""
     return next(_pip_edges(g), None) is None
 
 
@@ -230,21 +233,24 @@ def _separates_every_pair_in(model, g: MixedGraph) -> bool:
     )
 
 
-def maximalize_report(g: MixedGraph):
-    """maximalize() plus the number of sweeps it took to stabilize."""
+def maximalize(g: MixedGraph) -> MixedGraph:
+    """g plus the endpoint-identical edge of every primitive inducing path,
+    in one sweep: g itself when there is none. The output keeps g's
+    independence model and is maximal, but need not be ribbonless.
+
+    One sweep suffices. Let g be ribbonless, P its PIP edges and g' = g ∪ P.
+    (a) Adding P keeps the model: J(g') = J(g). (b) In a ribbonless graph, a
+    non-adjacent pair is joined by no PIP exactly when some set separates
+    it; this is the pair-by-pair form of the criterion `is_maximal` reads.
+    Take x, y non-adjacent in g'. They are non-adjacent in g, and no PIP
+    joins them there, or P would hold their edge. By (b), some C separates
+    them in J(g) = J(g'). So g' is maximal, whether or not it is ribbonless.
+    A second PIP search finds nothing on a ribbonless g'; on a g' with a
+    ribbon, where (b) fails, any edge it found would join a separated pair
+    and so change the model."""
     if not g.is_ribbonless:
         raise NotRibbonless("maximalize requires a ribbonless input")
-    current = g
-    sweeps = 0
-    while True:
-        additions = set(_pip_edges(current))
-        if not additions:
-            return current, sweeps
-        sweeps += 1
-        current = MixedGraph._trusted(current, current.edges | additions)
-
-
-def maximalize(g: MixedGraph) -> MixedGraph:
-    """Insert endpoint-identical edges for primitive inducing paths until
-    none remain; the induced independence model is preserved."""
-    return maximalize_report(g)[0]
+    additions = set(_pip_edges(g))
+    if not additions:
+        return g
+    return MixedGraph._trusted(g, g.edges | additions)

@@ -23,7 +23,7 @@ from mixedgraphs.core import (
     line,
     signature_edge,
 )
-from mixedgraphs.generators import random_lmg, random_rg
+from mixedgraphs.generators import node_labels, random_lmg, random_rg
 from mixedgraphs.independence import (
     IndependenceModel,
     IndependenceStatement,
@@ -592,6 +592,28 @@ def random_cyclic_rg(rng, n):
         if add <= edges:
             return MixedGraph(g.nodes, edges)
         edges |= add
+
+
+def random_arc_heavy_rg(rng, n):
+    """A ribbonless graph with many arcs, some arrows either way and few
+    lines, redrawn until ribbonless: many of its non-adjacent pairs are
+    joined by primitive inducing paths."""
+    names = node_labels(n)
+    while True:
+        p_arc = rng.uniform(0.2, 0.6)
+        p_arrow = rng.uniform(0.1, 0.5)
+        p_line = rng.uniform(0, 0.15)
+        edges = []
+        for a, b in itertools.combinations(names, 2):
+            if rng.random() < p_arc:
+                edges.append(arc(a, b))
+            if rng.random() < p_arrow:
+                edges.append(arrow(*rng.sample((a, b), 2)))
+            if rng.random() < p_line:
+                edges.append(line(a, b))
+        g = MixedGraph(names, edges)
+        if g.is_ribbonless:
+            return g
 
 
 def rg_to_sg_oracle(g: MixedGraph, anc_c):

@@ -264,6 +264,19 @@ def test_maximalize_rejects_a_ribbon(tmp_path, capsys):
     assert err.startswith("NotRibbonless: ")
 
 
+def test_maximalize_output_can_be_refused_as_input(tmp_path, capsys):
+    # the one added arc b <-> c gives the output the ribbon <b, c, d>, so
+    # maximalizing it again is a domain error
+    f = tmp_path / "g.mg"
+    f.write_text("c -- d\na <-> b\na <-> c\na <-> d\nc <-> d\na -> b\nd -> b\n")
+    code, out, _ = run(capsys, "maximalize", f)
+    assert code == 0 and "b <-> c\n" in out
+    f.write_text(out)
+    code, out, err = run(capsys, "maximalize", f)
+    assert (code, out) == (3, "")
+    assert err.startswith("NotRibbonless: ")
+
+
 def test_check_suites_pass_on_chain(capsys):
     for suite in ("stability", "composition", "correspondence", "lemma1", "maximality"):
         code, out, err = run(

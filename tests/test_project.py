@@ -747,7 +747,7 @@ def test_trusted_graphs_equal_validated_ones(monkeypatch):
         "rg_to_sg_traced",
         "sg_to_ag_traced",
         "dagify",
-        "maximalize_report",
+        "maximalize",
         "graph",
     }
 

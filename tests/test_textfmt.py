@@ -359,6 +359,22 @@ def test_a_checked_document_keeps_its_checks():
     assert doc.canonical() is doc
 
 
+def test_an_unchecked_document_is_checked_before_it_is_written():
+    # a document built by hand is checked as outside input when it is
+    # written, so neither writer emits text that does not read back
+    edges = (Edge("arrow", "a", "zz"), Edge("line", "b", "a"))
+    bad_edges = GraphDocument(nodes=("a",), edges=edges, marg=("q",))
+    spaced_label = GraphDocument(nodes=("a b", "c"))
+    for doc in (bad_edges, spaced_label):
+        for write in (GraphDocument.canonical, serialize_graph, document_to_json):
+            with pytest.raises(MixedGraphError):
+                write(doc)
+    good = GraphDocument("g", ("b", "a"), (arrow("b", "a"),), ("b",))
+    assert good.canonical()._checked
+    assert parse_graph(serialize_graph(good), "g") == good.canonical()
+    assert document_from_json(document_to_json(good)) == good.canonical()
+
+
 def test_checked_documents_hand_their_orders_to_the_graph():
     """A checked document's graph takes the document's node and edge tuples
     as its orders, which equal a fresh sort, and builds no parent index

@@ -5,9 +5,9 @@ from unittest import mock
 import pytest
 
 from mixedgraphs import independence, witness
-from mixedgraphs.core import MixedGraph, arc, arrow, classify, line
-from mixedgraphs.generators import random_lmg, random_rg, random_sg
-from mixedgraphs.independence import independence_model, model_equal
+from mixedgraphs.core import MixedGraph, RibbonReport, arc, arrow, classify, line
+from mixedgraphs.generators import random_ag, random_lmg, random_rg, random_sg
+from mixedgraphs.independence import _connections, independence_model, model_equal
 from mixedgraphs.project import NotRibbonless, project_rg, project_sg
 from mixedgraphs.witness import (
     NotDagRealizable,
@@ -17,7 +17,6 @@ from mixedgraphs.witness import (
     is_maximal_literal,
     maximalize,
     _pip_edges,
-    maximalize_report,
     unrealizable_pairs,
 )
 
@@ -28,9 +27,11 @@ from .helpers import (
     is_maximal_literal_oracle,
     literal_maximality_graphs,
     mk,
+    model_oracle,
     pip_edges_oracle,
     pip_edges_per_pair_oracle,
     primitive_inducing_paths_oracle,
+    random_arc_heavy_rg,
     random_cyclic_rg,
     unrealizable_pairs_oracle,
 )
@@ -305,8 +306,7 @@ def test_any_dag_is_maximal():
 
 def test_maximalize_fixpoint_on_maximal_input():
     g = mk("a -> b\nb -> c")
-    out, sweeps = maximalize_report(g)
-    assert out == g and sweeps == 0
+    assert maximalize(g) is g
 
 
 def test_maximalize_adds_arc_for_double_headed_pip():
@@ -391,12 +391,94 @@ def test_literal_maximality_stops_at_the_first_separating_sets():
 
 
 def test_maximalize_yields_pairwise_markov():
+    # one sweep: the output keeps the model and separates every non-adjacent
+    # pair, on random RGs and arc-heavy RGs of 2-7 nodes and arc cliques
     rng = random.Random(73)
-    for _ in range(120):
-        g = random_rg(rng, rng.randint(2, 5))
+    graphs = itertools.chain(
+        (random_rg(rng, rng.randint(2, 7)) for _ in range(300)),
+        (random_arc_heavy_rg(rng, rng.randint(2, 7)) for _ in range(300)),
+        (arc_clique(m) for m in range(1, 6)),
+    )
+    added = 0
+    for g in graphs:
         out = maximalize(g)
         assert model_equal(independence_model(g), independence_model(out)), g
         assert is_maximal_literal_oracle(out), (g, out)
+        added += out is not g
+    assert added >= 100
+
+
+def test_maximalize_searches_for_pips_once():
+    # no confirming search: one `_pip_edges` call per input, also on the
+    # inputs that gain edges
+    rng = random.Random(75)
+    graphs = itertools.chain(
+        (arc_clique(m) for m in range(1, 6)),
+        (random_arc_heavy_rg(rng, rng.randint(3, 7)) for _ in range(100)),
+    )
+    added = 0
+    with mock.patch.object(witness, "_pip_edges", wraps=witness._pip_edges) as search:
+        for g in graphs:
+            search.reset_mock()
+            added += maximalize(g) is not g
+            assert search.call_count == 1, g
+    assert added >= 30
+
+
+def test_maximalize_can_leave_the_ribbonless_class():
+    # the added arc b <-> c makes <b, c, d> a collider V whose inner node
+    # touches the line c -- d: the output keeps the model and is maximal, but
+    # has a ribbon, so it is no input for maximalize
+    g = mk("c -- d\na <-> b\na <-> c\na <-> d\nc <-> d\na -> b\nd -> b")
+    assert g.is_ribbonless
+    out = maximalize(g)
+    assert out.edges == g.edges | {arc("b", "c")}
+    assert out.ribbons == (RibbonReport("b", "c", "d", "line", "c"),)
+    assert model_equal(model_oracle(g), model_oracle(out))
+    assert is_maximal_literal_oracle(out)
+    with pytest.raises(NotRibbonless):
+        maximalize(out)
+
+
+def _inseparable_pairs(g):
+    """The non-adjacent pairs of g that no conditioning set separates, read
+    off the connection rows: a row set C separates k < j when neither is in
+    C and bit j of row k is unset."""
+    nodes = g.nodes
+    apart = {
+        (k, j)
+        for k, j in itertools.combinations(range(len(nodes)), 2)
+        if not g.adjacent(nodes[k], nodes[j])
+    }
+    for cmask, conn in _connections(g, 0, 0):
+        if not apart:
+            break
+        apart = {
+            (k, j) for k, j in apart if (cmask | conn[k]) >> j & 1 or cmask >> k & 1
+        }
+    return {frozenset((nodes[k], nodes[j])) for k, j in apart}
+
+
+def test_pips_join_exactly_the_inseparable_pairs_of_ribbonless_graphs():
+    # fact (b) behind maximalize's one sweep, pair by pair: on a ribbonless
+    # graph the non-adjacent pairs a PIP joins are those no set separates
+    rng = random.Random(79)
+    makers = (random_rg, random_sg, random_ag, random_cyclic_rg, random_arc_heavy_rg)
+    graphs = itertools.chain(
+        all_mixed_graphs(("a", "b", "c"), multi=True),
+        all_mixed_graphs(("a", "b", "c", "d"), multi=False),
+        (arc_clique(m) for m in range(1, 6)),
+        (make(rng, rng.randint(4, 7)) for make in makers for _ in range(100)),
+    )
+    tried = inseparable = 0
+    for g in graphs:
+        if not g.is_ribbonless:
+            continue
+        joined = {frozenset((e.a, e.b)) for e in _pip_edges(g)}
+        assert joined == _inseparable_pairs(g), g
+        tried += 1
+        inseparable += bool(joined)
+    assert tried >= 10_000 and inseparable >= 200
 
 
 def test_literal_maximality_matches_the_separation_sweep():
