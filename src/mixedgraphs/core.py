@@ -18,7 +18,8 @@ reads the walk index `_flows`. One pass over the parents, their strongly
 connected components, serves both `cycle_nodes` and the per-node ancestor
 masks, which the class tests read; `ancestors` walks the parents itself.
 Ribbon detection pairs the head exits that `_flows` lists at each candidate
-inner node.
+inner node. `_split_flows` splits each node's `_flows` by the mark at the
+node; only the simple-path search `msep._paths` reads it.
 """
 
 from __future__ import annotations
@@ -293,6 +294,20 @@ class MixedGraph:
         return {n: tuple(f) for n, f in flows.items()}
 
     @cached_property
+    def _split_flows(self) -> dict:
+        """Per node, its `_flows` three ways, each in flow order: every exit,
+        the exits with a head at the node, and those with a tail there. Only
+        the simple-path search `msep._paths` reads it, indexing by
+        `head - tail` for the marks a path may leave the node with: 0 for
+        both, 1 for a head only, -1 for a tail only."""
+        split = {}
+        for n, f in self._flows.items():
+            heads = tuple(x for x in f if x[1] == HEAD)
+            tails = tuple(x for x in f if x[1] == TAIL)
+            split[n] = (f, heads, tails)
+        return split
+
+    @cached_property
     def _children(self) -> dict:
         """Per node, its children: built for `children` and `descendants`."""
         return {
@@ -433,8 +448,13 @@ class MixedGraph:
     @cached_property
     def cycle_nodes(self) -> frozenset:
         """Nodes lying on some direction-preserving cycle: the members of the
-        multi-node `_components`."""
-        return frozenset(v for c in self._components if len(c) > 1 for v in c)
+        multi-node `_components`. Almost every graph the library builds is
+        acyclic, with single-node components only, and is answered from
+        their count without a walk over them."""
+        components = self._components
+        if sum(map(len, components)) == len(components):
+            return frozenset()
+        return frozenset(v for c in components if len(c) > 1 for v in c)
 
     def induced_subgraph(self, keep) -> "MixedGraph":
         keep = set(keep)

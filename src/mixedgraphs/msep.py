@@ -18,7 +18,9 @@ runs on one kernel over that step rule:
   over-connect — e.g. a->t<-b with a line t--x admits the walk
   a->t--x--t<-b but no connecting path — so `_connected` re-checks each
   walk hit with `_paths` before trusting it. It is also the exhaustive
-  witness enumeration behind `msep --witness`.
+  witness enumeration behind `msep --witness`. It is the only reader of
+  each graph's `_split_flows`, the `_flows` exits split by their mark at
+  the node, from which it takes a node's exit list as it enters the node.
 """
 
 from __future__ import annotations
@@ -131,11 +133,15 @@ def _paths(g: MixedGraph, source, target, collider_set, allowed):
     """Every m-connecting simple path from source to target as a
     `PathWitness`, depth-first in canonical edge order on an explicit stack
     (no recursion limit). Same step rule as `_walk_reach`; a node that no edge
-    may leave is never entered."""
-    flows = g._flows
+    may leave is never entered. On entering a node it takes the exits it may
+    leave by from the graph's `_split_flows`, built for this search alone,
+    where they are already split by their mark at the node, in flow order:
+    on ladders the search enters the same nodes exponentially often, so it
+    builds no list per entry."""
+    split = g._split_flows
     nodes, edges, visited = [source], [], {source}
     # per node on the path, the edges it may still be left through
-    pending = [iter(flows[source])]
+    pending = [iter(split[source][0])]
     while True:
         for o, _mh, mo, e in pending[-1]:
             if o in visited:
@@ -149,10 +155,8 @@ def _paths(g: MixedGraph, source, target, collider_set, allowed):
                 nodes.append(o)
                 edges.append(e)
                 visited.add(o)
-                exits = flows[o]
-                if o_head != o_tail:
-                    exits = [x for x in exits if (x[1] == HEAD) == o_head]
-                pending.append(iter(exits))
+                # 0: it may leave by both marks, 1: a head only, -1: a tail only
+                pending.append(iter(split[o][o_head - o_tail]))
                 break
         else:
             if not edges:

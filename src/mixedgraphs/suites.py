@@ -25,12 +25,7 @@ from .independence import (
 from .msep import endpoint_identical_connection, signature_edges
 from .project import PROJECTORS, ProjectionSpec, project_rg, table1_closure
 from .textfmt import document_for, serialize_graph
-from .witness import (
-    _separates_every_pair,
-    _separates_every_pair_in,
-    is_maximal,
-    maximalize,
-)
+from .witness import _separates_every_pair, _separates_every_pair_in, maximalize
 
 
 class UnsuitableGraph(MixedGraphError):
@@ -188,6 +183,10 @@ def lemma1_suite(g: MixedGraph, seeds: int = 20) -> SuiteResult:
 
 def maximality_suite(g: MixedGraph, seeds: int = 0) -> SuiteResult:
     """PIP-emptiness vs the literal definition, plus maximalize invariants.
+    One PIP search serves both: `maximalize` returns g itself exactly when
+    `_pip_edges` yields nothing, which is what `is_maximal` tests, so the
+    PIP verdict is `maximal is g`. A faulty `maximalize` can therefore fail
+    the first check as well as its own.
     Each graph's connection rows are read once. When maximalize adds no
     edge, its output is g: the model is unchanged by identity and its
     literal verdict is g's, from one sweep that stops once every pair is
@@ -197,9 +196,9 @@ def maximality_suite(g: MixedGraph, seeds: int = 0) -> SuiteResult:
     result = SuiteResult("maximality")
     _require("RG" in g.class_tags, "maximality needs a ribbonless input")
     _require_small(g, "maximality")
-    pip_maximal = is_maximal(g)
     maximal = maximalize(g)
-    if maximal == g:
+    pip_maximal = maximal is g
+    if pip_maximal:
         literal = _separates_every_pair(g)
         same_model, pairwise = True, literal
     else:

@@ -161,7 +161,13 @@ def _pip_edges(g: MixedGraph):
     walk out of i, from its head or tail exits, whose inner nodes are all
     colliders in (an(i) | an(j)) - {i, j} contains such a path with its end
     marks: cutting each repeat of a node from its first arrival to its last
-    departure keeps that node a collider and keeps both ends."""
+    departure keeps that node a collider and keeps both ends.
+
+    The walk has no non-colliders, so it leaves only states entered with a
+    head at a collider. When a first mark's start states hold none
+    (`not start >> n & colliders`), the walk cannot leave them and reaches
+    only `start`: neighbours of i, never the non-adjacent m. That first mark
+    is skipped without a walk."""
     nodes = g.nodes
     n = len(nodes)
     heads, tails, _boths = exits = g._exits
@@ -170,6 +176,8 @@ def _pip_edges(g: MixedGraph):
         for m in _bits(above):
             colliders = (anc[k] | anc[m]) & ~(1 << k | 1 << m)
             for first, start in ((TAIL, tails[k]), (HEAD, heads[k])):
+                if not start >> n & colliders:
+                    continue
                 reached = _walk_reach(exits, colliders, 0, start)
                 for last, state in ((TAIL, 1 << m), (HEAD, 1 << m + n)):
                     if reached & state:

@@ -29,7 +29,7 @@ from mixedgraphs.independence import (
     IndependenceStatement,
     independence_model,
 )
-from mixedgraphs.msep import m_separated
+from mixedgraphs.msep import PathWitness, m_separated
 from mixedgraphs.project import (
     NotAncestralGraph,
     ProjectionSpec,
@@ -306,6 +306,40 @@ def simple_paths(g, a, b):
 
     extend((a,), ())
     return out
+
+
+def filtering_paths_oracle(g, source, target, collider_set, allowed):
+    """The order oracle of `msep._paths`: the same depth-first search over
+    `_flows`, which filters a node's exits by their mark on every entry
+    instead of reading them off `_split_flows`. Both must yield the same
+    `PathWitness` sequence."""
+    flows = g._flows
+    nodes, edges, visited = [source], [], {source}
+    pending = [iter(flows[source])]
+    while True:
+        for o, _mh, mo, e in pending[-1]:
+            if o in visited:
+                continue
+            if o == target:
+                yield PathWitness((*nodes, o), (*edges, e))
+                continue
+            o_tail = o in allowed
+            o_head = o in collider_set if mo == HEAD else o_tail
+            if o_head or o_tail:
+                nodes.append(o)
+                edges.append(e)
+                visited.add(o)
+                exits = flows[o]
+                if o_head != o_tail:
+                    exits = [x for x in exits if (x[1] == HEAD) == o_head]
+                pending.append(iter(exits))
+                break
+        else:
+            if not edges:
+                return
+            pending.pop()
+            visited.discard(nodes.pop())
+            edges.pop()
 
 
 def _is_collider(nodes, edges, k):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mixedgraphs.core import HEAD, TAIL, arrow
+from mixedgraphs.core import HEAD, TAIL, MixedGraph, arrow, line
 from mixedgraphs.generators import random_dag, random_lmg
 from mixedgraphs.msep import (
     ConnectionQuery,
@@ -23,6 +23,7 @@ from .helpers import (
     _walk,
     all_mixed_graphs,
     connecting_paths,
+    filtering_paths_oracle,
     mk,
     moral_separated,
     pairwise_path_separated_loose,
@@ -340,3 +341,68 @@ def test_bitset_walk_reaches_the_walk_states():
             _bitset_walk_agrees(g, C | g.ancestors(C), M)
             _bitset_walk_agrees(g, C | g.ancestors(C), g.node_set - C)
     assert ribbons >= 50
+
+
+def _line_ladder(k):
+    """The benchmark's ladder shape: a line ladder u0..uk / v0..vk with rungs
+    ui -- vi, ending in uk -> t <- b and vk -> t, with t -- x."""
+    u = [f"u{i}" for i in range(k + 1)]
+    v = [f"v{i}" for i in range(k + 1)]
+    edges = [line(u[i], u[i + 1]) for i in range(k)]
+    edges += [line(v[i], v[i + 1]) for i in range(k)]
+    edges += [line(u[i], v[i]) for i in range(k + 1)]
+    edges += [arrow(u[k], "t"), arrow("b", "t"), arrow(v[k], "t"), line("t", "x")]
+    return MixedGraph(u + v + ["t", "b", "x"], edges)
+
+
+def _split_flows_partition(g):
+    # each node's exit lists: every exit, then its head and tail exits, each
+    # a subsequence of `_flows` in its order, together all of it
+    for v, flows in g._flows.items():
+        every, heads, tails = g._split_flows[v]
+        assert every == flows, (g, v)
+        assert all(x[1] == HEAD for x in heads) and all(x[1] == TAIL for x in tails)
+        assert len(heads) + len(tails) == len(flows), (g, v)
+        for part in (heads, tails):
+            rest = iter(flows)
+            assert all(x in rest for x in part), (g, v)
+
+
+def test_path_search_keeps_the_filtering_search_order():
+    # the search reads each node's exits off `_split_flows`; the filtering
+    # search it replaced must yield the same paths, edges and order, on every
+    # three-node multigraph, on the benchmark's ladders and on random LMGs
+    def same(g, s, t, collider_set, allowed):
+        want = list(filtering_paths_oracle(g, s, t, collider_set, allowed))
+        got = list(_paths(g, s, t, collider_set, allowed))
+        assert got == want, (g, s, t, collider_set, allowed)
+        return len(want)
+
+    # only the third node's membership is read; it goes in the collider set,
+    # the allowed set, both or neither
+    for g in all_mixed_graphs(("a", "b", "c"), multi=True):
+        _split_flows_partition(g)
+        for s, t in itertools.permutations(g.nodes, 2):
+            (x,) = set(g.nodes) - {s, t}
+            for collider_set, allowed in ((), ()), ({x}, ()), ((), {x}), ({x}, {x}):
+                same(g, s, t, collider_set, allowed)
+    paths = 0
+    for k in range(3, 10):
+        g = _line_ladder(k)
+        _split_flows_partition(g)
+        for target in ("b", "x", "t"):
+            rest = g.node_set - {"u0", target}
+            for collider_set in (set(), {"t"} - {target}):
+                paths += same(g, "u0", target, collider_set, rest - collider_set)
+                paths += same(g, "u0", target, collider_set, rest)
+    assert paths > 1000
+    rng = random.Random(89)
+    paths = 0
+    for _ in range(2000):
+        g = random_lmg(rng, rng.randint(3, 9), p=rng.uniform(0.08, 0.25))
+        _split_flows_partition(g)
+        s, t = rng.sample(g.nodes, 2)
+        collider_set = {v for v in g.nodes if rng.random() < 0.3}
+        allowed = {v for v in g.nodes if rng.random() < 0.6}
+        paths += same(g, s, t, collider_set, allowed)
+    assert paths > 1000

@@ -127,14 +127,33 @@ def test_maximality_suite_reads_each_graphs_rows_once():
 
 def test_maximality_suite_reports_a_maximalize_that_adds_no_edge():
     # with maximalize stubbed to return its input, a non-maximal graph keeps
-    # its unseparated pair, and the third check reports the output
+    # its unseparated pair, and the third check reports the output; the PIP
+    # verdict is read off the same call, so the first check reports it too
     g = mk("a <-> q\nq <-> b\nq -> c\nc -> a")
     with mock.patch("mixedgraphs.suites.maximalize", lambda h: h):
         result = maximality_suite(g)
     assert result.checked == 3
     assert [f.splitlines()[0] for f in result.failures] == [
-        "maximalize output is not pairwise Markov"
+        "PIP criterion says maximal=True, literal says False",
+        "maximalize output is not pairwise Markov",
     ]
+
+
+def test_maximality_suite_searches_for_pips_once():
+    # maximalize's one PIP search also gives the PIP verdict, on inputs that
+    # are maximal and on inputs that gain an edge
+    for text, added in (
+        ("a -> c\nb -> c\nc -> d\nd <-> e", False),
+        ("a <-> q\nq <-> b\nq -> c\nc -> a", True),
+    ):
+        g = mk(text)
+        with mock.patch.object(
+            witness, "_pip_edges", wraps=witness._pip_edges
+        ) as search:
+            result = maximality_suite(g)
+        assert result.ok and result.checked == 3, result.failures
+        assert search.call_count == 1, text
+        assert (maximalize(g) is not g) == added
 
 
 def _less_first_edge(projector):
@@ -209,6 +228,8 @@ def test_suites_report_counterexamples_that_replay():
 
     with mock.patch.object(suites, "maximalize", adding_a_to_b):
         found = _reproducers(maximality_suite(maximal))
+    # the PIP verdict is read off the faulty output too
     assert [(message, doc.graph()) for message, doc in found] == [
-        ("maximalize changed the independence model", maximal)
+        ("PIP criterion says maximal=False, literal says True", maximal),
+        ("maximalize changed the independence model", maximal),
     ]
