@@ -14,12 +14,13 @@ they are not sorted again; the Lemma-1 projection hands over its sorted
 tuples the same way. A graph built over another graph's nodes shares that
 graph's node tuple and set. Construction indexes nothing: the parents are
 built on first read like every other table, and every other adjacency query
-reads the walk index `_flows`. One pass over the parents, their strongly
-connected components, serves both `cycle_nodes` and the per-node ancestor
-masks, which the class tests read; `ancestors` walks the parents itself.
-Ribbon detection pairs the head exits that `_flows` lists at each candidate
-inner node. `_split_flows` splits each node's `_flows` by the mark at the
-node; only the simple-path search `msep._paths` reads it.
+reads the walk index `_flows`. A seed set's ancestors come from `ancestors`,
+the one walk along the parents; every other structural question reads one
+pass over them, their strongly connected components: `cycle_nodes`,
+`witness.dagify`'s cuts, and the ancestor masks behind `descendants`, the
+ribbon witnesses and the class tests. Ribbon detection pairs the head exits
+that `_flows` lists at each candidate inner node. `_split_flows` splits each
+node's `_flows` by the mark at the node; only `msep._paths` reads it.
 """
 
 from __future__ import annotations
@@ -123,18 +124,11 @@ def signature_edge(mark_a, mark_b, a, b) -> Edge:
     return arrow(b, a)
 
 
-def reach(step, seeds) -> set:
-    """Nodes reachable from seeds in one or more steps, where step[n] holds
-    the nodes one step from n (parents for ancestry, children for descent).
-    A seed is included only when some cycle leads back to it."""
-    seen = set()
-    stack = list(seeds)
-    while stack:
-        for n in step[stack.pop()]:
-            if n not in seen:
-                seen.add(n)
-                stack.append(n)
-    return seen
+def _node_set(nodes, what) -> frozenset:
+    """nodes as a set, unless a bare string, which would name its characters."""
+    if isinstance(nodes, str):
+        raise InvalidLabel(f"{what} takes a collection of node labels, not {nodes!r}")
+    return frozenset(nodes)
 
 
 def _components(parents) -> list:
@@ -272,8 +266,8 @@ class MixedGraph:
     @cached_property
     def _components(self) -> list:
         """The strongly connected components of the nodes with parents,
-        parents first, from the module's one Tarjan pass: `cycle_nodes` and
-        `_ancestor_masks` read them."""
+        parents first, from the module's one Tarjan pass: `cycle_nodes`,
+        `_ancestor_masks` and `witness.dagify` read them."""
         return _components(self._parents)
 
     @cached_property
@@ -306,14 +300,6 @@ class MixedGraph:
             tails = tuple(x for x in f if x[1] == TAIL)
             split[n] = (f, heads, tails)
         return split
-
-    @cached_property
-    def _children(self) -> dict:
-        """Per node, its children: built for `children` and `descendants`."""
-        return {
-            n: frozenset(o for o, mh, mo, _e in f if mh == TAIL and mo == HEAD)
-            for n, f in self._flows.items()
-        }
 
     @cached_property
     def _line_ends(self) -> frozenset:
@@ -408,7 +394,7 @@ class MixedGraph:
 
     def children(self, node) -> frozenset:
         self._check_node(node)
-        return self._children[node]
+        return frozenset(o for o, mh, mo, _e in self._flows[node] if mh != mo == HEAD)
 
     def spouses(self, node) -> frozenset:
         self._check_node(node)
@@ -435,15 +421,24 @@ class MixedGraph:
     def ancestors(self, targets) -> frozenset:
         """Nodes with a direction-preserving arrow path of length >= 1 into
         some target. Lines and arcs never transmit ancestry; the result meets
-        the targets only through directed cycles."""
-        targets = set(targets)
+        the targets only through directed cycles. It walks the parents."""
+        targets = _node_set(targets, "targets")
         self._check_nodes(targets)
-        return frozenset(reach(self._parents, targets))
+        parents, seen, stack = self._parents, set(), list(targets)
+        while stack:
+            for n in parents[stack.pop()]:
+                if n not in seen:
+                    seen.add(n)
+                    stack.append(n)
+        return frozenset(seen)
 
     def descendants(self, targets) -> frozenset:
-        targets = set(targets)
+        """Nodes with a direction-preserving arrow path of length >= 1 from
+        some target: those whose ancestor mask holds a target's bit."""
+        targets = _node_set(targets, "targets")
         self._check_nodes(targets)
-        return frozenset(reach(self._children, targets))
+        above = sum(map(self._bit.__getitem__, targets))
+        return frozenset(d for d, mask in self._ancestor_masks.items() if mask & above)
 
     @cached_property
     def cycle_nodes(self) -> frozenset:
@@ -489,22 +484,28 @@ def _ribbon_reports(g: MixedGraph):
     for t in sorted(candidates):
         # each collider V at t once, from its head exits in `_flows` order:
         # arcs before arrows and, within one kind, the smaller other end
-        # first, so only an arc/arrow V is swapped to list the arrow's end first
+        # first, so only an arc/arrow V is swapped to list the arrow's end
+        # first; t's witness is found once, at its first ribbon
         heads = [(o, mo) for o, mt, mo, _e in g._flows[t] if mt == HEAD]
+        witness = None
         for (h, mh), (j, mj) in itertools.combinations(heads, 2):
             if mh != mj:
                 h, mh, j, mj = j, mj, h, mh
             if h != j and signature_edge(mh, mj, h, j) not in g.edges:
-                reports.append(RibbonReport(h, t, j, *_ribbon_witness(g, t)))
+                witness = witness or _ribbon_witness(g, t)
+                reports.append(RibbonReport(h, t, j, *witness))
     return reports
 
 
 def _ribbon_witness(g: MixedGraph, inner):
-    reach = sorted({inner} | g.descendants({inner}))
-    for d in reach:
+    # the nodes whose ancestor mask holds inner's bit are de(inner), and the
+    # masks run in node order: the first touching a line, else on a cycle
+    bit = g._bit[inner]
+    below = [d for d, mask in g._ancestor_masks.items() if d == inner or mask & bit]
+    for d in below:
         if d in g._line_ends:
             return ("line", d)
-    return next(("cycle", d) for d in reach if d in g.cycle_nodes)
+    return next(("cycle", d) for d in below if d in g.cycle_nodes)
 
 
 def _classify(g: MixedGraph) -> frozenset:

@@ -35,7 +35,7 @@ import json
 from functools import cached_property, lru_cache
 from itertools import repeat
 
-from .core import MixedGraph, MixedGraphError
+from .core import MixedGraph, MixedGraphError, _node_set
 from .msep import NotDisjoint, _paths, _walk_reach
 from .textfmt import ParseError, _json_field, _json_payload
 
@@ -436,7 +436,7 @@ def marginalise_condition(J: IndependenceModel, M, C) -> IndependenceModel:
     from `independence_model` enumerates only those triples
     (`_enumerate(g, C, M ∪ C)`); a model with no graph is filtered. Dropping
     nodes keeps every side's label order, so the result stays canonical."""
-    M, C = frozenset(M), frozenset(C)
+    M, C = _node_set(M, "M"), _node_set(C, "C")
     if M & C:
         raise NotDisjoint("M and C must be disjoint")
     _check_ground(J.ground, M, C)

@@ -30,7 +30,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .core import ARROW, EDGE_TOKEN, HEAD, TAIL, MixedGraph, MixedGraphError
-from .core import signature_edge
+from .core import _node_set, signature_edge
 
 
 class NotDisjoint(MixedGraphError):
@@ -51,12 +51,8 @@ class ConnectionQuery:
     collider_enablers: frozenset
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "allowed_noncolliders", frozenset(self.allowed_noncolliders)
-        )
-        object.__setattr__(
-            self, "collider_enablers", frozenset(self.collider_enablers)
-        )
+        for what in ("allowed_noncolliders", "collider_enablers"):
+            object.__setattr__(self, what, _node_set(getattr(self, what), what))
         if self.source == self.target:
             raise OverlapError("source and target must differ")
         if {self.source, self.target} & self.collider_enablers:
@@ -214,7 +210,7 @@ def enumerate_connecting_paths(
 def m_separated(g: MixedGraph, A, B, C) -> bool:
     """Whether A ⊥_m B | C: no m-connecting path between A and B given C,
     with non-colliders required outside A ∪ B ∪ C."""
-    A, B, C = frozenset(A), frozenset(B), frozenset(C)
+    A, B, C = _node_set(A, "A"), _node_set(B, "B"), _node_set(C, "C")
     if A & B or A & C or B & C:
         raise NotDisjoint("A, B, C must be pairwise disjoint")
     g._check_nodes(A | B | C)
@@ -242,7 +238,7 @@ def endpoint_identical_connection(g: MixedGraph, i, j, M, C) -> frozenset:
     meet at some t not in {i, j}: a collider in C ∪ an(C) if both reach t
     with a head, else a node of M.
     """
-    M, C = frozenset(M), frozenset(C)
+    M, C = _node_set(M, "M"), _node_set(C, "C")
     if M & C:
         raise NotDisjoint("M and C must be disjoint")
     if i == j:

@@ -40,6 +40,7 @@ from .core import (
     LoopEdge,
     MixedGraph,
     MixedGraphError,
+    _node_set,
     canonical_edge,
 )
 
@@ -215,11 +216,11 @@ def document_for(graph: MixedGraph, name: str = "", marg=(), cond=()) -> GraphDo
     """The checked document of a graph with role marks on its nodes."""
     marks = []
     for role, names in (("marg", marg), ("cond", cond)):
-        names = tuple(names)
-        for n in names:
-            if n not in graph.node_set:
-                raise UndeclaredNode(f"{role} mark on undeclared node {n!r}", 0)
-        marks.append(tuple(sorted(set(names))))
+        names = _node_set(names, role)
+        if not names <= graph.node_set:
+            n = min(map(repr, names - graph.node_set))
+            raise UndeclaredNode(f"{role} mark on undeclared node {n}", 0)
+        marks.append(tuple(sorted(names)))
     return _checked_document(name, graph.nodes, graph._sorted_edges, *marks)
 
 

@@ -4,8 +4,8 @@ dagify() rebuilds, for any ribbonless graph H, a DAG plus marginalisation
 and conditioning sets that project back onto H exactly: arcs become
 source Vs through a fresh marginalised node, lines become collider Vs
 through a fresh conditioned node, and each arrow on a direction-preserving
-cycle is cut, in one sorted pass over the arrows, through a fresh
-conditioned/marginalised pair.
+cycle, found from the strongly connected components, is cut in one sorted
+pass over the arrows through a fresh conditioned/marginalised pair.
 
 On ribbonless graphs, maximality is characterized by primitive inducing
 paths (PIPs): paths between non-adjacent endpoints whose inner nodes are all
@@ -34,7 +34,6 @@ from .core import (
     arrow,
     edge_sort_key,
     line,
-    reach,
     signature_edge,
 )
 from .core import MixedGraphError
@@ -110,9 +109,7 @@ def dagify(h: MixedGraph) -> DagifyResult:
     marg_names = _fresh("_m", h.node_set)
     cond_names = _fresh("_c", h.node_set)
     arrows = {(e.a, e.b) for e in h.edges if e.kind == ARROW}
-    origin = {}
-    marg = set()
-    cond = set()
+    origin, marg, cond = {}, set(), set()
 
     def fresh(names, role, why):
         """Draw the next name of a role, add it to the role's set and record
@@ -122,21 +119,25 @@ def dagify(h: MixedGraph) -> DagifyResult:
         origin[n] = why
         return n
 
-    # Cutting t -> head adds only a sink c and a source m, so it puts no
-    # other arrow on a cycle. Cutting the smallest arrow still on a cycle,
-    # again and again, therefore cuts in increasing order: one sorted pass
-    # cuts each arrow whose head is still an ancestor of its tail. A path
-    # between two nodes of one cycle stays among the cycle nodes, found
-    # again after each cut: an arrow leaving them is skipped unsearched.
-    cyclic = h.cycle_nodes
-    parents = {n: h._parents[n] & cyclic for n in cyclic}
+    # The cuts read the components pass, not a search: an arrow lies on a
+    # cycle exactly when its ends share a multi-node component. Cutting
+    # t -> head adds only a sink c and a source m, so it puts no other arrow
+    # on a cycle, and cutting the smallest arrow still on one, again and
+    # again, cuts in increasing order: one sorted pass suffices. A cut splits
+    # at most the component that held the arrow; only that one is redone.
+    component = {v: c for c in h._components if len(c) > 1 for v in c}
     for t, head in sorted(arrows):
-        if t not in cyclic or head not in cyclic or head not in reach(parents, (t,)):
+        held = component.get(t)
+        if held is None or component.get(head) is not held:
             continue
-        parents[head].discard(t)
-        cyclic = frozenset(v for c in _components(parents) if len(c) > 1 for v in c)
-        parents = {n: parents[n] & cyclic for n in cyclic}
         arrows.discard((t, head))
+        inside = set(held)
+        parents = {
+            v: [u for u in h._parents[v] if u in inside and (u, v) in arrows]
+            for v in held
+        }
+        component.update(dict.fromkeys(held))
+        component.update((v, c) for c in _components(parents) if len(c) > 1 for v in c)
         why = ("cycle-arrow", arrow(t, head))
         c = fresh(cond_names, cond, why)
         m = fresh(marg_names, marg, why)

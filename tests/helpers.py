@@ -46,6 +46,11 @@ def mk(text):
     return parse_graph(text).graph()
 
 
+# A graph where "ab" names one node: split into characters, it would name a
+# and b instead, so every answer given a bare string "ab" would differ.
+LABEL_SPLIT_TEXT = "nodes: a b ab c x\nab -> c\nx -> ab"
+
+
 def all_dags(labels):
     """Every labeled DAG over the given nodes."""
     pairs = [(a, b) for a in labels for b in labels if a != b]

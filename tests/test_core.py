@@ -1,11 +1,13 @@
 import itertools
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixedgraphs import core
 from mixedgraphs.core import (
     Edge,
     InvalidLabel,
@@ -21,6 +23,7 @@ from mixedgraphs.core import (
 from mixedgraphs.generators import random_ag, random_dag, random_lmg, random_sg
 
 from .helpers import (
+    LABEL_SPLIT_TEXT,
     _ancestors,
     adjacency_oracle,
     all_mixed_graphs,
@@ -133,6 +136,14 @@ def test_ancestors_only_follow_arrows():
 def test_ancestors_on_directed_cycle_meet_targets():
     g = mk("a -> b\nb -> a")
     assert g.ancestors({"a"}) == {"a", "b"}
+
+
+@pytest.mark.parametrize("query", ["ancestors", "descendants"])
+def test_ancestry_refuses_a_bare_string(query):
+    g = mk(LABEL_SPLIT_TEXT)
+    assert g.ancestors({"ab"}) == {"x"} and g.descendants({"ab"}) == {"c"}
+    with pytest.raises(InvalidLabel, match="targets takes a collection"):
+        getattr(g, query)("ab")
 
 
 def test_direction_preserving_cycles():
@@ -299,10 +310,14 @@ def test_dag_tag_iff_arrows_only_acyclic(edge_specs):
 def _bruteforce_ribbons(g):
     """Ribbons straight from the definition, independent of MixedGraph.ribbons:
     scan ordered pairs of edges, classify the V by raw mark lookup, then check
-    the endpoint-identical blocker and the descendant witness by exhaustion.
-    Each V comes out once as (h, inner, j, kind at h, kind at j), with the
-    arrow's end first for an arrow/arc V and the smaller label first for two
-    arrows or two arcs."""
+    the endpoint-identical blocker and the descendant witness by exhaustion,
+    with de(inner) and the cycle nodes from arrow-list scans. Each V comes out
+    once as (h, inner, j, kind at h, kind at j, witness kind, witness node),
+    with the arrow's end first for an arrow/arc V and the smaller label first
+    for two arrows or two arcs. The witness is the smallest node of
+    {inner} ∪ de(inner) that touches a line, else the smallest on a cycle."""
+    line_ends = {n for e in g.edges if e.kind == "line" for n in (e.a, e.b)}
+    cyclic = cycle_nodes_oracle(g)
     found = []
     for t in g.nodes:
         incident = [e for e in g.edges if t in (e.a, e.b)]
@@ -322,27 +337,38 @@ def _bruteforce_ribbons(g):
                 continue  # handled by the mirrored permutation
             if blocker:
                 continue
-            reach = {t} | g.descendants({t})
-            if any(g.neighbours(d) for d in reach) or any(
-                d in g.cycle_nodes for d in reach
-            ):
-                found.append((h, t, j, e1.kind, e2.kind))
+            below = sorted({t} | descendants_oracle(g, t))
+            witness = [("line", d) for d in below if d in line_ends]
+            witness += [("cycle", d) for d in below if d in cyclic]
+            if witness:
+                found.append((h, t, j, e1.kind, e2.kind, *witness[0]))
     return found
 
 
 def test_find_ribbons_matches_bruteforce():
     """Each ribbon V is reported once, as the ordered (h, inner, j) of the
     definition: the arrow's end first for an arrow/arc V, and otherwise the
-    smaller label first."""
+    smaller label first, with the witness of the definition."""
     rng = random.Random(424242)
-    mixed = 0
+    mixed = cycle = 0
     for _ in range(300):
         g = random_lmg(rng, rng.randint(2, 6), p=rng.uniform(0.05, 0.35))
         want = _bruteforce_ribbons(g)
-        got = [(r.h, r.inner, r.j) for r in g.ribbons]
-        assert Counter(got) == Counter(v[:3] for v in want), g
-        mixed += sum(k1 != k2 for *_v, k1, k2 in want)
-    assert mixed
+        got = [(r.h, r.inner, r.j, r.witness_kind, r.witness_node) for r in g.ribbons]
+        assert Counter(got) == Counter(v[:3] + v[5:] for v in want), g
+        mixed += sum(v[3] != v[4] for v in want)
+        cycle += sum(v[5] == "cycle" for v in want)
+    assert mixed and cycle
+
+
+def test_ribbon_witness_is_found_once_per_inner_node():
+    # 606 ribbons at 39 inner nodes: each inner node's witness is read off
+    # the ancestor masks once, at its first ribbon
+    g = random_lmg(random.Random(5), 40, 3 / 40)
+    with mock.patch.object(core, "_ribbon_witness", wraps=core._ribbon_witness) as w:
+        reports = g.ribbons
+    inner = {r.inner for r in reports}
+    assert len(reports) > len(inner) == w.call_count
 
 
 def test_classify_consistency_on_random_lmgs():

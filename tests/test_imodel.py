@@ -6,8 +6,8 @@ from unittest import mock
 
 import pytest
 
-from mixedgraphs import core, independence
-from mixedgraphs.core import MixedGraph
+from mixedgraphs import independence
+from mixedgraphs.core import InvalidLabel, MixedGraph
 from mixedgraphs.generators import random_lmg, random_spec
 from mixedgraphs.independence import (
     GroundMismatch,
@@ -27,6 +27,7 @@ from mixedgraphs.msep import NotDisjoint, m_separated
 from mixedgraphs.textfmt import ParseError
 
 from .helpers import (
+    LABEL_SPLIT_TEXT,
     all_mixed_graphs,
     marginalise_oracle,
     mk,
@@ -111,6 +112,15 @@ def test_marginalise_condition_validation():
         marginalise_condition(J, {"a"}, {"a"})
     with pytest.raises(NotInGround):
         marginalise_condition(J, {"z"}, set())
+
+
+def test_marginalise_condition_refuses_a_bare_string():
+    J = independence_model(mk(LABEL_SPLIT_TEXT))
+    assert marginalise_condition(J, {"ab"}, ()).ground == {"a", "b", "c", "x"}
+    with pytest.raises(InvalidLabel, match="M takes a collection"):
+        marginalise_condition(J, "ab", ())
+    with pytest.raises(InvalidLabel, match="C takes a collection"):
+        marginalise_condition(J, (), "ab")
 
 
 def test_commutativity_of_stages():
@@ -218,11 +228,14 @@ def test_graph_walk_tables_are_built_once():
     # the ancestry and walk exits of a graph-backed model's slices come from
     # the graph's tables: a second slice asks for no ancestry at all
     J = independence_model(mk("a -> c\nb -> c\nc -> d\nd <-> e\na -- b"))
-    with mock.patch.object(core, "reach", wraps=core.reach) as reach:
+    walk = MixedGraph.ancestors
+    with mock.patch.object(
+        MixedGraph, "ancestors", autospec=True, side_effect=walk
+    ) as anc:
         first = marginalise_condition(J, {"e"}, {"c"})
-        calls = reach.call_count
+        calls = anc.call_count
         second = marginalise_condition(J, {"a"}, {"d"})
-    assert calls > 0 and reach.call_count == calls
+    assert calls > 0 and anc.call_count == calls
     assert first == marginalise_oracle(J, {"e"}, {"c"})
     assert second == marginalise_oracle(J, {"a"}, {"d"})
 

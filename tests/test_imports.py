@@ -1,7 +1,9 @@
 """The library has no runtime dependencies: every module under
 `mixedgraphs` imports only the standard library and its own package. Nor
 does it keep dead private helpers: every private module-level function or
-class is used by code somewhere in the package."""
+class is used by code somewhere in the package. And every source file, of
+the package, its tests and its benchmark, keeps to the grammar of Python
+3.10, the oldest version `pyproject.toml` allows."""
 
 import ast
 import sys
@@ -52,3 +54,11 @@ def test_every_private_function_and_class_is_used():
     assert defined
     unused = [d for d in defined if d.rpartition(" ")[2] not in used]
     assert not unused, unused
+
+
+def test_every_source_file_parses_as_python_3_10():
+    root = Path(__file__).resolve().parent.parent
+    files = sorted(p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

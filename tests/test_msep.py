@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mixedgraphs.core import HEAD, TAIL, MixedGraph, arrow, line
+from mixedgraphs.core import HEAD, TAIL, InvalidLabel, MixedGraph, arrow, line
 from mixedgraphs.generators import random_dag, random_lmg
 from mixedgraphs.msep import (
     ConnectionQuery,
@@ -20,6 +20,7 @@ from mixedgraphs.msep import (
 from mixedgraphs.witness import _pip_edges
 
 from .helpers import (
+    LABEL_SPLIT_TEXT,
     _walk,
     all_mixed_graphs,
     connecting_paths,
@@ -406,3 +407,29 @@ def test_path_search_keeps_the_filtering_search_order():
         allowed = {v for v in g.nodes if rng.random() < 0.6}
         paths += same(g, s, t, collider_set, allowed)
     assert paths > 1000
+
+
+def test_m_separated_refuses_a_bare_string():
+    g = mk(LABEL_SPLIT_TEXT)
+    assert not m_separated(g, {"ab"}, {"c"}, ())
+    for A, B, C in (("ab", {"c"}, ()), ({"c"}, "ab", ()), ({"c"}, {"x"}, "ab")):
+        with pytest.raises(InvalidLabel, match="takes a collection"):
+            m_separated(g, A, B, C)
+
+
+def test_endpoint_identical_connection_refuses_a_bare_string():
+    g = mk(LABEL_SPLIT_TEXT)
+    assert endpoint_identical_connection(g, "x", "c", {"ab"}, ()) == {(TAIL, HEAD)}
+    with pytest.raises(InvalidLabel, match="M takes a collection"):
+        endpoint_identical_connection(g, "x", "c", "ab", ())
+    with pytest.raises(InvalidLabel, match="C takes a collection"):
+        endpoint_identical_connection(g, "x", "c", (), "ab")
+
+
+def test_connection_query_refuses_a_bare_string():
+    g = mk(LABEL_SPLIT_TEXT)
+    assert connecting_path_exists(g, ConnectionQuery("x", "c", {"ab"}, ()))
+    with pytest.raises(InvalidLabel, match="allowed_noncolliders takes"):
+        ConnectionQuery("x", "c", "ab", ())
+    with pytest.raises(InvalidLabel, match="collider_enablers takes"):
+        ConnectionQuery("x", "c", (), "ab")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mixedgraphs.core import (
     ARROW,
     Edge,
+    InvalidLabel,
     LoopEdge,
     MixedGraph,
     MixedGraphError,
@@ -33,7 +34,7 @@ from mixedgraphs.textfmt import (
     to_dot,
 )
 
-from .helpers import parse_graph_oracle
+from .helpers import LABEL_SPLIT_TEXT, mk, parse_graph_oracle
 
 
 def test_parse_three_edge_kinds():
@@ -249,6 +250,17 @@ def test_document_for_rejects_marks_outside_the_graph():
         document_for(g, marg={"zz"})
     with pytest.raises(UndeclaredNode, match="cond mark on undeclared node 'zz'"):
         document_for(g, marg={"a"}, cond=["b", "zz"])
+    # of several undeclared marks, the smallest is named, whatever their order
+    with pytest.raises(UndeclaredNode, match="marg mark on undeclared node 'yy'"):
+        document_for(g, marg=["zz", "yy", "zx"])
+
+
+def test_document_for_refuses_a_bare_string():
+    g = mk(LABEL_SPLIT_TEXT)
+    assert document_for(g, marg={"ab"}).marg == ("ab",)
+    for role in ("marg", "cond"):
+        with pytest.raises(InvalidLabel, match=f"{role} takes a collection"):
+            document_for(g, **{role: "ab"})
 
 
 def _messy_text(rng, g, marg, cond):

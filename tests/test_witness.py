@@ -98,33 +98,47 @@ def test_dagify_cuts_match_the_smallest_cycle_arrow_loop():
     assert cut >= 500 and several >= 200
 
 
-def test_dagify_runs_one_search_per_arrow():
-    # a chain of 100 two-cycles: cutting the smallest arrow still on a
-    # cycle, again and again, searched once per arrow after every cut
-    names = [f"v{k}" for k in range(200)]
+def _two_cycles(count):
+    """count disjoint two-cycles v0 <-> v1, v2 <-> v3, ... as arrow pairs."""
+    names = [f"v{k}" for k in range(2 * count)]
     edges = []
-    for k in range(0, 200, 2):
+    for k in range(0, 2 * count, 2):
         edges += [arrow(names[k], names[k + 1]), arrow(names[k + 1], names[k])]
-    g = MixedGraph(names, edges)
-    with mock.patch.object(witness, "reach", wraps=witness.reach) as reach:
+    return MixedGraph(names, edges)
+
+
+def _dagify_passes(g):
+    """dagify(g), with the number of components passes it ran and the
+    number of nodes it passed them in all."""
+    with mock.patch.object(witness, "_components", wraps=witness._components) as passes:
         r = dagify(g)
-    assert reach.call_count <= 200
+    return r, passes.call_count, sum(len(c.args[0]) for c in passes.call_args_list)
+
+
+def test_dagify_runs_one_search_per_arrow():
+    # 100 two-cycles: each cut runs the components pass again
+    # over the two-cycle it split, not over every node still on a cycle
+    g = _two_cycles(100)
+    r, calls, nodes = _dagify_passes(g)
+    assert calls <= len(r.cond) and nodes <= 200
     assert len(r.cond) == 100 and project_rg(r.dag, r.spec()) == g
 
 
+def test_dagify_work_is_linear_in_many_cycles():
+    # 1,000 two-cycles: re-running the pass over every node still on a
+    # cycle after each cut would pass it about a million nodes
+    r, calls, nodes = _dagify_passes(_two_cycles(1000))
+    assert len(r.cond) == 1000 and calls <= 1000 and nodes <= 2000
+
+
 def test_dagify_searches_a_long_cycle_once():
-    # one directed cycle of 2,000 nodes: after its first cut no node is on a
-    # cycle, so no later arrow is searched, and the cycle nodes are found
-    # again once, not once per arrow
+    # one directed cycle of 2,000 nodes: its first cut splits its one
+    # component into single nodes, so the components pass runs again once
+    # and no later arrow is cut
     names = [f"v{k}" for k in range(2000)]
     g = MixedGraph(names, [arrow(a, b) for a, b in zip(names, names[1:] + names[:1])])
-    with (
-        mock.patch.object(witness, "reach", wraps=witness.reach) as reach,
-        mock.patch.object(witness, "_components", wraps=witness._components) as passes,
-    ):
-        r = dagify(g)
-    assert reach.call_count <= 1
-    assert passes.call_count <= 1
+    r, calls, _nodes = _dagify_passes(g)
+    assert calls <= 1
     assert len(r.cond) == 1 and project_rg(r.dag, r.spec()) == g
 
 
