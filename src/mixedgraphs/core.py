@@ -206,11 +206,10 @@ class MixedGraph:
     """
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[Edge] = ()):
-        node_set = set()
-        for n in nodes:
-            if not isinstance(n, str) or not _LABEL_RE.match(n):
-                raise InvalidLabel(f"bad node label {n!r}")
-            node_set.add(n)
+        node_set = _node_set(nodes, "nodes")
+        bad = [n for n in node_set if not isinstance(n, str) or not _LABEL_RE.match(n)]
+        if bad:
+            raise InvalidLabel(f"bad node label {min(bad, key=repr)!r}")
         canon = set()
         for e in edges:
             try:

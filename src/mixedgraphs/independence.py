@@ -8,35 +8,38 @@ and kept with the lexicographically smaller side first.
 A model holds its statements as mask triples (a, b, c) over its sorted
 ground: node k of the ground is bit k, and a is the side whose sorted labels
 come first. Equality, hashing, membership, `model_equal`, `model_diff`,
-`conforms` and `marginalise_condition` (a slice or a mask filter, then a
-bit-compress table) work on the masks; `IndependenceStatement` objects are
-built only when `statements` or `sorted_statements` is read. Ordering uses a
+`conforms` and `marginalise_condition` work on the masks;
+`IndependenceStatement` objects are built only when `statements` or
+`sorted_statements` is read. A model from a graph lists its triples in
+statement key order as it enumerates them. Any other model is sorted by a
 rank table: each mask gets its position in sorted label-tuple order, so a
 statement sorts by three ints.
 
 `independence_model` returns a model that holds its graph and enumerates
 its triples when they are first read. `marginalise_condition` of such a
-model enumerates only the statements it keeps: the conditioning sets C ∪ D
-with A, B and D over the nodes outside M ∪ C. A model with no graph (from
-`model_from_json` or the constructor) is marginalised by the mask filter.
+model enumerates only the statements it keeps, directly over the smaller
+ground: the conditioning sets C ∪ D with A, B and D over the nodes outside
+M ∪ C. A model with no graph (from `model_from_json` or the constructor) is
+marginalised by a mask filter and a bit-compress table.
 
-`_connections` is the enumeration kernel: per conditioning mask C, in
-increasing order, the mask of nodes m-connected to each node, from one
-bitset walk per source (`msep._walk_reach`) and, on graphs that are not
-ribbonless, simple paths that are found once and reused across conditioning
-sets. `_enumerate` reads the statements off these rows, growing each A
-depth-first and dropping a branch once no B is left for it. `model_to_json`
-writes the canonical JSON layout directly.
+The enumeration decides every conditioning set at once. Per non-adjacent
+pair, `_separation_sets` gives the set of Cs that separate it as one int,
+a bit per C: a bit-sliced separation set. It comes from one
+`msep._sliced_reach` per source and, on graphs that are not ribbonless,
+simple paths, each of which settles every C that it connects under.
+`_enumerate` ANDs these sets as it grows A and B in lexicographic preorder,
+and reads each C off the set bits in rank order. So the statements come out
+in key order, and `model_to_json` writes them in the canonical JSON layout
+without a sort.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cached_property, lru_cache
-from itertools import repeat
 
 from .core import MixedGraph, MixedGraphError, _node_set
-from .msep import NotDisjoint, _paths, _walk_reach
+from .msep import NotDisjoint, _paths, _sliced_reach
 from .textfmt import ParseError, _json_field, _json_payload
 
 
@@ -62,7 +65,7 @@ class IndependenceStatement:
     __slots__ = ("A", "B", "C", "_key")
 
     def __init__(self, A, B, C=()):
-        A, B, C = frozenset(A), frozenset(B), frozenset(C)
+        A, B, C = _node_set(A, "A"), _node_set(B, "B"), _node_set(C, "C")
         if not A or not B:
             raise ValueError("A and B must be nonempty")
         if A & B or A & C or B & C:
@@ -154,9 +157,18 @@ class IndependenceModel:
 
     @classmethod
     def _of_graph(cls, g):
-        """J_m(g), enumerated when `triples` is first read."""
+        """J_m(g), enumerated when its triples are first read."""
         model = cls.__new__(cls)
         model.__dict__.update(ground=g.node_set, nodes=g.nodes, _graph=g)
+        return model
+
+    @classmethod
+    def _in_key_order(cls, nodes, triples):
+        """The model over the sorted ground `nodes` holding the canonical
+        mask triples `triples`, listed once each in statement key order,
+        unchecked."""
+        model = cls.__new__(cls)
+        model.__dict__.update(ground=frozenset(nodes), nodes=nodes, _ordered=triples)
         return model
 
     def __setattr__(self, name, value):
@@ -164,7 +176,8 @@ class IndependenceModel:
 
     @cached_property
     def triples(self) -> frozenset:
-        return frozenset(_enumerate(self._graph, 0, 0))
+        # only a model that lists its triples in key order gets here
+        return frozenset(self._ordered)
 
     @cached_property
     def statements(self) -> frozenset:
@@ -216,12 +229,16 @@ class IndependenceModel:
     def __repr__(self):
         return f"IndependenceModel(ground={list(self.nodes)}, {len(self)} statements)"
 
-    def _sorted_triples(self):
-        """The triples in statement key order. Each mask ranks by its
-        position in sorted label-tuple order; bit order is label order, so
-        sorting by the bit indices sorts by the labels. A model with at
+    @cached_property
+    def _ordered(self) -> list:
+        """The triples in statement key order: enumerated in that order for a
+        model from a graph (`_enumerate`), else sorted. Each mask ranks by
+        its position in sorted label-tuple order; bit order is label order,
+        so sorting by the bit indices sorts by the labels. A model with at
         least 2^n triples reads the ranks off the shared table of all 2^n
         masks; a smaller one ranks only the masks it holds."""
+        if self._graph is not None:
+            return _enumerate(self._graph, 0, 0)
         n = len(self.nodes)
         if 1 << n <= len(self.triples):
             ranks = _rank_table(n)
@@ -235,115 +252,107 @@ class IndependenceModel:
         )
 
     def sorted_statements(self):
-        return self._statements(self._sorted_triples())
+        return self._statements(self._ordered)
 
 
 @lru_cache(maxsize=None)
-def _bit_table(n):
-    """Per n-bit mask, the indices of its set bits, ascending: 2^n tuples,
-    built once per n."""
-    table = [()]
-    for k in range(n):
-        table += [t + (k,) for t in table]
-    return table
+def _rank_order(n):
+    """The n-bit masks in the order of their ascending set-bit index tuples,
+    a mask's rank being its position, and per bit p the ranks of the masks
+    that hold p, as one 2^n-bit int. Built once per n. Each mask grows by
+    bits above its highest in preorder, pushed on a stack, which lists the
+    index tuples lexicographically."""
+    order = []
+    stack = [(0, 0)]
+    while stack:
+        mask, low = stack.pop()
+        order.append(mask)
+        stack.extend((mask | 1 << b, b + 1) for b in range(n - 1, low - 1, -1))
+    holding = [
+        int("".join("1" if m >> p & 1 else "0" for m in reversed(order)), 2)
+        for p in range(n)
+    ]
+    return order, holding
 
 
 @lru_cache(maxsize=None)
 def _rank_table(n):
-    """Per n-bit mask, its position among all n-bit masks in the order of
-    their ascending set-bit index tuples."""
+    """Per n-bit mask, its rank in `_rank_order(n)`."""
     table = [0] * (1 << n)
-    for r, m in enumerate(sorted(range(1 << n), key=_bit_table(n).__getitem__)):
+    for r, m in enumerate(_rank_order(n)[0]):
         table[m] = r
     return table
 
 
-def _connections(g: MixedGraph, fixed, drop):
-    """The pairwise connection rows of g, per conditioning mask C = fixed | D
-    for every D over the free nodes (those outside `drop`, which holds
-    `fixed`), in increasing order of D: yields (C, conn), where for every
-    free node k outside C, conn[k] holds k itself, the nodes adjacent to k,
-    and the free nodes outside C m-connected to k given C, with
-    non-colliders outside C.
+def _separation_sets(g: MixedGraph, fixed, drop):
+    """The separation sets of the free nodes of g, those outside `drop`
+    (which holds `fixed`), over the conditioning sets C = fixed ∪ D for
+    every D over the f free nodes. D is named by its rank (`_rank_order(f)`)
+    and a set of Cs is a 2^f-bit int, bit r for the D of rank r. Yields
+    (p, q, s) per pair of non-adjacent free nodes at free positions p < q,
+    in increasing order of p, then q: s holds the Cs that miss both nodes
+    and m-separate them. An adjacent pair has no separating C.
 
-    an(C) is the union of an(fixed), an(D minus its lowest node) and an(its
-    lowest node), from the graph's `_ancestor_masks`. `msep._walk_reach`
-    walks with collider set C ∪ an(C) and non-colliders outside C. Adjacent
-    nodes are always connected; a later non-adjacent node is connected when
-    the walk out of k reaches it, checked by a simple path unless g is
-    ribbonless. Each path `msep._paths` finds is kept per pair as its
-    (collider mask, non-collider mask): it still connects under a later C
-    whose C ∪ an(C) holds its colliders and which misses its non-colliders,
-    so `_paths` runs only when no kept path applies.
+    Per node t: `inc[t]` holds the Cs with t in C (every C for a node of
+    `fixed`, none for a marginalised node), `out[t]` the others, and
+    `col[t]` the Cs with t in C ∪ an(C): the OR of `inc[d]` over d in
+    {t} ∪ de(t), read off the graph's `_ancestor_masks`. One
+    `msep._sliced_reach` per source settles every C at once, and is exact
+    on a ribbonless graph. On any other graph each pair's walk set is
+    re-checked by simple paths (`_path_checked`). The pairs come one source
+    at a time, so a reader may stop early.
     """
-    nodes = g.nodes
-    n = len(nodes)
-    bits = _bit_table(n)
-    full = (1 << n) - 1
-    free = full & ~drop
+    n = len(g.nodes)
+    free = [k for k in range(n) if not drop >> k & 1]
+    holding = _rank_order(len(free))[1]
+    every = (1 << (1 << len(free))) - 1
+    inc = [every if fixed >> k & 1 else 0 for k in range(n)]
+    for p, k in enumerate(free):
+        inc[k] = holding[p]
+    out = [every ^ s for s in inc]
+    col = inc[:]
+    for d, mask in enumerate(g._ancestor_masks.values()):
+        for t in _bits(mask):
+            col[t] |= inc[d]
     exits = g._exits
-    starts = exits[2]
-    adjacent = [(s | s >> n) & full | 1 << k for k, s in enumerate(starts)]
-    # per node, the free non-adjacent nodes above it
-    apart = [free & ~a & ~((2 << k) - 1) for k, a in enumerate(adjacent)]
-    single = list(g._ancestor_masks.values())
-    fixed_anc = 0
-    for k in bits[fixed]:
-        fixed_anc |= single[k]
-    # an(D) per D, filled in increasing order
-    anc = [0] * (1 << n)
     exact = g.is_ribbonless
-    # per pair k < j at k * n + j, the (collider, non-collider) masks of
-    # the paths found
-    found = [[] for _ in range(n * n)]
-    dmask = 0
-    while True:
-        low = dmask & -dmask
-        if low:
-            anc[dmask] = anc[dmask ^ low] | single[low.bit_length() - 1]
-        cmask = fixed | dmask
-        colliders = cmask | fixed_anc | anc[dmask]
-        out = full & ~cmask
-        live = free & ~dmask
-        sets = None
-        conn = adjacent[:]
-        for k in bits[live]:
-            later = live & apart[k]
-            if not later:
-                continue
-            reached = _walk_reach(exits, colliders, out, starts[k])
-            hits = (reached | reached >> n) & later
-            if not exact:
-                for j in bits[hits]:
-                    kept = found[k * n + j]
-                    for co, nc in kept:
-                        if not (co & ~colliders or nc & cmask):
-                            break
-                    else:
-                        if sets is None:
-                            sets = (
-                                {nodes[c] for c in bits[colliders]},
-                                {nodes[c] for c in bits[out]},
-                            )
-                        path = next(_paths(g, nodes[k], nodes[j], *sets), None)
-                        if path is None:
-                            hits ^= 1 << j
-                        else:
-                            kept.append(_path_masks(path, g._bit))
-            conn[k] |= hits
-            for j in bits[hits]:
-                conn[j] |= 1 << k
-        yield cmask, conn
-        if dmask == free:
-            return
-        dmask = (dmask - free) & free
+    for p, k in enumerate(free):
+        near = exits[2][k]
+        near |= near >> n
+        apart = [(q, j) for q, j in enumerate(free) if q > p and not near >> j & 1]
+        if not apart:
+            continue
+        reach = _sliced_reach(exits, out, col, exits[2][k], out[k])
+        for q, j in apart:
+            outside = out[k] & out[j]
+            joined = (reach[j] | reach[n + j]) & outside
+            if joined and not exact:
+                joined = _path_checked(g, k, j, joined, out, col)
+            yield p, q, outside & ~joined
 
 
-def _path_masks(path, bit):
-    """The (collider mask, non-collider mask) of a path's inner nodes."""
-    inner = path.nodes[1:-1]
-    co = sum(bit[v] for v, collider in zip(inner, path.colliders) if collider)
-    return co, sum(bit[v] for v in inner) - co
+def _path_checked(g: MixedGraph, k, j, walked, out, col):
+    """The sets in `walked` under which a simple path m-connects nodes k
+    and j. The lowest set not yet settled is tried with `msep._paths`:
+    with no path it is dropped; a path P found settles every set left
+    whose C ∪ an(C) holds P's colliders and whose C misses its
+    non-colliders, as P connects under exactly those."""
+    nodes, bit = g.nodes, g._bit
+    joined = 0
+    while walked:
+        r = (walked & -walked).bit_length() - 1
+        colliders = {v for v, s in zip(nodes, col) if s >> r & 1}
+        allowed = {v for v, s in zip(nodes, out) if s >> r & 1}
+        path = next(_paths(g, nodes[k], nodes[j], colliders, allowed), None)
+        if path is None:
+            walked ^= 1 << r
+            continue
+        holds = walked
+        for v, collider in zip(path.nodes[1:-1], path.colliders):
+            holds &= (col if collider else out)[bit[v].bit_length() - 1]
+        joined |= holds
+        walked ^= holds
+    return joined
 
 
 def independence_model(
@@ -363,58 +372,61 @@ def independence_model(
 
 
 def _enumerate(g: MixedGraph, fixed, drop):
-    """The mask triples (A, B, C) of J_m(g) with C = fixed | D and A, B and D
-    over the free nodes, those outside `drop` (which holds `fixed`); the
-    whole of J_m(g) is `_enumerate(g, 0, 0)`.
+    """The statements <A, B | fixed ∪ D> of J_m(g) with A, B and D over the
+    free nodes, those outside `drop` (which holds `fixed`), as mask triples
+    (A, B, D) over the free nodes alone, each listed once, in statement key
+    order. The whole of J_m(g) is `_enumerate(g, 0, 0)`.
 
-    Node sets are bit masks over the sorted nodes. m-separation models are
-    compositional graphoids, so A and B are separated by C exactly when no
-    node of B lies in the connection row (`_connections`) of a node of A.
-    Per C, each A grows depth-first from its lowest node k by free nodes
-    above its highest one. The B candidates are the free nodes above k,
-    outside A, and connected to no node of A; adding a node to A only
-    shrinks them, so a branch whose candidates run out is dropped whole.
-    Every nonempty submask of the candidates is a B, so each statement is
-    found once, as a mask triple with its smaller side first.
+    m-separation models are compositional graphoids, so C separates A and
+    B exactly when it separates every pair of a node of A and a node of B:
+    their separating sets are the AND of the pairs' `_separation_sets`. A
+    grows from its lowest node p by nodes above its highest, carrying per
+    node q the sets separating q from all of A; B grows likewise over the
+    nodes above p outside A, carrying the sets separating it from A. Growth
+    only shrinks the sets, so a branch whose sets are all empty is dropped
+    whole. Every set bit left names one C.
+
+    Why this is key order: node positions follow label order, and a
+    statement's key compares A's sorted labels, then B's, then C's. A and
+    B each grow in preorder, pushed on explicit stacks, which lists sorted
+    index tuples lexicographically. With min B > min A, A is the side that
+    sorts first, so each statement comes once and with its sides in key
+    order. Within one (A, B), the set bits come in rank order, the sorted
+    order of the D masks, which are the emitted C.
     """
-    n = len(g.nodes)
-    bits = _bit_table(n)
-    free = ((1 << n) - 1) & ~drop
-    higher = [free & ~((2 << k) - 1) for k in range(n)]
-    subsets = {}
+    f = len(g.nodes) - drop.bit_count()
+    sep = [[0] * f for _ in range(f)]
+    for p, q, s in _separation_sets(g, fixed, drop):
+        sep[p][q] = sep[q][p] = s
+    order = _rank_order(f)[0]
     triples = []
-    for cmask, conn in _connections(g, fixed, drop):
-        out = free & ~cmask
-        stack = []
-        for k in bits[out]:
-            above = out & higher[k]
-            cand = above & ~conn[k]
-            if cand:
-                stack.append((1 << k, cand, above))
+    append = triples.append
+    for p in range(f):
+        # per node q above p and outside A, the sets separating q from A,
+        # when there are any
+        row = [(q, s) for q, s in enumerate(sep[p]) if q > p and s]
+        stack = [(1 << p, p, row)] if row else []
         while stack:
-            amask, cand, grow = stack.pop()
-            if cand & (cand - 1):
-                bs = subsets.get(cand)
-                if bs is None:
-                    bs = subsets[cand] = _submasks(cand)
-                triples.extend(zip(repeat(amask), bs, repeat(cmask)))
-            else:
-                triples.append((amask, cand, cmask))
-            for x in bits[grow]:
-                rest = cand & ~conn[x]
-                if rest:
-                    stack.append((amask | 1 << x, rest, grow & higher[x]))
+            amask, top, row = stack.pop()
+            grow = [(1 << q, i, s) for i, (q, s) in enumerate(row)]
+            grow.reverse()
+            while grow:
+                bmask, i, sets = grow.pop()
+                rest = sets
+                while rest:
+                    low = rest & -rest
+                    append((amask, bmask, order[low.bit_length() - 1]))
+                    rest ^= low
+                for i2 in range(len(row) - 1, i, -1):
+                    q, s = row[i2]
+                    if sets & s:
+                        grow.append((bmask | 1 << q, i2, sets & s))
+            for x in range(f - 1, top, -1):
+                apart = sep[x]
+                grown = [(q, s & apart[q]) for q, s in row if s & apart[q]]
+                if grown:
+                    stack.append((amask | 1 << x, x, grown))
     return triples
-
-
-def _submasks(mask):
-    """The nonempty submasks of mask, decreasing."""
-    out = []
-    sub = mask
-    while sub:
-        out.append(sub)
-        sub = (sub - 1) & mask
-    return out
 
 
 def _check_ground(ground, M, C):
@@ -443,22 +455,20 @@ def marginalise_condition(J: IndependenceModel, M, C) -> IndependenceModel:
     cmask = sum(J._bit[v] for v in C)
     drop = cmask | sum(J._bit[v] for v in M)
     kept = [k for k in range(len(J.nodes)) if not drop >> k & 1]
+    nodes = tuple(J.nodes[k] for k in kept)
     if J._graph is not None:
         triples = _enumerate(J._graph, cmask, drop)
-    else:
-        triples = [
-            (a, b, c)
-            for a, b, c in J.triples
-            if not (a | b) & drop and c & drop == cmask
-        ]
+        return IndependenceModel._in_key_order(nodes, triples)
+    triples = [
+        (a, b, c) for a, b, c in J.triples if not (a | b) & drop and c & drop == cmask
+    ]
     # the bits of C are not kept, so compressing c drops C from it
     compress = {
         m: sum(1 << pos for pos, k in enumerate(kept) if m >> k & 1)
         for m in set().union(*triples)
     }
     return IndependenceModel._from_masks(
-        tuple(J.nodes[k] for k in kept),
-        [(compress[a], compress[b], compress[c]) for a, b, c in triples],
+        nodes, [(compress[a], compress[b], compress[c]) for a, b, c in triples]
     )
 
 
@@ -493,7 +503,7 @@ def model_to_json(J: IndependenceModel) -> str:
     pure-Python encoder. Each label is quoted once and each distinct side
     list rendered once."""
     quoted = [json.dumps(v) for v in J.nodes]
-    triples = J._sorted_triples()
+    triples = J._ordered
     sides = {0: "[]"}
     for m in set().union(*triples) - {0}:
         items = ",\n        ".join(quoted[k] for k in _bits(m))

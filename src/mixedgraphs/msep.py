@@ -12,8 +12,9 @@ runs on one kernel over that step rule:
   shortcuts through configurations that ribbonlessness forces to carry an
   endpoint-identical edge), so the walk verdict is exact there, in time
   linear in the edges. It decides separation, the Lemma-1 signatures of
-  `endpoint_identical_connection`, primitive inducing paths (`witness`) and
-  the connection rows of `independence`.
+  `endpoint_identical_connection` and primitive inducing paths (`witness`).
+  `_sliced_reach` runs the same step rule under many conditioning sets at
+  once, a bit per set: the separation sets of `independence`.
 - `_paths` enumerates simple paths depth-first. On other graphs walks can
   over-connect — e.g. a->t<-b with a line t--x admits the walk
   a->t--x--t<-b but no connecting path — so `_connected` re-checks each
@@ -118,6 +119,56 @@ def _walk_reach(exits, collider_mask, allowed_mask, start):
         frontier = new & ~reached
         reached |= new
     return reached
+
+
+def _sliced_reach(exits, out, col, start, live):
+    """`_walk_reach` under many conditioning sets at once. Per node t,
+    `out[t]` and `col[t]` are sets of conditioning sets, one bit each: those
+    with t outside C (the allowed set), and those with t in C ∪ an(C) (the
+    collider set). Returns, per walk state (bit index as in `exits`), the
+    sets under which the state is reachable from the state bitset `start`,
+    each start state carrying `live`.
+
+    One worklist fixpoint: a state's newly gained sets leave by its tail
+    exits where t is allowed, and by its head exits where t is allowed after
+    a tail or in the collider set after a head, which is `_walk_reach`'s
+    step rule. Every operation is bitwise, so each bit r evolves exactly as
+    `_walk_reach` under set r, and the least fixpoint holds, per bit, the
+    states that walk reaches. The worklist is first in, first out: a state
+    then tends to gain its sets from several sources before it is read, and
+    is read fewer times than from a stack."""
+    heads, tails, _boths = exits
+    n = len(out)
+    reach = [0] * (2 * n)
+    pending = [0] * (2 * n)
+    queue = []
+    while start:
+        low = start & -start
+        s = low.bit_length() - 1
+        reach[s] = pending[s] = live
+        queue.append(s)
+        start ^= low
+    # the queue grows as it is read; a state is queued while it has pending sets
+    for s in queue:
+        new = pending[s]
+        pending[s] = 0
+        t = s - n if s >= n else s
+        on_tail = new & out[t]
+        on_head = new & col[t] if s >= n else on_tail
+        for m, sets in ((tails[t], on_tail), (heads[t], on_head)):
+            if not sets:
+                continue
+            while m:
+                low = m & -m
+                o = low.bit_length() - 1
+                m ^= low
+                gain = sets & ~reach[o]
+                if gain:
+                    reach[o] |= gain
+                    if not pending[o]:
+                        queue.append(o)
+                    pending[o] |= gain
+    return reach
 
 
 def _mask(g: MixedGraph, nodes):

@@ -64,6 +64,7 @@ from .core import (
     MixedGraph,
     MixedGraphError,
     UnknownNode,
+    _node_set,
     arc,
     arrow,
     edge_sort_key,
@@ -404,7 +405,7 @@ def project_rg(h: MixedGraph, spec: ProjectionSpec, force: bool = False) -> Mixe
 
 
 def rg_to_sg_traced(h: MixedGraph, anc_c):
-    anc_c = frozenset(anc_c)
+    anc_c = _node_set(anc_c, "anc_c")
     missing = anc_c - h.node_set
     if missing:
         raise UnknownNode(f"anc_c names unknown nodes: {sorted(missing)}")

@@ -3,7 +3,7 @@
 Each suite runs checks rooted at one input graph and reports a serialized
 reproducer for every counterexample it finds. The checks are randomized,
 except those of `maximality`, which compares the primitive-inducing-path
-criterion with the literal one read off connection rows, and enumerates
+criterion with the literal one read off separation sets, and enumerates
 models only when `maximalize` adds an edge, and then reads both literal
 verdicts off them.
 """
@@ -187,12 +187,12 @@ def maximality_suite(g: MixedGraph, seeds: int = 0) -> SuiteResult:
     `_pip_edges` yields nothing, which is what `is_maximal` tests, so the
     PIP verdict is `maximal is g`. A faulty `maximalize` can therefore fail
     the first check as well as its own.
-    Each graph's connection rows are read once. When maximalize adds no
+    Each graph's separation sets are read once. When maximalize adds no
     edge, its output is g: the model is unchanged by identity and its
-    literal verdict is g's, from one sweep that stops once every pair is
-    separated. When it adds edges, the models of g and of its output are
-    enumerated, and both literal verdicts are read off their singleton
-    statements."""
+    literal verdict is g's, from one pass over the sets that stops at the
+    first pair no set separates. When it adds edges, the models of g and of
+    its output are enumerated, and both literal verdicts are read off their
+    singleton statements."""
     result = SuiteResult("maximality")
     _require("RG" in g.class_tags, "maximality needs a ribbonless input")
     _require_small(g, "maximality")

@@ -13,9 +13,10 @@ colliders and all ancestors of an endpoint. Only their end marks matter, and
 the `msep` bitset walk gives those per pair, over the graph's walk tables.
 maximalize() inserts the endpoint-identical edge of each such path in one
 sweep. The literal definition, that every non-adjacent pair is separated by
-some set, is read off the connection rows of `independence._connections`
-over the conditioning sets in increasing order, and stops once every pair is
-separated; no model is built.
+some set, asks that each such pair's bit-sliced separation set
+(`independence._separation_sets`, every conditioning set at once) be
+non-empty. The sets come one source walk at a time, so the first pair that
+no set separates stops the check; no model is built.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .core import (
     signature_edge,
 )
 from .core import MixedGraphError
-from .independence import MODEL_NODE_LIMIT, TooLarge, _bits, _connections
+from .independence import MODEL_NODE_LIMIT, TooLarge, _bits, _separation_sets
 from .msep import _walk_reach
 from .project import NotRibbonless, ProjectionSpec
 
@@ -211,23 +212,11 @@ def _unadjacent_above(g: MixedGraph) -> list:
 
 
 def _separates_every_pair(g: MixedGraph) -> bool:
-    """The literal maximality verdict: every non-adjacent pair i < j is
-    m-separated by some C. The connection rows come per C in increasing
-    order; C settles the pair when neither node is in C and bit j of row i
-    is unset. True as soon as every pair is settled, False after the last C."""
-    # per node i, the nodes j > i not adjacent to it and not yet separated
-    unsettled = _unadjacent_above(g)
-    pending = sum(1 << k for k, m in enumerate(unsettled) if m)
-    if not pending:
-        return True
-    for cmask, conn in _connections(g, 0, 0):
-        for k in _bits(pending & ~cmask):
-            unsettled[k] &= conn[k] | cmask
-            if not unsettled[k]:
-                pending ^= 1 << k
-                if not pending:
-                    return True
-    return False
+    """The literal maximality verdict: every non-adjacent pair has a
+    non-empty separation set. `_separation_sets` yields the pairs one
+    source walk at a time, so the first pair that no C separates ends the
+    search."""
+    return all(sets for _p, _q, sets in _separation_sets(g, 0, 0))
 
 
 def _separates_every_pair_in(model, g: MixedGraph) -> bool:

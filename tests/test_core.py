@@ -146,6 +146,17 @@ def test_ancestry_refuses_a_bare_string(query):
         getattr(g, query)("ab")
 
 
+def test_graph_refuses_a_bare_string_of_nodes():
+    # "ab" would name the nodes a and b; of several bad labels, the smallest
+    # by repr is named, whatever the order given
+    assert MixedGraph({"ab"}).nodes == ("ab",)
+    with pytest.raises(InvalidLabel, match="nodes takes a collection"):
+        MixedGraph("ab")
+    for labels in (["b-", "a-"], ["a-", "b-"]):
+        with pytest.raises(InvalidLabel, match="bad node label 'a-'"):
+            MixedGraph(labels)
+
+
 def test_direction_preserving_cycles():
     assert mk("a -> b\nb -> c").cycle_nodes == frozenset()
     assert mk("a -> b\nb -> a").cycle_nodes == {"a", "b"}

@@ -42,7 +42,7 @@ def S(A, B, C=()):
 
 
 def test_statement_is_unordered_in_A_B():
-    assert S("b", "a") == S("a", "b")
+    assert S({"b"}, {"a"}) == S({"a"}, {"b"})
     assert S({"b", "c"}, {"a"}) == S({"a"}, {"b", "c"})
 
 
@@ -53,12 +53,24 @@ def test_statement_requires_nonempty_sides():
 
 def test_statement_requires_disjoint_sides():
     with pytest.raises(NotDisjoint):
-        S("a", "a")
+        S({"a"}, {"a"})
+
+
+@pytest.mark.parametrize("side", range(3))
+def test_statement_refuses_a_bare_string(side):
+    # "ab" would name the nodes a and b
+    sides = [{"a"}, {"b"}, {"c"}]
+    assert S(*sides).render() == "a _||_ b | c"
+    sides[side] = {"ab"}
+    assert "ab" in S(*sides).render()
+    sides[side] = "ab"
+    with pytest.raises(InvalidLabel, match=f"{'ABC'[side]} takes a collection"):
+        S(*sides)
 
 
 def test_model_of_two_isolated_nodes():
     g = MixedGraph({"a", "b"})
-    assert independence_model(g).statements == {S("a", "b")}
+    assert independence_model(g).statements == {S({"a"}, {"b"})}
 
 
 def test_model_of_single_edge_is_empty():
@@ -67,7 +79,7 @@ def test_model_of_single_edge_is_empty():
 
 def test_model_of_collider():
     g = mk("a -> c\nb -> c")
-    assert independence_model(g).statements == {S("a", "b")}
+    assert independence_model(g).statements == {S({"a"}, {"b"})}
 
 
 def test_model_enumeration_bound():
@@ -93,10 +105,10 @@ def test_model_matches_per_statement_msep():
 
 
 def test_marginalise_condition_formula():
-    J = IndependenceModel({"a", "b", "c"}, [S("a", "b", {"c"})])
+    J = IndependenceModel({"a", "b", "c"}, [S({"a"}, {"b"}, {"c"})])
     conditioned = marginalise_condition(J, set(), {"c"})
     assert conditioned.ground == {"a", "b"}
-    assert conditioned.statements == {S("a", "b")}
+    assert conditioned.statements == {S({"a"}, {"b"})}
     marginalised = marginalise_condition(J, {"c"}, set())
     assert marginalised.statements == frozenset()
 
@@ -107,7 +119,7 @@ def test_marginalise_fork_loses_the_separation():
 
 
 def test_marginalise_condition_validation():
-    J = IndependenceModel({"a", "b"}, [S("a", "b")])
+    J = IndependenceModel({"a", "b"}, [S({"a"}, {"b"})])
     with pytest.raises(NotDisjoint):
         marginalise_condition(J, {"a"}, {"a"})
     with pytest.raises(NotInGround):
@@ -245,7 +257,7 @@ def test_too_large_is_raised_before_any_enumeration(monkeypatch):
         raise AssertionError("the model was enumerated")
 
     monkeypatch.setattr(independence, "_enumerate", refuse)
-    monkeypatch.setattr(independence, "_connections", refuse)
+    monkeypatch.setattr(independence, "_separation_sets", refuse)
     g = MixedGraph({f"n{k}" for k in range(9)})
     with pytest.raises(TooLarge):
         independence_model(g)
@@ -288,23 +300,23 @@ def test_rebuilt_models_equal_the_enumerated_one():
             assert rebuilt.statements == J.statements, g
         assert all(s in J for s in J.statements), g
         for e in g.edges:
-            assert S(e.a, e.b) not in J, g
-        assert S("a", "zz") not in J and "a" not in J
+            assert S({e.a}, {e.b}) not in J, g
+        assert S({"a"}, {"zz"}) not in J and "a" not in J
 
 
 def test_model_equal_and_diff():
     J1 = IndependenceModel({"a", "b"}, [])
-    J2 = IndependenceModel({"a", "b"}, [S("a", "b")])
+    J2 = IndependenceModel({"a", "b"}, [S({"a"}, {"b"})])
     assert model_equal(J1, J1)
     assert not model_equal(J1, J2)
-    assert model_diff(J1, J2) == (frozenset({S("a", "b")}), frozenset())
+    assert model_diff(J1, J2) == (frozenset({S({"a"}, {"b"})}), frozenset())
     with pytest.raises(GroundMismatch):
         model_equal(J1, IndependenceModel({"a"}, []))
 
 
 def test_models_reject_foreign_statements_and_grounds():
     with pytest.raises(NotInGround):
-        IndependenceModel({"a", "b"}, [S("a", "z")])
+        IndependenceModel({"a", "b"}, [S({"a"}, {"z"})])
     with pytest.raises(GroundMismatch):
         model_diff(IndependenceModel({"a", "b"}, []), IndependenceModel({"a"}, []))
 
@@ -312,7 +324,7 @@ def test_models_reject_foreign_statements_and_grounds():
 def test_conforms():
     g = mk("a -> b")
     assert conforms(independence_model(g), g)
-    J = IndependenceModel({"a", "b"}, [S("a", "b")])
+    J = IndependenceModel({"a", "b"}, [S({"a"}, {"b"})])
     assert not conforms(J, g)
     assert conforms(IndependenceModel({"a", "b"}, []), g)
     with pytest.raises(GroundMismatch):
@@ -407,6 +419,39 @@ def test_enumeration_matches_the_per_assignment_oracle(monkeypatch):
         found = {(frozenset((a, b)), c) for a, b, c in triples}
         assert len(triples) == len(found) == len(J), g
         assert J == model_oracle(g), g
+
+
+def test_graph_models_and_marginals_come_out_in_key_order(monkeypatch):
+    # a model from a graph, and a marginal of one, list their statements in
+    # key order as enumerated: in the order of the sorted oracle statements,
+    # with no sort on the way, in the enumeration or in `model_to_json`
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the statements were sorted")
+
+    rng = random.Random(87)
+    graphs = itertools.chain(
+        all_mixed_graphs(("a", "b", "c")),
+        (
+            random_lmg(rng, rng.randint(4, 6), p=rng.uniform(0.05, 0.35))
+            for _ in range(60)
+        ),
+    )
+    for g in graphs:
+        oracle = model_oracle(g)
+        spec = random_spec(rng, g)
+        marginal_oracle = marginalise_oracle(oracle, spec.marg, spec.cond)
+        with monkeypatch.context() as patch:
+            patch.setattr(independence, "sorted", refuse, raising=False)
+            J = independence_model(g)
+            text = model_to_json(J)
+            marginal = marginalise_condition(J, spec.marg, spec.cond)
+            marginal_text = model_to_json(marginal)
+            ordered = J.sorted_statements()
+            marginal_ordered = marginal.sorted_statements()
+        assert ordered == sorted(oracle.statements), g
+        assert marginal_ordered == sorted(marginal_oracle.statements), (g, spec)
+        assert text == model_json_oracle(oracle), g
+        assert marginal_text == model_json_oracle(marginal_oracle), (g, spec)
 
 
 def test_model_json_matches_the_stdlib_layout():

@@ -4,13 +4,14 @@ import random
 import pytest
 
 from mixedgraphs.core import HEAD, TAIL, InvalidLabel, MixedGraph, arrow, line
-from mixedgraphs.generators import random_dag, random_lmg
+from mixedgraphs.generators import random_dag, random_lmg, random_rg
 from mixedgraphs.msep import (
     ConnectionQuery,
     NotDisjoint,
     OverlapError,
     PathWitness,
     _paths,
+    _sliced_reach,
     _walk_reach,
     connecting_path_exists,
     endpoint_identical_connection,
@@ -31,6 +32,7 @@ from .helpers import (
     pairwise_path_separated_paper,
     path_connects,
     pip_edges_oracle,
+    random_cyclic_rg,
 )
 
 
@@ -342,6 +344,58 @@ def test_bitset_walk_reaches_the_walk_states():
             _bitset_walk_agrees(g, C | g.ancestors(C), M)
             _bitset_walk_agrees(g, C | g.ancestors(C), g.node_set - C)
     assert ribbons >= 50
+
+
+def _sliced_walk_agrees(g, rng):
+    """For a random split of g's nodes into fixed, marginalised and free
+    ones, and C_r = fixed ∪ D for each D over the free nodes in turn: per
+    source node, bit r of each state's sliced reach set is `_walk_reach`
+    under C_r (collider set C_r ∪ an(C_r), allowed set the nodes outside
+    C_r), and a bit outside the start's live sets stays clear."""
+    drop = {v for v in g.nodes if rng.random() < 0.4}
+    fixed = {v for v in drop if rng.random() < 0.5}
+    free = [v for v in g.nodes if v not in drop]
+    conditionings = [
+        fixed | set(D)
+        for r in range(len(free) + 1)
+        for D in itertools.combinations(free, r)
+    ]
+    n, bit = len(g.nodes), g._bit
+    colliders = [sum(bit[v] for v in C | g.ancestors(C)) for C in conditionings]
+    allowed = [sum(bit[v] for v in g.node_set - C) for C in conditionings]
+    out, col = (
+        [sum(1 << r for r, m in enumerate(masks) if m >> k & 1) for k in range(n)]
+        for masks in (allowed, colliders)
+    )
+    every = (1 << len(conditionings)) - 1
+    exits = g._exits
+    for k in range(n):
+        live = every if rng.random() < 0.5 else rng.getrandbits(len(conditionings))
+        sliced = _sliced_reach(exits, out, col, exits[2][k], live)
+        assert len(sliced) == 2 * n
+        for r, C in enumerate(conditionings):
+            want = 0
+            if live >> r & 1:
+                want = _walk_reach(exits, colliders[r], allowed[r], exits[2][k])
+            got = sum(1 << s for s, sets in enumerate(sliced) if sets >> r & 1)
+            assert got == want, (g, g.nodes[k], C)
+
+
+def test_sliced_walk_matches_the_walk_under_each_conditioning_set():
+    # the dual route of the model enumeration's kernel: on all 4,096
+    # three-node multigraphs, then random LMGs (ribbons included), RGs and
+    # cyclic RGs of 4-7 nodes
+    rng = random.Random(89)
+    for g in all_mixed_graphs(("a", "b", "c"), multi=True):
+        _sliced_walk_agrees(g, rng)
+    makers = (
+        lambda rng, n: random_lmg(rng, n, p=rng.uniform(0.05, 0.35)),
+        random_rg,
+        random_cyclic_rg,
+    )
+    for make in makers:
+        for _ in range(60):
+            _sliced_walk_agrees(make(rng, rng.randint(4, 7)), rng)
 
 
 def _line_ladder(k):

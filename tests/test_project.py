@@ -9,6 +9,7 @@ import pytest
 
 from mixedgraphs import project
 from mixedgraphs.core import (
+    InvalidLabel,
     MixedGraph,
     MixedGraphError,
     UnknownNode,
@@ -53,6 +54,7 @@ from mixedgraphs.project import (
 from mixedgraphs.textfmt import document_for, parse_graph, serialize_graph
 
 from .helpers import (
+    LABEL_SPLIT_TEXT,
     all_dags,
     all_mixed_graphs,
     closure_random_order,
@@ -232,6 +234,15 @@ def test_rg_to_sg_drops_duplicate_replacement():
 def test_rg_to_sg_rejects_unknown_nodes():
     with pytest.raises(UnknownNode, match="zz"):
         rg_to_sg(mk("a <-> b"), {"zz"})
+
+
+@pytest.mark.parametrize("strip", [rg_to_sg, rg_to_sg_traced])
+def test_sg_strip_refuses_a_bare_string(strip):
+    # "ab" would name a and b, whose heads the strip would leave alone
+    g = mk(LABEL_SPLIT_TEXT)
+    assert rg_to_sg(g, {"ab"}) == mk("nodes: a b ab c x\nab -> c\nab -- x")
+    with pytest.raises(InvalidLabel, match="anc_c takes a collection"):
+        strip(g, "ab")
 
 
 def test_project_sg_conditioning_line_only():
@@ -574,7 +585,9 @@ def test_rendered_traces_of_every_stage():
         assert replay_trace(g, s, trace) == out, text
     # the first round strips arcs before arrows; the second reads only the
     # two arrows the first generated, in edge order
-    _out, trace = rg_to_sg_traced(mk("c <-> d\na <-> b\nb -> c"), "abcd")
+    _out, trace = rg_to_sg_traced(
+        mk("c <-> d\na <-> b\nb -> c"), {"a", "b", "c", "d"}
+    )
     assert render_trace(trace) == (
         "rule=sg-step-2 inner=- generated=a -> b removed=a <-> b\n"
         "rule=sg-step-2 inner=- generated=c -> d removed=c <-> d\n"

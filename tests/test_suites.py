@@ -107,22 +107,24 @@ def test_maximality_suite_enumerates_models_only_when_maximalize_adds_edges():
 
 def test_maximality_suite_reads_each_graphs_rows_once():
     # maximalize adds an edge here, so the suite enumerates the models of the
-    # 4-node input and of its output, 16 row sets each, and reads both
-    # literal verdicts off their singleton statements with no sweep of its own
+    # 4-node input and of its output, reading each one's separation sets
+    # once, and reads both literal verdicts off their singleton statements
+    # with no sweep of its own: one bit-sliced walk per node with a later
+    # non-adjacent node, a (for b) and b (for c) in the input, b alone in
+    # the output, which joins a and b
     g = mk("a <-> q\nq <-> b\nq -> c\nc -> a")
-    real, rows = independence._connections, []
-
-    def counted(*args):
-        for cmask, conn in real(*args):
-            rows.append(cmask)
-            yield cmask, conn
-
-    with mock.patch.object(independence, "_connections", counted), mock.patch.object(
-        witness, "_connections", counted
-    ):
+    real = independence._separation_sets
+    with mock.patch.object(
+        independence, "_separation_sets", wraps=real
+    ) as model_sets, mock.patch.object(
+        witness, "_separation_sets", wraps=real
+    ) as sweep_sets, mock.patch.object(
+        independence, "_sliced_reach", wraps=independence._sliced_reach
+    ) as walks:
         result = maximality_suite(g)
     assert result.ok and result.checked == 3, result.failures
-    assert len(rows) == 32
+    assert model_sets.call_count == 2 and sweep_sets.call_count == 0
+    assert walks.call_count == 3
 
 
 def test_maximality_suite_reports_a_maximalize_that_adds_no_edge():

@@ -7,7 +7,11 @@ import pytest
 from mixedgraphs import independence, witness
 from mixedgraphs.core import MixedGraph, RibbonReport, arc, arrow, classify, line
 from mixedgraphs.generators import random_ag, random_lmg, random_rg, random_sg
-from mixedgraphs.independence import _connections, independence_model, model_equal
+from mixedgraphs.independence import (
+    _separation_sets,
+    independence_model,
+    model_equal,
+)
 from mixedgraphs.project import NotRibbonless, project_rg, project_sg
 from mixedgraphs.witness import (
     NotDagRealizable,
@@ -381,27 +385,19 @@ def test_literal_check_bound():
 
 
 def test_literal_maximality_stops_at_the_first_separating_sets():
-    # every non-adjacent pair here is separated by the empty set, so the
-    # sweep reads the rows for C = {} alone: one walk from each node with a
-    # later non-adjacent node (all but n6 and n7), not the 2^8 row sets of a
-    # full enumeration
+    # one bit-sliced walk per node with a later non-adjacent node (all but
+    # n6 and n7) decides every conditioning set at once, where a walk per
+    # node and set would run up to 6 * 2^8 times; and the first pair that
+    # no set separates ends the search: a and b here, at the first source
     g = mk("n0 -> n1\nn2 -> n1\nn3 <-> n4\nn5 -> n4\nn6 -- n7")
     assert len(g.nodes) == 8
-    with mock.patch.object(
-        independence, "_walk_reach", wraps=independence._walk_reach
-    ) as walks:
-        assert is_maximal_literal(g)
-    assert walks.call_count == 6
-    rows = []
-
-    def counted(*args):
-        for cmask, conn in independence._connections(*args):
-            rows.append(cmask)
-            yield cmask, conn
-
-    with mock.patch.object(witness, "_connections", counted):
-        assert is_maximal_literal(g)
-    assert rows == [0]
+    inseparable = mk("a <-> q\nq <-> b\nq -> c\nc -> a")
+    for h, verdict, count in ((g, True, 6), (inseparable, False, 1)):
+        with mock.patch.object(
+            independence, "_sliced_reach", wraps=independence._sliced_reach
+        ) as walks:
+            assert is_maximal_literal(h) is verdict
+        assert walks.call_count == count, h
 
 
 def test_maximalize_yields_pairwise_markov():
@@ -455,22 +451,14 @@ def test_maximalize_can_leave_the_ribbonless_class():
 
 
 def _inseparable_pairs(g):
-    """The non-adjacent pairs of g that no conditioning set separates, read
-    off the connection rows: a row set C separates k < j when neither is in
-    C and bit j of row k is unset."""
+    """The non-adjacent pairs of g that no conditioning set separates: those
+    whose separation set is empty."""
     nodes = g.nodes
-    apart = {
-        (k, j)
-        for k, j in itertools.combinations(range(len(nodes)), 2)
-        if not g.adjacent(nodes[k], nodes[j])
+    return {
+        frozenset((nodes[k], nodes[j]))
+        for k, j, sets in _separation_sets(g, 0, 0)
+        if not sets
     }
-    for cmask, conn in _connections(g, 0, 0):
-        if not apart:
-            break
-        apart = {
-            (k, j) for k, j in apart if (cmask | conn[k]) >> j & 1 or cmask >> k & 1
-        }
-    return {frozenset((nodes[k], nodes[j])) for k, j in apart}
 
 
 def test_pips_join_exactly_the_inseparable_pairs_of_ribbonless_graphs():
