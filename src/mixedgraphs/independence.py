@@ -7,16 +7,14 @@ and kept with the lexicographically smaller side first.
 
 A model holds its statements as mask triples (a, b, c) over its sorted
 ground: node k of the ground is bit k, and a is the side whose sorted labels
-come first. Equality, hashing, membership, `model_equal`, `model_diff`,
-`conforms` and `marginalise_condition` work on the masks;
-`IndependenceStatement` objects are built only when `statements` or
-`sorted_statements` is read. A model from a graph lists its triples in
-statement key order as it enumerates them. Any other model is sorted by a
-rank table: each mask gets its position in sorted label-tuple order, so a
-statement sorts by three ints.
+come first. Hashing, membership, `model_diff` and `marginalise_condition`
+work on the masks; `IndependenceStatement` objects are built only when
+`statements` or `sorted_statements` is read. A model with no graph is
+sorted by a rank table: each mask gets its position in sorted label-tuple
+order, so a statement sorts by three ints.
 
 `independence_model` returns a model that holds its graph and enumerates
-its triples when they are first read. `marginalise_condition` of such a
+its statements when they are first read. `marginalise_condition` of such a
 model enumerates only the statements it keeps, directly over the smaller
 ground: the conditioning sets C ∪ D with A, B and D over the nodes outside
 M ∪ C. A model with no graph (from `model_from_json` or the constructor) is
@@ -26,11 +24,16 @@ The enumeration decides every conditioning set at once. Per non-adjacent
 pair, `_separation_sets` gives the set of Cs that separate it as one int,
 a bit per C: a bit-sliced separation set. It comes from one
 `msep._sliced_reach` per source and, on graphs that are not ribbonless,
-simple paths, each of which settles every C that it connects under.
-`_enumerate` ANDs these sets as it grows A and B in lexicographic preorder,
-and reads each C off the set bits in rank order. So the statements come out
-in key order, and `model_to_json` writes them in the canonical JSON layout
-without a sort.
+one simple-path search per pair whose walk reaches the other node
+(`_path_checked`), each path prefix carrying the Cs its inner nodes allow.
+`_enumerate` ANDs these sets as it grows A and B in lexicographic preorder.
+It keeps the statements as runs (A, B, sets), one per side pair in key
+order, each C a set bit named by its rank. A model from a graph, or a
+marginal of one, holds these runs: `len`, equality, `model_equal`,
+`_side_pairs` and `model_to_json` read them as they are, and `triples`,
+`statements` and `sorted_statements` expand them, in key order, so no
+graph-backed model is sorted. Runs are canonical, so two models that hold
+them are equal exactly when their runs are.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from __future__ import annotations
 import json
 from functools import cached_property, lru_cache
 
-from .core import MixedGraph, MixedGraphError, _node_set
-from .msep import NotDisjoint, _paths, _sliced_reach
+from .core import HEAD, MixedGraph, MixedGraphError, _node_set
+from .msep import NotDisjoint, _sliced_reach
 from .textfmt import ParseError, _json_field, _json_payload
 
 
@@ -127,9 +130,11 @@ class IndependenceModel:
     """A finite set of independence statements over a ground node set.
 
     `nodes` is the sorted ground and `triples` the frozenset of canonical
-    (A, B, C) mask triples over it, enumerated on first use for a model
-    from `independence_model`; `statements` is built from the triples on
-    first use."""
+    (A, B, C) mask triples over it. A model from `independence_model`, or
+    a marginal of one, holds its statements as runs (`_enumerate`),
+    enumerated on first use for the former, and expands them into
+    `triples` when those are first read; `statements` is built from the
+    triples on first use."""
 
     def __init__(self, ground, statements=()):
         ground = frozenset(ground)
@@ -142,7 +147,7 @@ class IndependenceModel:
         )
         self.__dict__["triples"] = frozenset(map(self._triple, statements))
 
-    # the graph a model from `independence_model` enumerates its triples from
+    # the graph a model from `independence_model` enumerates its runs from
     _graph = None
 
     @classmethod
@@ -157,26 +162,32 @@ class IndependenceModel:
 
     @classmethod
     def _of_graph(cls, g):
-        """J_m(g), enumerated when its triples are first read."""
+        """J_m(g), enumerated when its statements are first read."""
         model = cls.__new__(cls)
         model.__dict__.update(ground=g.node_set, nodes=g.nodes, _graph=g)
         return model
 
     @classmethod
-    def _in_key_order(cls, nodes, triples):
-        """The model over the sorted ground `nodes` holding the canonical
-        mask triples `triples`, listed once each in statement key order,
-        unchecked."""
+    def _of_runs(cls, nodes, runs):
+        """The model over the sorted ground `nodes` holding the runs `runs`
+        of `_enumerate`, over all of its nodes, unchecked."""
         model = cls.__new__(cls)
-        model.__dict__.update(ground=frozenset(nodes), nodes=nodes, _ordered=triples)
+        model.__dict__.update(ground=frozenset(nodes), nodes=nodes, _runs=runs)
         return model
 
     def __setattr__(self, name, value):
         raise AttributeError("IndependenceModel is immutable")
 
     @cached_property
+    def _runs(self):
+        """The statements as `_enumerate`'s runs, in key order, for a model
+        from a graph; None for a model built from triples or statements."""
+        g = self._graph
+        return None if g is None else _enumerate(g, 0, 0)[1]
+
+    @cached_property
     def triples(self) -> frozenset:
-        # only a model that lists its triples in key order gets here
+        # only a model that holds runs gets here
         return frozenset(self._ordered)
 
     @cached_property
@@ -209,14 +220,17 @@ class IndependenceModel:
         return (
             isinstance(other, IndependenceModel)
             and self.ground == other.ground
-            and self.triples == other.triples
+            and _same_statements(self, other)
         )
 
     def __hash__(self):
         return hash((self.ground, self.triples))
 
     def __len__(self):
-        return len(self.triples)
+        runs = self._runs
+        if runs is None:
+            return len(self.triples)
+        return sum(sets.bit_count() for _a, _b, sets in runs)
 
     def __contains__(self, statement):
         if not isinstance(statement, IndependenceStatement):
@@ -231,15 +245,16 @@ class IndependenceModel:
 
     @cached_property
     def _ordered(self) -> list:
-        """The triples in statement key order: enumerated in that order for a
-        model from a graph (`_enumerate`), else sorted. Each mask ranks by
-        its position in sorted label-tuple order; bit order is label order,
-        so sorting by the bit indices sorts by the labels. A model with at
-        least 2^n triples reads the ranks off the shared table of all 2^n
-        masks; a smaller one ranks only the masks it holds."""
-        if self._graph is not None:
-            return _enumerate(self._graph, 0, 0)
+        """The triples in statement key order: expanded from the runs, which
+        are in that order, for a model that holds them, else sorted. Each
+        mask ranks by its position in sorted label-tuple order; bit order is
+        label order, so sorting by the bit indices sorts by the labels. A
+        model with at least 2^n triples reads the ranks off the shared table
+        of all 2^n masks; a smaller one ranks only the masks it holds."""
         n = len(self.nodes)
+        runs = self._runs
+        if runs is not None:
+            return _expand(n, runs)
         if 1 << n <= len(self.triples):
             ranks = _rank_table(n)
         else:
@@ -333,26 +348,58 @@ def _separation_sets(g: MixedGraph, fixed, drop):
 
 def _path_checked(g: MixedGraph, k, j, walked, out, col):
     """The sets in `walked` under which a simple path m-connects nodes k
-    and j. The lowest set not yet settled is tried with `msep._paths`:
-    with no path it is dropped; a path P found settles every set left
-    whose C ∪ an(C) holds P's colliders and whose C misses its
-    non-colliders, as P connects under exactly those."""
-    nodes, bit = g.nodes, g._bit
+    and j, from one depth-first simple-path search out of k.
+
+    Each path prefix carries the sets that its inner nodes allow so far:
+    leaving an inner node t by a head after arriving with a head makes t a
+    collider, which passes `col[t]`; every other exit passes `out[t]`, as in
+    `msep._sliced_reach`. A node is entered only when some carried set lets
+    the path leave it, and its exits are read off `g._split_flows` by which
+    of the two is non-empty. Each arrival at j joins the sets it carries,
+    and a prefix is extended only while it carries a set not joined yet.
+
+    Exact by definition: the result is the OR over simple k-j paths of
+    `walked` ANDed with their inner nodes' sets. A set r that some path P
+    carries to j is either joined before the search reaches P's prefixes,
+    or is carried along every one of them, none of which is pruned, and is
+    joined at j; a joined set was carried to j by a simple path."""
+    split, bit = g._split_flows, g._bit
+    target = g.nodes[j]
+    seen = 1 << k
+    path = [g.nodes[k]]
     joined = 0
-    while walked:
-        r = (walked & -walked).bit_length() - 1
-        colliders = {v for v, s in zip(nodes, col) if s >> r & 1}
-        allowed = {v for v, s in zip(nodes, out) if s >> r & 1}
-        path = next(_paths(g, nodes[k], nodes[j], colliders, allowed), None)
-        if path is None:
-            walked ^= 1 << r
-            continue
-        holds = walked
-        for v, collider in zip(path.nodes[1:-1], path.colliders):
-            holds &= (col if collider else out)[bit[v].bit_length() - 1]
-        joined |= holds
-        walked ^= holds
-    return joined
+    # per node on the path: the exits left to try, and the sets a path may
+    # leave it with by a head and by a tail
+    pending = [(iter(split[path[0]][0]), walked, walked)]
+    while True:
+        exits, by_head, by_tail = pending[-1]
+        for o, mh, mo, _e in exits:
+            sets = (by_head if mh == HEAD else by_tail) & ~joined
+            if not sets:
+                continue
+            if o == target:
+                joined |= sets
+                if joined == walked:
+                    return joined
+                continue
+            b = bit[o]
+            if seen & b:
+                continue
+            t = b.bit_length() - 1
+            on_tail = sets & out[t]
+            on_head = sets & col[t] if mo == HEAD else on_tail
+            if on_head or on_tail:
+                seen |= b
+                path.append(o)
+                # 0: it may leave by both marks, 1: a head only, -1: a tail only
+                which = bool(on_head) - bool(on_tail)
+                pending.append((iter(split[o][which]), on_head, on_tail))
+                break
+        else:
+            pending.pop()
+            if not pending:
+                return joined
+            seen ^= bit[path.pop()]
 
 
 def independence_model(
@@ -373,9 +420,12 @@ def independence_model(
 
 def _enumerate(g: MixedGraph, fixed, drop):
     """The statements <A, B | fixed ∪ D> of J_m(g) with A, B and D over the
-    free nodes, those outside `drop` (which holds `fixed`), as mask triples
-    (A, B, D) over the free nodes alone, each listed once, in statement key
-    order. The whole of J_m(g) is `_enumerate(g, 0, 0)`.
+    free nodes, those outside `drop` (which holds `fixed`), as (f, runs):
+    f is the number of free nodes, and each run (A, B, sets) holds masks A
+    and B over the free nodes alone and the non-empty set of the Ds, a bit
+    per D of rank r in `_rank_order(f)`, with <A, B | fixed ∪ D> in J_m(g).
+    There is one run per side pair, in statement key order. The whole of
+    J_m(g) is `_enumerate(g, 0, 0)`; `_expand` lists the mask triples.
 
     m-separation models are compositional graphoids, so C separates A and
     B exactly when it separates every pair of a node of A and a node of B:
@@ -384,23 +434,23 @@ def _enumerate(g: MixedGraph, fixed, drop):
     node q the sets separating q from all of A; B grows likewise over the
     nodes above p outside A, carrying the sets separating it from A. Growth
     only shrinks the sets, so a branch whose sets are all empty is dropped
-    whole. Every set bit left names one C.
+    whole. Every set bit left names one C, and a side pair's sets are kept
+    whole as its run rather than split into one triple per C.
 
     Why this is key order: node positions follow label order, and a
     statement's key compares A's sorted labels, then B's, then C's. A and
     B each grow in preorder, pushed on explicit stacks, which lists sorted
     index tuples lexicographically. With min B > min A, A is the side that
-    sorts first, so each statement comes once and with its sides in key
-    order. Within one (A, B), the set bits come in rank order, the sorted
-    order of the D masks, which are the emitted C.
+    sorts first, so each side pair comes once and with its sides in key
+    order. Within one run, the set bits read in rank order are the sorted
+    order of the D masks, which are the statements' C.
     """
     f = len(g.nodes) - drop.bit_count()
     sep = [[0] * f for _ in range(f)]
     for p, q, s in _separation_sets(g, fixed, drop):
         sep[p][q] = sep[q][p] = s
-    order = _rank_order(f)[0]
-    triples = []
-    append = triples.append
+    runs = []
+    append = runs.append
     for p in range(f):
         # per node q above p and outside A, the sets separating q from A,
         # when there are any
@@ -412,11 +462,7 @@ def _enumerate(g: MixedGraph, fixed, drop):
             grow.reverse()
             while grow:
                 bmask, i, sets = grow.pop()
-                rest = sets
-                while rest:
-                    low = rest & -rest
-                    append((amask, bmask, order[low.bit_length() - 1]))
-                    rest ^= low
+                append((amask, bmask, sets))
                 for i2 in range(len(row) - 1, i, -1):
                     q, s = row[i2]
                     if sets & s:
@@ -426,7 +472,14 @@ def _enumerate(g: MixedGraph, fixed, drop):
                 grown = [(q, s & apart[q]) for q, s in row if s & apart[q]]
                 if grown:
                     stack.append((amask | 1 << x, x, grown))
-    return triples
+    return f, runs
+
+
+def _expand(f, runs):
+    """The mask triples (A, B, D) of runs over f free nodes, in the order
+    of the runs and, within one, of the ranks of their D."""
+    order = _rank_order(f)[0]
+    return [(a, b, order[r]) for a, b, sets in runs for r in _bits(sets)]
 
 
 def _check_ground(ground, M, C):
@@ -445,9 +498,10 @@ def marginalise_condition(J: IndependenceModel, M, C) -> IndependenceModel:
 
     On masks: keep (a, b, c) when a and b avoid M ∪ C and c meets M ∪ C in
     exactly C, and compress a, b and c onto the remaining nodes. A model
-    from `independence_model` enumerates only those triples
-    (`_enumerate(g, C, M ∪ C)`); a model with no graph is filtered. Dropping
-    nodes keeps every side's label order, so the result stays canonical."""
+    from `independence_model` enumerates only those statements, as runs
+    over the remaining nodes (`_enumerate(g, C, M ∪ C)`); a model with no
+    graph is filtered. Dropping nodes keeps every side's label order, so
+    the result stays canonical."""
     M, C = _node_set(M, "M"), _node_set(C, "C")
     if M & C:
         raise NotDisjoint("M and C must be disjoint")
@@ -457,8 +511,8 @@ def marginalise_condition(J: IndependenceModel, M, C) -> IndependenceModel:
     kept = [k for k in range(len(J.nodes)) if not drop >> k & 1]
     nodes = tuple(J.nodes[k] for k in kept)
     if J._graph is not None:
-        triples = _enumerate(J._graph, cmask, drop)
-        return IndependenceModel._in_key_order(nodes, triples)
+        _f, runs = _enumerate(J._graph, cmask, drop)
+        return IndependenceModel._of_runs(nodes, runs)
     triples = [
         (a, b, c) for a, b, c in J.triples if not (a | b) & drop and c & drop == cmask
     ]
@@ -472,10 +526,27 @@ def marginalise_condition(J: IndependenceModel, M, C) -> IndependenceModel:
     )
 
 
+def _same_statements(J1: IndependenceModel, J2: IndependenceModel) -> bool:
+    """Whether two models over one ground hold the same statements: by their
+    runs when both hold them, as runs are canonical (key order, one per side
+    pair), else by their triples."""
+    runs1, runs2 = J1._runs, J2._runs
+    if runs1 is not None and runs2 is not None:
+        return runs1 == runs2
+    return J1.triples == J2.triples
+
+
+def _side_pairs(J: IndependenceModel):
+    """The side mask pairs (A, B) of J's statements: one per run for a model
+    that holds runs, else one per triple, repeats included."""
+    runs = J._runs
+    return ((a, b) for a, b, _c in (J.triples if runs is None else runs))
+
+
 def model_equal(J1: IndependenceModel, J2: IndependenceModel) -> bool:
     if J1.ground != J2.ground:
         raise GroundMismatch("models are over different ground sets")
-    return J1.triples == J2.triples
+    return _same_statements(J1, J2)
 
 
 def model_diff(J1: IndependenceModel, J2: IndependenceModel):
@@ -501,19 +572,55 @@ def model_to_json(J: IndependenceModel) -> str:
     """J in the `json.dumps(payload, indent=2, sort_keys=True)` layout,
     statements in key order. Written directly: an indent sends `json` to its
     pure-Python encoder. Each label is quoted once and each distinct side
-    list rendered once."""
+    list rendered once. A model that holds runs has each run's text up to
+    its C lists built once, and picks each statement's C list by rank, the
+    set bits read from the highest down."""
     quoted = [json.dumps(v) for v in J.nodes]
-    triples = J._ordered
-    sides = {0: "[]"}
-    for m in set().union(*triples) - {0}:
-        items = ",\n        ".join(quoted[k] for k in _bits(m))
-        sides[m] = f"[\n        {items}\n      ]"
-    statements = ",\n".join(
-        f'    {{\n      "A": {sides[a]},\n      "B": {sides[b]},\n'
-        f'      "C": {sides[c]}\n    }}'
-        for a, b, c in triples
-    )
-    body = f"[\n{statements}\n  ]" if statements else "[]"
+
+    def sides(masks):
+        """Per mask, the text of its side list."""
+        texts = {}
+        for m in masks:
+            items = ",\n        ".join(quoted[k] for k in _bits(m))
+            texts[m] = f"[\n        {items}\n      ]" if m else "[]"
+        return texts
+
+    runs = J._runs
+    if runs is None:
+        triples = J._ordered
+        text = sides(set().union(*triples))
+        chunks = [
+            f'    {{\n      "A": {text[a]},\n      "B": {text[b]},\n'
+            f'      "C": {text[c]}\n    }}'
+            for a, b, c in triples
+        ]
+    else:
+        order = _rank_order(len(quoted))[0]
+        used = 0
+        for _a, _b, sets in runs:
+            used |= sets
+        ranks = list(_bits(used))
+        masks = {m for a, b, _sets in runs for m in (a, b)}
+        text = sides(masks | {order[r] for r in ranks})
+        # indexed by a set's bit length: the C list and close of its
+        # highest bit's rank, and that bit
+        closes = [""] * (used.bit_length() + 1)
+        highs = [0] * len(closes)
+        for r in ranks:
+            closes[r + 1] = text[order[r]] + "\n    }"
+            highs[r + 1] = 1 << r
+        # one chunk per run: its statements
+        chunks = []
+        for a, b, sets in runs:
+            head = f'    {{\n      "A": {text[a]},\n      "B": {text[b]},\n      "C": '
+            picked = []
+            while sets:
+                top = sets.bit_length()
+                picked.append(closes[top])
+                sets ^= highs[top]
+            picked.reverse()
+            chunks.append(head + (",\n" + head).join(picked))
+    body = "[\n" + ",\n".join(chunks) + "\n  ]" if chunks else "[]"
     ground = ",\n    ".join(quoted)
     ground = f"[\n    {ground}\n  ]" if quoted else "[]"
     return f'{{\n  "ground": {ground},\n  "statements": {body}\n}}\n'

@@ -19,9 +19,11 @@ runs on one kernel over that step rule:
   over-connect — e.g. a->t<-b with a line t--x admits the walk
   a->t--x--t<-b but no connecting path — so `_connected` re-checks each
   walk hit with `_paths` before trusting it. It is also the exhaustive
-  witness enumeration behind `msep --witness`. It is the only reader of
-  each graph's `_split_flows`, the `_flows` exits split by their mark at
-  the node, from which it takes a node's exit list as it enters the node.
+  witness enumeration behind `msep --witness`. It takes a node's exit list
+  as it enters the node from the graph's `_split_flows`, the `_flows`
+  exits split by their mark at the node. `independence._path_checked`,
+  the simple-path search of the model enumeration, reads the same lists
+  under many conditioning sets at once, as `_sliced_reach` runs the walk.
 """
 
 from __future__ import annotations

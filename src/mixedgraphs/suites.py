@@ -191,8 +191,8 @@ def maximality_suite(g: MixedGraph, seeds: int = 0) -> SuiteResult:
     edge, its output is g: the model is unchanged by identity and its
     literal verdict is g's, from one pass over the sets that stops at the
     first pair no set separates. When it adds edges, the models of g and of
-    its output are enumerated, and both literal verdicts are read off their
-    singleton statements."""
+    its output are enumerated, compared by their runs, and both literal
+    verdicts are read off the runs of their singleton sides."""
     result = SuiteResult("maximality")
     _require("RG" in g.class_tags, "maximality needs a ribbonless input")
     _require_small(g, "maximality")

@@ -38,7 +38,13 @@ from .core import (
     signature_edge,
 )
 from .core import MixedGraphError
-from .independence import MODEL_NODE_LIMIT, TooLarge, _bits, _separation_sets
+from .independence import (
+    MODEL_NODE_LIMIT,
+    TooLarge,
+    _bits,
+    _separation_sets,
+    _side_pairs,
+)
 from .msep import _walk_reach
 from .project import NotRibbonless, ProjectionSpec
 
@@ -222,8 +228,8 @@ def _separates_every_pair(g: MixedGraph) -> bool:
 def _separates_every_pair_in(model, g: MixedGraph) -> bool:
     """The literal maximality verdict read off J_m(g), whose masks are over
     g's nodes: every non-adjacent pair i < j has a statement <{i}, {j} | C>,
-    the triple (bit i, bit j, C)."""
-    separated = {(a, b) for a, b, _c in model.triples}
+    the side pair (bit i, bit j)."""
+    separated = set(_side_pairs(model))
     return all(
         (1 << k, 1 << j) in separated
         for k, above in enumerate(_unadjacent_above(g))

@@ -29,7 +29,7 @@ from mixedgraphs.independence import (
     IndependenceStatement,
     independence_model,
 )
-from mixedgraphs.msep import PathWitness, m_separated
+from mixedgraphs.msep import PathWitness, _paths, m_separated
 from mixedgraphs.project import (
     NotAncestralGraph,
     ProjectionSpec,
@@ -345,6 +345,31 @@ def filtering_paths_oracle(g, source, target, collider_set, allowed):
             pending.pop()
             visited.discard(nodes.pop())
             edges.pop()
+
+
+def path_checked_oracle(g, k, j, walked, out, col):
+    """The per-set oracle of `independence._path_checked`: the sets in
+    `walked` under which a simple path m-connects nodes k and j, one
+    `msep._paths` search per set not yet settled. With no path the set is
+    dropped; a path P found settles every set left whose C ∪ an(C) holds
+    P's colliders and whose C misses its non-colliders, as P connects under
+    exactly those."""
+    nodes, bit = g.nodes, g._bit
+    joined = 0
+    while walked:
+        r = (walked & -walked).bit_length() - 1
+        colliders = {v for v, s in zip(nodes, col) if s >> r & 1}
+        allowed = {v for v, s in zip(nodes, out) if s >> r & 1}
+        path = next(_paths(g, nodes[k], nodes[j], colliders, allowed), None)
+        if path is None:
+            walked ^= 1 << r
+            continue
+        holds = walked
+        for v, collider in zip(path.nodes[1:-1], path.colliders):
+            holds &= (col if collider else out)[bit[v].bit_length() - 1]
+        joined |= holds
+        walked ^= holds
+    return joined
 
 
 def _is_collider(nodes, edges, k):

@@ -7,14 +7,15 @@ from unittest import mock
 import pytest
 
 from mixedgraphs import independence
-from mixedgraphs.core import InvalidLabel, MixedGraph
-from mixedgraphs.generators import random_lmg, random_spec
+from mixedgraphs.core import InvalidLabel, MixedGraph, arc, arrow, line
+from mixedgraphs.generators import random_lmg, random_rg, random_spec
 from mixedgraphs.independence import (
     GroundMismatch,
     IndependenceModel,
     IndependenceStatement,
     NotInGround,
     TooLarge,
+    _path_checked,
     conforms,
     independence_model,
     marginalise_condition,
@@ -25,6 +26,7 @@ from mixedgraphs.independence import (
 )
 from mixedgraphs.msep import NotDisjoint, m_separated
 from mixedgraphs.textfmt import ParseError
+from mixedgraphs.witness import maximalize
 
 from .helpers import (
     LABEL_SPLIT_TEXT,
@@ -33,6 +35,7 @@ from .helpers import (
     mk,
     model_json_oracle,
     model_oracle,
+    path_checked_oracle,
     path_connects,
 )
 
@@ -304,6 +307,51 @@ def test_rebuilt_models_equal_the_enumerated_one():
         assert S({"a"}, {"zz"}) not in J and "a" not in J
 
 
+def _mutant(rng, g):
+    """g with one random edge dropped, added, or turned into an edge of a
+    random kind between the same ends, which keeps the adjacencies."""
+    edges = set(g.edges)
+    make = rng.choice((line, arc, arrow))
+    if edges and rng.random() < 0.6:
+        e = rng.choice(sorted(edges))
+        edges.remove(e)
+        if rng.random() < 0.5:
+            edges.add(make(*rng.sample((e.a, e.b), 2)))
+    else:
+        edges.add(make(*rng.sample(g.nodes, 2)))
+    return MixedGraph(g.nodes, edges)
+
+
+def test_equality_by_runs_agrees_with_equality_by_triples():
+    # graph models and their marginals hold runs, and compare by them: on
+    # random graphs against their one-edge mutants, and on random RGs against
+    # their maximalizations, that agrees with comparing the triples
+    rng = random.Random(103)
+    pairs = []
+    for _ in range(120):
+        g = random_lmg(rng, rng.randint(3, 6), p=rng.uniform(0.1, 0.4))
+        pairs.append((g, _mutant(rng, g)))
+    for _ in range(40):
+        g = random_rg(rng, rng.randint(4, 7))
+        pairs.append((g, maximalize(g)))
+    verdicts = []
+    for g, h in pairs:
+        J1, J2 = independence_model(g), independence_model(h)
+        spec = random_spec(rng, g)
+        for K1, K2 in (
+            (J1, J2),
+            (
+                marginalise_condition(J1, spec.marg, spec.cond),
+                marginalise_condition(J2, spec.marg, spec.cond),
+            ),
+        ):
+            by_runs = model_equal(K1, K2)
+            assert K1._runs is not None and K2._runs is not None
+            assert (K1 == K2) == by_runs == (K1.triples == K2.triples), (g, h)
+            verdicts.append(by_runs)
+    assert 50 < sum(verdicts) < len(verdicts) - 50
+
+
 def test_model_equal_and_diff():
     J1 = IndependenceModel({"a", "b"}, [])
     J2 = IndependenceModel({"a", "b"}, [S({"a"}, {"b"})])
@@ -394,9 +442,9 @@ def test_enumeration_matches_the_per_assignment_oracle(monkeypatch):
     enumerate_triples = independence._enumerate
 
     def capturing(g, fixed, drop):
-        triples = enumerate_triples(g, fixed, drop)
-        emitted.append(list(triples))
-        return triples
+        f, runs = enumerate_triples(g, fixed, drop)
+        emitted.append((f, list(runs)))
+        return f, runs
 
     monkeypatch.setattr(independence, "_enumerate", capturing)
     # multi-edge and non-ribbonless graphs included: the random draws fill
@@ -413,7 +461,10 @@ def test_enumeration_matches_the_per_assignment_oracle(monkeypatch):
         emitted.clear()
         J = independence_model(g)
         len(J)  # the model is enumerated when first read
-        (triples,) = emitted
+        ((f, runs),) = emitted
+        assert f == len(g.nodes) and all(sets for _a, _b, sets in runs), g
+        assert len({(a, b) for a, b, _sets in runs}) == len(runs), g
+        triples = independence._expand(f, runs)
         # each statement is found once: no triple repeats, with A and B taken
         # either way round
         found = {(frozenset((a, b)), c) for a, b, c in triples}
@@ -530,3 +581,73 @@ def test_connection_rows_on_non_ribbonless_graphs():
             continue
         _rows_match_the_paths(g)
         checked += 1
+
+
+def _conditioning_slices(g, fixed, free):
+    """For C = fixed ∪ D over each D ⊆ free, a bit per C: the number of
+    Cs, and per node the Cs that leave it outside C and those with it in
+    C ∪ an(C)."""
+    conditionings = [
+        set(fixed) | set(D)
+        for r in range(len(free) + 1)
+        for D in itertools.combinations(free, r)
+    ]
+    closures = [C | g.ancestors(C) for C in conditionings]
+    out = [
+        sum(1 << r for r, C in enumerate(conditionings) if v not in C)
+        for v in g.nodes
+    ]
+    col = [sum(1 << r for r, C in enumerate(closures) if v in C) for v in g.nodes]
+    return len(conditionings), out, col
+
+
+def _path_checks_agree(g, rng, pairs):
+    """For a random split of g's nodes into fixed, marginalised and free
+    ones and each pair, with a random set of Cs to check: the one-search
+    path check equals the per-set oracle. Returns how many pairs the check
+    joined under some C, and under fewer than all."""
+    drop = {v for v in g.nodes if rng.random() < 0.4}
+    fixed = {v for v in drop if rng.random() < 0.5}
+    free = [v for v in g.nodes if v not in drop]
+    count, out, col = _conditioning_slices(g, fixed, free)
+    every = (1 << count) - 1
+    joined = partly = 0
+    for k, j in pairs:
+        walked = every if rng.random() < 0.5 else rng.getrandbits(count)
+        got = _path_checked(g, k, j, walked, out, col)
+        assert got == path_checked_oracle(g, k, j, walked, out, col), (g, k, j)
+        joined += bool(got)
+        partly += 0 < got != walked
+    return joined, partly
+
+
+def test_path_check_matches_the_per_set_oracle():
+    # the dual route of the one-search simple-path check: on every three-node
+    # multigraph, every ordered pair; on random LMGs (ribbons included), four
+    # random pairs; on a line ladder, whose many paths share their prefixes,
+    # pairs from one end under every conditioning set
+    rng = random.Random(101)
+    joined = partly = 0
+    for g in all_mixed_graphs(("a", "b", "c")):
+        got = _path_checks_agree(g, rng, itertools.permutations(range(3), 2))
+        joined, partly = joined + got[0], partly + got[1]
+    assert joined > 1000 and partly > 100
+    for _ in range(200):
+        n = rng.randint(4, 8)
+        g = random_lmg(rng, n, p=rng.uniform(0.1, 0.4))
+        _path_checks_agree(g, rng, [rng.sample(range(n), 2) for _ in range(4)])
+    u, v = ["u0", "u1", "u2"], ["v0", "v1", "v2"]
+    edges = [line(u[0], u[1]), line(u[1], u[2]), line(v[0], v[1]), line(v[1], v[2])]
+    edges += [line(x, y) for x, y in zip(u, v)]
+    edges += [arrow("u2", "t"), arrow("b", "t"), arrow("v2", "t"), line("t", "x")]
+    g = MixedGraph(u + v + ["t", "b", "x"], edges)
+    count, out, col = _conditioning_slices(g, set(), g.nodes)
+    assert count == 512
+    every = (1 << count) - 1
+    k = g.nodes.index("u0")
+    for target in ("b", "t", "x", "v2"):
+        j = g.nodes.index(target)
+        for walked in (every, rng.getrandbits(count)):
+            got = _path_checked(g, k, j, walked, out, col)
+            assert got == path_checked_oracle(g, k, j, walked, out, col), target
+            assert got == path_checked_oracle(g, j, k, walked, out, col), target

@@ -3,7 +3,7 @@ from unittest import mock
 import pytest
 
 from mixedgraphs import independence, suites, witness
-from mixedgraphs.core import MixedGraph, arrow
+from mixedgraphs.core import MixedGraph, arc, arrow
 from mixedgraphs.independence import (
     independence_model,
     marginalise_condition,
@@ -29,7 +29,12 @@ from mixedgraphs.suites import (
 from mixedgraphs.textfmt import parse_graph
 from mixedgraphs.witness import maximalize
 
-from .helpers import is_maximal_literal_oracle, literal_maximality_graphs, mk
+from .helpers import (
+    is_maximal_literal_oracle,
+    literal_maximality_graphs,
+    mk,
+    model_oracle,
+)
 
 
 def test_suite_result_reporting():
@@ -103,6 +108,29 @@ def test_maximality_suite_enumerates_models_only_when_maximalize_adds_edges():
             result = maximality_suite(g)
         assert result.ok and result.checked == 3, result.failures
         assert enumerate_.call_count == enumerations, text
+
+
+def test_graph_models_count_and_compare_by_their_runs(monkeypatch):
+    # with the expansion of runs into triples refused, graph models still
+    # count and compare, and the maximality suite still runs, on a graph
+    # whose maximalization gains the arc b <-> c (and a ribbon with it)
+    g = mk("c -- d\na <-> b\na <-> c\na <-> d\nc <-> d\na -> b\nd -> b")
+    maximal = maximalize(g)
+    assert maximal.edges - g.edges == {arc("b", "c")}
+    # a graph over the same nodes with a model of its own
+    other = mk("a -> b\nc -> d")
+    want = len(model_oracle(other))
+
+    def refuse(*_args):
+        raise AssertionError("the runs were expanded")
+
+    monkeypatch.setattr(independence, "_expand", refuse)
+    J, K, L = map(independence_model, (g, maximal, other))
+    assert len(J) == len(K) == 0 < len(L) == want
+    assert model_equal(J, K) and J == K
+    assert not model_equal(J, L) and J != L
+    result = maximality_suite(g)
+    assert result.ok and result.checked == 3, result.failures
 
 
 def test_maximality_suite_reads_each_graphs_rows_once():

@@ -495,3 +495,27 @@ def test_literal_maximality_matches_the_separation_sweep():
         verdicts.add(verdict)
         ribbons += len(g.nodes) >= 5 and not g.is_ribbonless
     assert verdicts == {True, False} and ribbons >= 10
+
+
+def test_literal_verdict_reads_the_same_off_runs_and_off_triples():
+    # the suite's verdict read off a graph's model, which holds runs, equals
+    # the one read off its JSON round trip, which holds triples, and the
+    # oracle's, on random LMGs and RGs of 3-6 nodes and their maximalizations
+    rng = random.Random(31)
+    verdicts = set()
+    for k in range(80):
+        n = rng.randint(3, 6)
+        if k % 2:
+            graphs = (random_lmg(rng, n, 0.4),)
+        else:
+            g = random_rg(rng, n)
+            graphs = (g, maximalize(g))
+        for h in graphs:
+            J = independence_model(h)
+            K = independence.model_from_json(independence.model_to_json(J))
+            assert K._runs is None
+            verdict = witness._separates_every_pair_in(J, h)
+            assert verdict == witness._separates_every_pair_in(K, h), h
+            assert verdict == is_maximal_literal_oracle(h), h
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
