@@ -5,20 +5,26 @@ Models are stored extensionally. Statements with an empty side are implicit
 (always true) and never stored; <A,B|C> and <B,A|C> are the same statement
 and kept with the lexicographically smaller side first.
 
-A model holds its statements as mask triples (a, b, c) over its sorted
-ground: node k of the ground is bit k, and a is the side whose sorted labels
-come first. Hashing, membership, `model_diff` and `marginalise_condition`
-work on the masks; `IndependenceStatement` objects are built only when
-`statements` or `sorted_statements` is read. A model with no graph is
-sorted by a rank table: each mask gets its position in sorted label-tuple
-order, so a statement sorts by three ints.
+A model holds its statements as runs (A, B, sets) over its sorted ground:
+node k of the ground is bit k, A and B are masks with A the side whose
+sorted labels come first, and bit r of `sets` names the conditioning set
+`_cs[r]`, where `_cs` is the model's table of C masks in key order. There
+is one run per side pair, in key order, so runs over one table are
+canonical. `len`, equality, membership, `conforms` and `model_to_json`
+read the runs; `triples` (the canonical mask triples), `statements` and
+`sorted_statements` expand them in key order, and hashing, `model_diff`
+and equality across tables read the triples. `IndependenceStatement`
+objects are built only when `statements` or `sorted_statements` is read.
 
 `independence_model` returns a model that holds its graph and enumerates
-its statements when they are first read. `marginalise_condition` of such a
-model enumerates only the statements it keeps, directly over the smaller
-ground: the conditioning sets C ∪ D with A, B and D over the nodes outside
-M ∪ C. A model with no graph (from `model_from_json` or the constructor) is
-marginalised by a mask filter and a bit-compress table.
+its runs when they are first read. `marginalise_condition` of such a model
+enumerates only the statements it keeps, directly over the smaller ground:
+the conditioning sets C ∪ D with A, B and D over the nodes outside M ∪ C.
+Both take `_rank_order(n)[0]`, the shared table of all masks over their n
+nodes, as `_cs`. A model from `model_from_json` or the constructor groups
+its triples into runs when it is built, over a table of only the Cs it
+names, so a wide ground needs no 2^n-bit int; it is marginalised by a mask
+filter and a bit-compress table, and the result is grouped likewise.
 
 The enumeration decides every conditioning set at once. Per non-adjacent
 pair, `_separation_sets` gives the set of Cs that separate it as one int,
@@ -26,19 +32,15 @@ a bit per C: a bit-sliced separation set. It comes from one
 `msep._sliced_reach` per source and, on graphs that are not ribbonless,
 one simple-path search per pair whose walk reaches the other node
 (`_path_checked`), each path prefix carrying the Cs its inner nodes allow.
-`_enumerate` ANDs these sets as it grows A and B in lexicographic preorder.
-It keeps the statements as runs (A, B, sets), one per side pair in key
-order, each C a set bit named by its rank. A model from a graph, or a
-marginal of one, holds these runs: `len`, equality, `model_equal`,
-`_side_pairs` and `model_to_json` read them as they are, and `triples`,
-`statements` and `sorted_statements` expand them, in key order, so no
-graph-backed model is sorted. Runs are canonical, so two models that hold
-them are equal exactly when their runs are.
+`_enumerate` ANDs these sets as it grows A and B in lexicographic preorder,
+which lists the side pairs in key order, and keeps each pair's sets whole
+as its run, so no graph-backed model is sorted.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from functools import cached_property, lru_cache
 
 from .core import HEAD, MixedGraph, MixedGraphError, _node_set
@@ -129,12 +131,16 @@ def _bits(mask):
 class IndependenceModel:
     """A finite set of independence statements over a ground node set.
 
-    `nodes` is the sorted ground and `triples` the frozenset of canonical
-    (A, B, C) mask triples over it. A model from `independence_model`, or
-    a marginal of one, holds its statements as runs (`_enumerate`),
-    enumerated on first use for the former, and expands them into
-    `triples` when those are first read; `statements` is built from the
-    triples on first use."""
+    `nodes` is the sorted ground. The statements are held as runs `_runs`
+    (A, B, sets), one per side pair in statement key order: A and B are
+    masks over `nodes`, and bit r of `sets` names the conditioning set
+    `_cs[r]`, `_cs` being the model's table of C masks in key order. A
+    model from `independence_model` enumerates its runs (`_enumerate`) on
+    first use, and it and its marginals share the table
+    `_rank_order(n)[0]`; a model from statements groups them into runs
+    over the Cs they name when it is built. `triples` is the frozenset of
+    canonical (A, B, C) mask triples and `statements` the statements, both
+    built on first use."""
 
     def __init__(self, ground, statements=()):
         ground = frozenset(ground)
@@ -145,7 +151,7 @@ class IndependenceModel:
         self.__dict__.update(
             ground=ground, nodes=tuple(sorted(ground)), statements=statements
         )
-        self.__dict__["triples"] = frozenset(map(self._triple, statements))
+        self._hold(map(self._triple, statements))
 
     # the graph a model from `independence_model` enumerates its runs from
     _graph = None
@@ -155,9 +161,8 @@ class IndependenceModel:
         """The model over the sorted ground `nodes` holding the canonical
         mask triples `triples`, unchecked."""
         model = cls.__new__(cls)
-        model.__dict__.update(
-            ground=frozenset(nodes), nodes=nodes, triples=frozenset(triples)
-        )
+        model.__dict__.update(ground=frozenset(nodes), nodes=nodes)
+        model._hold(triples)
         return model
 
     @classmethod
@@ -170,24 +175,40 @@ class IndependenceModel:
     @classmethod
     def _of_runs(cls, nodes, runs):
         """The model over the sorted ground `nodes` holding the runs `runs`
-        of `_enumerate`, over all of its nodes, unchecked."""
+        of `_enumerate`, over all of its nodes and the table of every C,
+        unchecked."""
         model = cls.__new__(cls)
         model.__dict__.update(ground=frozenset(nodes), nodes=nodes, _runs=runs)
         return model
+
+    def _hold(self, triples):
+        """Hold the canonical mask triples `triples` as runs over a table of
+        the Cs they name, both sorted into key order: bit order is label
+        order, so a mask sorts by its set-bit indices."""
+        triples = frozenset(triples)
+        cs = sorted({c for _a, _b, c in triples}, key=_indices)
+        rank = {c: r for r, c in enumerate(cs)}
+        sides = {}
+        for a, b, c in triples:
+            sides[a, b] = sides.get((a, b), 0) | 1 << rank[c]
+        runs = [(a, b, sides[a, b]) for a, b in sorted(sides, key=_side_key)]
+        self.__dict__.update(triples=triples, _cs=cs, _runs=runs)
 
     def __setattr__(self, name, value):
         raise AttributeError("IndependenceModel is immutable")
 
     @cached_property
     def _runs(self):
-        """The statements as `_enumerate`'s runs, in key order, for a model
-        from a graph; None for a model built from triples or statements."""
-        g = self._graph
-        return None if g is None else _enumerate(g, 0, 0)[1]
+        # only a model from a graph gets here
+        return _enumerate(self._graph, 0, 0)[1]
+
+    @cached_property
+    def _cs(self):
+        # only a model from a graph, or a marginal of one, gets here
+        return _rank_order(len(self.nodes))[0]
 
     @cached_property
     def triples(self) -> frozenset:
-        # only a model that holds runs gets here
         return frozenset(self._ordered)
 
     @cached_property
@@ -224,50 +245,56 @@ class IndependenceModel:
         )
 
     def __hash__(self):
+        """Hashes the expanded triples: equal models may hold their runs
+        over different tables of Cs."""
         return hash((self.ground, self.triples))
 
     def __len__(self):
-        runs = self._runs
-        if runs is None:
-            return len(self.triples)
-        return sum(sets.bit_count() for _a, _b, sets in runs)
+        return sum(sets.bit_count() for _a, _b, sets in self._runs)
 
     def __contains__(self, statement):
+        """Whether the statement is held, read off one bit: the run of its
+        side pair and the rank of its C are found by bisecting the runs and
+        the table, both in key order."""
         if not isinstance(statement, IndependenceStatement):
             return False
         try:
-            return self._triple(statement) in self.triples
+            a, b, c = self._triple(statement)
         except KeyError:
             return False
+        runs, cs = self._runs, self._cs
+        i = bisect_left(runs, _side_key((a, b)), key=_side_key)
+        r = bisect_left(cs, _indices(c), key=_indices)
+        return (
+            i < len(runs)
+            and runs[i][:2] == (a, b)
+            and r < len(cs)
+            and cs[r] == c
+            and runs[i][2] >> r & 1 == 1
+        )
 
     def __repr__(self):
         return f"IndependenceModel(ground={list(self.nodes)}, {len(self)} statements)"
 
     @cached_property
     def _ordered(self) -> list:
-        """The triples in statement key order: expanded from the runs, which
-        are in that order, for a model that holds them, else sorted. Each
-        mask ranks by its position in sorted label-tuple order; bit order is
-        label order, so sorting by the bit indices sorts by the labels. A
-        model with at least 2^n triples reads the ranks off the shared table
-        of all 2^n masks; a smaller one ranks only the masks it holds."""
-        n = len(self.nodes)
-        runs = self._runs
-        if runs is not None:
-            return _expand(n, runs)
-        if 1 << n <= len(self.triples):
-            ranks = _rank_table(n)
-        else:
-            masks = sorted(set().union(*self.triples), key=lambda m: tuple(_bits(m)))
-            ranks = {m: r for r, m in enumerate(masks)}
-        shift = len(ranks).bit_length()
-        return sorted(
-            self.triples,
-            key=lambda t: (ranks[t[0]] << shift | ranks[t[1]]) << shift | ranks[t[2]],
-        )
+        """The triples in statement key order, expanded from the runs."""
+        return _expand(self._cs, self._runs)
 
     def sorted_statements(self):
         return self._statements(self._ordered)
+
+
+def _indices(mask):
+    """The set-bit indices of mask, ascending: over a sorted ground, its
+    position in key order."""
+    return tuple(_bits(mask))
+
+
+def _side_key(run):
+    """The key-order position of a run, or of a side pair (A, B): the
+    set-bit indices of A and of B."""
+    return _indices(run[0]), _indices(run[1])
 
 
 @lru_cache(maxsize=None)
@@ -288,15 +315,6 @@ def _rank_order(n):
         for p in range(n)
     ]
     return order, holding
-
-
-@lru_cache(maxsize=None)
-def _rank_table(n):
-    """Per n-bit mask, its rank in `_rank_order(n)`."""
-    table = [0] * (1 << n)
-    for r, m in enumerate(_rank_order(n)[0]):
-        table[m] = r
-    return table
 
 
 def _separation_sets(g: MixedGraph, fixed, drop):
@@ -425,7 +443,8 @@ def _enumerate(g: MixedGraph, fixed, drop):
     and B over the free nodes alone and the non-empty set of the Ds, a bit
     per D of rank r in `_rank_order(f)`, with <A, B | fixed ∪ D> in J_m(g).
     There is one run per side pair, in statement key order. The whole of
-    J_m(g) is `_enumerate(g, 0, 0)`; `_expand` lists the mask triples.
+    J_m(g) is `_enumerate(g, 0, 0)`; `_expand(_rank_order(f)[0], runs)`
+    lists the mask triples.
 
     m-separation models are compositional graphoids, so C separates A and
     B exactly when it separates every pair of a node of A and a node of B:
@@ -475,11 +494,10 @@ def _enumerate(g: MixedGraph, fixed, drop):
     return f, runs
 
 
-def _expand(f, runs):
-    """The mask triples (A, B, D) of runs over f free nodes, in the order
-    of the runs and, within one, of the ranks of their D."""
-    order = _rank_order(f)[0]
-    return [(a, b, order[r]) for a, b, sets in runs for r in _bits(sets)]
+def _expand(cs, runs):
+    """The mask triples (A, B, C) of runs over the table of Cs `cs`, in the
+    order of the runs and, within one, of the ranks of their C."""
+    return [(a, b, cs[r]) for a, b, sets in runs for r in _bits(sets)]
 
 
 def _check_ground(ground, M, C):
@@ -500,8 +518,9 @@ def marginalise_condition(J: IndependenceModel, M, C) -> IndependenceModel:
     exactly C, and compress a, b and c onto the remaining nodes. A model
     from `independence_model` enumerates only those statements, as runs
     over the remaining nodes (`_enumerate(g, C, M ∪ C)`); a model with no
-    graph is filtered. Dropping nodes keeps every side's label order, so
-    the result stays canonical."""
+    graph is filtered, and the kept triples are grouped into runs anew.
+    Dropping nodes keeps every side's label order, so each kept triple stays
+    canonical, but it can reorder the Cs, which are sorted again."""
     M, C = _node_set(M, "M"), _node_set(C, "C")
     if M & C:
         raise NotDisjoint("M and C must be disjoint")
@@ -528,19 +547,14 @@ def marginalise_condition(J: IndependenceModel, M, C) -> IndependenceModel:
 
 def _same_statements(J1: IndependenceModel, J2: IndependenceModel) -> bool:
     """Whether two models over one ground hold the same statements: by their
-    runs when both hold them, as runs are canonical (key order, one per side
-    pair), else by their triples."""
-    runs1, runs2 = J1._runs, J2._runs
-    if runs1 is not None and runs2 is not None:
-        return runs1 == runs2
+    runs when both read one table of Cs, as runs over a table are canonical
+    (key order, one per side pair), else by their triples. The table is
+    tested by identity, not by value: graph models over n nodes share
+    `_rank_order(n)[0]`, whose 2^n entries a value test would read on every
+    comparison."""
+    if J1._cs is J2._cs:
+        return J1._runs == J2._runs
     return J1.triples == J2.triples
-
-
-def _side_pairs(J: IndependenceModel):
-    """The side mask pairs (A, B) of J's statements: one per run for a model
-    that holds runs, else one per triple, repeats included."""
-    runs = J._runs
-    return ((a, b) for a, b, _c in (J.triples if runs is None else runs))
 
 
 def model_equal(J1: IndependenceModel, J2: IndependenceModel) -> bool:
@@ -565,61 +579,46 @@ def conforms(J: IndependenceModel, g: MixedGraph) -> bool:
         raise GroundMismatch("model ground differs from graph node set")
     n = len(J.nodes)
     adjacent = [s | s >> n for s in g._exits[2]]
-    return not any(adjacent[k] & b for a, b, _c in J.triples for k in _bits(a))
+    return not any(adjacent[k] & b for a, b, _sets in J._runs for k in _bits(a))
 
 
 def model_to_json(J: IndependenceModel) -> str:
     """J in the `json.dumps(payload, indent=2, sort_keys=True)` layout,
-    statements in key order. Written directly: an indent sends `json` to its
-    pure-Python encoder. Each label is quoted once and each distinct side
-    list rendered once. A model that holds runs has each run's text up to
-    its C lists built once, and picks each statement's C list by rank, the
-    set bits read from the highest down."""
+    statements in key order, read off its runs. Written directly: an indent
+    sends `json` to its pure-Python encoder. Each label is quoted once and
+    each distinct side list rendered once. Each run's text up to its C lists
+    is built once, and each statement's C list is picked by its rank in the
+    model's table of Cs, the set bits read from the highest down."""
     quoted = [json.dumps(v) for v in J.nodes]
-
-    def sides(masks):
-        """Per mask, the text of its side list."""
-        texts = {}
-        for m in masks:
-            items = ",\n        ".join(quoted[k] for k in _bits(m))
-            texts[m] = f"[\n        {items}\n      ]" if m else "[]"
-        return texts
-
-    runs = J._runs
-    if runs is None:
-        triples = J._ordered
-        text = sides(set().union(*triples))
-        chunks = [
-            f'    {{\n      "A": {text[a]},\n      "B": {text[b]},\n'
-            f'      "C": {text[c]}\n    }}'
-            for a, b, c in triples
-        ]
-    else:
-        order = _rank_order(len(quoted))[0]
-        used = 0
-        for _a, _b, sets in runs:
-            used |= sets
-        ranks = list(_bits(used))
-        masks = {m for a, b, _sets in runs for m in (a, b)}
-        text = sides(masks | {order[r] for r in ranks})
-        # indexed by a set's bit length: the C list and close of its
-        # highest bit's rank, and that bit
-        closes = [""] * (used.bit_length() + 1)
-        highs = [0] * len(closes)
-        for r in ranks:
-            closes[r + 1] = text[order[r]] + "\n    }"
-            highs[r + 1] = 1 << r
-        # one chunk per run: its statements
-        chunks = []
-        for a, b, sets in runs:
-            head = f'    {{\n      "A": {text[a]},\n      "B": {text[b]},\n      "C": '
-            picked = []
-            while sets:
-                top = sets.bit_length()
-                picked.append(closes[top])
-                sets ^= highs[top]
-            picked.reverse()
-            chunks.append(head + (",\n" + head).join(picked))
+    cs, runs = J._cs, J._runs
+    used = 0
+    for _a, _b, sets in runs:
+        used |= sets
+    ranks = list(_bits(used))
+    # per side and C mask, the text of its list
+    text = {}
+    masks = {m for a, b, _sets in runs for m in (a, b)}
+    for m in masks | {cs[r] for r in ranks}:
+        items = ",\n        ".join(quoted[k] for k in _bits(m))
+        text[m] = f"[\n        {items}\n      ]" if m else "[]"
+    # indexed by a set's bit length: the C list and close of its highest
+    # bit's rank, and that bit
+    closes = [""] * (used.bit_length() + 1)
+    highs = [0] * len(closes)
+    for r in ranks:
+        closes[r + 1] = text[cs[r]] + "\n    }"
+        highs[r + 1] = 1 << r
+    # one chunk per run: its statements
+    chunks = []
+    for a, b, sets in runs:
+        head = f'    {{\n      "A": {text[a]},\n      "B": {text[b]},\n      "C": '
+        picked = []
+        while sets:
+            top = sets.bit_length()
+            picked.append(closes[top])
+            sets ^= highs[top]
+        picked.reverse()
+        chunks.append(head + (",\n" + head).join(picked))
     body = "[\n" + ",\n".join(chunks) + "\n  ]" if chunks else "[]"
     ground = ",\n    ".join(quoted)
     ground = f"[\n    {ground}\n  ]" if quoted else "[]"

@@ -43,7 +43,6 @@ from .independence import (
     TooLarge,
     _bits,
     _separation_sets,
-    _side_pairs,
 )
 from .msep import _walk_reach
 from .project import NotRibbonless, ProjectionSpec
@@ -228,8 +227,8 @@ def _separates_every_pair(g: MixedGraph) -> bool:
 def _separates_every_pair_in(model, g: MixedGraph) -> bool:
     """The literal maximality verdict read off J_m(g), whose masks are over
     g's nodes: every non-adjacent pair i < j has a statement <{i}, {j} | C>,
-    the side pair (bit i, bit j)."""
-    separated = set(_side_pairs(model))
+    a run with the side pair (bit i, bit j)."""
+    separated = {(a, b) for a, b, _sets in model._runs}
     return all(
         (1 << k, 1 << j) in separated
         for k, above in enumerate(_unadjacent_above(g))

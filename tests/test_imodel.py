@@ -323,9 +323,11 @@ def _mutant(rng, g):
 
 
 def test_equality_by_runs_agrees_with_equality_by_triples():
-    # graph models and their marginals hold runs, and compare by them: on
-    # random graphs against their one-edge mutants, and on random RGs against
-    # their maximalizations, that agrees with comparing the triples
+    # graph models and their marginals share one table of Cs per node count
+    # and compare by their runs: on random graphs against their one-edge
+    # mutants, and on random RGs against their maximalizations, that agrees
+    # with comparing the triples, and with comparing each against the JSON
+    # round trip of the other, which holds a table of its own
     rng = random.Random(103)
     pairs = []
     for _ in range(120):
@@ -346,10 +348,91 @@ def test_equality_by_runs_agrees_with_equality_by_triples():
             ),
         ):
             by_runs = model_equal(K1, K2)
-            assert K1._runs is not None and K2._runs is not None
+            assert K1._cs is K2._cs
             assert (K1 == K2) == by_runs == (K1.triples == K2.triples), (g, h)
+            round_trip = model_from_json(model_to_json(K2))
+            assert round_trip._cs is not K1._cs
+            assert (K1 == round_trip) == model_equal(K1, round_trip) == by_runs
+            assert (round_trip == K1) == by_runs, (g, h)
             verdicts.append(by_runs)
     assert 50 < sum(verdicts) < len(verdicts) - 50
+
+
+def test_membership_reads_one_run(monkeypatch):
+    # membership finds the run of the statement's side pair and the rank of
+    # its C by bisection and reads one bit: no run is expanded into triples
+    J = independence_model(mk("a -> c\nb -> c\nc -> d\nd <-> e"))
+    round_trip = model_from_json(model_to_json(J))
+
+    def refuse(*_args):
+        raise AssertionError("the runs were expanded")
+
+    monkeypatch.setattr(independence, "_expand", refuse)
+    for model in (J, round_trip):
+        assert S({"a"}, {"b"}) in model and S({"b"}, {"a"}, {"e"}) in model
+        assert S({"a"}, {"e"}) in model and S({"a", "b"}, {"e"}) in model
+        assert S({"a"}, {"b"}, {"d"}) not in model
+        assert S({"a"}, {"e"}, {"d"}) not in model
+        assert S({"a"}, {"c"}) not in model and S({"d"}, {"e"}) not in model
+        assert S({"a"}, {"zz"}) not in model and "a" not in model
+
+
+def test_membership_agrees_with_the_triples():
+    # on graph models, their JSON round trips and their marginals: random
+    # statements are held exactly when their triples are, and every held
+    # statement is found
+    rng = random.Random(107)
+    for g in _random_graphs(rng, 100):
+        J = independence_model(g)
+        spec = random_spec(rng, g)
+        for model in (
+            J,
+            model_from_json(model_to_json(J)),
+            marginalise_condition(J, spec.marg, spec.cond),
+        ):
+            for _ in range(20):
+                roles = [rng.randrange(4) for _ in model.nodes]
+                A, B, C = (
+                    {v for v, r in zip(model.nodes, roles) if r == k} for k in range(3)
+                )
+                if A and B:
+                    s = S(A, B, C)
+                    assert (s in model) == (model._triple(s) in model.triples), g
+            assert all(s in model for s in model.statements), g
+
+
+def test_models_over_a_wide_ground_hold_a_table_of_their_own_cs():
+    # a model from statements over 40 nodes whose Cs hold the last node:
+    # a table of all 2^40 Cs would not fit, so it holds only the Cs it names
+    nodes = [f"n{k:02d}" for k in range(40)]
+    last = nodes[-1]
+    statements = [
+        S({"n00"}, {"n01"}, {last}),
+        S({"n00"}, {"n01"}, {"n05", last}),
+        S({"n02", "n03"}, {"n10"}, {last}),
+        S({"n07"}, {"n38"}, {last}),
+    ]
+    J = IndependenceModel(nodes, statements)
+    assert len(J) == 4 and len(J._cs) == 2
+    text = model_to_json(J)
+    assert text == model_json_oracle(J)
+    K = model_from_json(text)
+    assert K._cs is not J._cs and model_to_json(K) == text
+    assert K == J and model_equal(K, J) and hash(K) == hash(J)
+    fewer = IndependenceModel(nodes, statements[1:])
+    assert fewer != J and not model_equal(fewer, J) and len(fewer) == 3
+    assert all(s in J for s in statements)
+    assert S({"n00"}, {"n01"}) not in J
+    assert S({"n00"}, {"n02"}, {last}) not in J
+    assert S({"n00"}, {"n01"}, {"n06", last}) not in J
+    marginal = marginalise_condition(J, {"n05"}, {last})
+    assert marginal == marginalise_oracle(J, {"n05"}, {last})
+    assert marginal.sorted_statements() == [
+        S({"n00"}, {"n01"}),
+        S({"n02", "n03"}, {"n10"}),
+        S({"n07"}, {"n38"}),
+    ]
+    assert S({"n07"}, {"n38"}) in marginal and len(marginal) == 3
 
 
 def test_model_equal_and_diff():
@@ -464,7 +547,7 @@ def test_enumeration_matches_the_per_assignment_oracle(monkeypatch):
         ((f, runs),) = emitted
         assert f == len(g.nodes) and all(sets for _a, _b, sets in runs), g
         assert len({(a, b) for a, b, _sets in runs}) == len(runs), g
-        triples = independence._expand(f, runs)
+        triples = independence._expand(independence._rank_order(f)[0], runs)
         # each statement is found once: no triple repeats, with A and B taken
         # either way round
         found = {(frozenset((a, b)), c) for a, b, c in triples}
@@ -522,7 +605,7 @@ def test_model_json_matches_the_stdlib_layout():
         random_lmg(rng, rng.randint(6, 8), p=rng.uniform(0.1, 0.4))
         for _ in range(200)
     ]
-    # a model holding fewer than 2^n triples ranks only the masks it holds
+    # a model from statements holds a table of only the Cs it names
     wide = IndependenceModel(
         [f"n{k}" for k in range(20)],
         [

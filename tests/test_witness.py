@@ -498,9 +498,10 @@ def test_literal_maximality_matches_the_separation_sweep():
 
 
 def test_literal_verdict_reads_the_same_off_runs_and_off_triples():
-    # the suite's verdict read off a graph's model, which holds runs, equals
-    # the one read off its JSON round trip, which holds triples, and the
-    # oracle's, on random LMGs and RGs of 3-6 nodes and their maximalizations
+    # the suite's verdict read off a graph's model, whose runs read the
+    # shared table of every C, equals the one read off its JSON round trip,
+    # whose runs read a table of its own, and the oracle's, on random LMGs
+    # and RGs of 3-6 nodes and their maximalizations
     rng = random.Random(31)
     verdicts = set()
     for k in range(80):
@@ -513,7 +514,7 @@ def test_literal_verdict_reads_the_same_off_runs_and_off_triples():
         for h in graphs:
             J = independence_model(h)
             K = independence.model_from_json(independence.model_to_json(J))
-            assert K._runs is None
+            assert K._cs is not J._cs
             verdict = witness._separates_every_pair_in(J, h)
             assert verdict == witness._separates_every_pair_in(K, h), h
             assert verdict == is_maximal_literal_oracle(h), h
