@@ -194,6 +194,17 @@ def _add_graph_format(p):
     fmt.add_argument("--json", action="store_true", help="emit the graph as JSON")
 
 
+def _add_model_output(p):
+    """--json and --limit, for the commands that print a model."""
+    p.add_argument("--json", action="store_true", help="emit the model as JSON")
+    p.add_argument(
+        "--limit",
+        type=_model_limit,
+        default=MODEL_NODE_LIMIT,
+        help="node-count enumeration bound",
+    )
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mixedgraphs",
@@ -218,7 +229,12 @@ def build_parser():
     )
 
     p = command("project", _cmd_project, "project a graph over marg/cond sets")
-    p.add_argument("--type", required=True, choices=list(PROJECTORS_TRACED))
+    p.add_argument(
+        "--type",
+        required=True,
+        choices=list(PROJECTORS_TRACED),
+        help="the class to project into",
+    )
     p.add_argument("--marg", help="comma-separated marginalised nodes")
     p.add_argument("--cond", help="comma-separated conditioned nodes")
     p.add_argument(
@@ -230,27 +246,20 @@ def build_parser():
     _add_graph_format(p)
 
     p = command("msep", _cmd_msep, "m-separation query")
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p.add_argument("--C", default="")
+    p.add_argument("--A", required=True, help="comma-separated nodes of one side")
+    p.add_argument("--B", required=True, help="comma-separated nodes of the other side")
+    p.add_argument("--C", default="", help="comma-separated conditioning nodes")
     p.add_argument("--witness", action="store_true", help="print one connecting path")
 
     p = command("model", _cmd_model, "enumerate the induced independence model")
-    p.add_argument("--json", action="store_true")
-    p.add_argument(
-        "--limit",
-        type=_model_limit,
-        default=MODEL_NODE_LIMIT,
-        help="node-count enumeration bound",
-    )
+    _add_model_output(p)
 
     p = command(
         "marginalise", _cmd_marginalise, "marginalise/condition the induced model"
     )
-    p.add_argument("--marg")
-    p.add_argument("--cond")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--limit", type=_model_limit, default=MODEL_NODE_LIMIT)
+    p.add_argument("--marg", help="comma-separated marginalised nodes")
+    p.add_argument("--cond", help="comma-separated conditioned nodes")
+    _add_model_output(p)
 
     p = command("dagify", _cmd_dagify, "DAG + roles that project back onto the input")
     _add_graph_format(p)
@@ -261,8 +270,8 @@ def build_parser():
     _add_graph_format(p)
 
     p = command("check", _cmd_check, "run a property suite rooted at the graph")
-    p.add_argument("--suite", required=True, choices=list(SUITES))
-    p.add_argument("--seeds", type=_non_negative, default=20)
+    p.add_argument("--suite", required=True, choices=list(SUITES), help="suite to run")
+    p.add_argument("--seeds", type=_non_negative, default=20, help="random cases")
 
     return parser
 

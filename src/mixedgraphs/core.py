@@ -20,8 +20,8 @@ pass over them, their strongly connected components: `cycle_nodes`,
 `witness.dagify`'s cuts, and the ancestor masks behind `descendants`, the
 ribbon witnesses and the class tests. Ribbon detection pairs the head exits
 that `_flows` lists at each candidate inner node. `_split_flows` splits each
-node's `_flows` by the mark at the node; the two simple-path searches,
-`msep._paths` and `independence._path_checked`, read it.
+node's `_flows` by the mark at the node; only `msep`'s two simple-path
+searches, `_paths` and `_path_checked`, read it.
 """
 
 from __future__ import annotations
@@ -291,10 +291,9 @@ class MixedGraph:
     def _split_flows(self) -> dict:
         """Per node, its `_flows` three ways, each in flow order: every exit,
         the exits with a head at the node, and those with a tail there. Only
-        the simple-path searches `msep._paths` and
-        `independence._path_checked` read it, indexing by `head - tail` for
-        the marks a path may leave the node with: 0 for both, 1 for a head
-        only, -1 for a tail only."""
+        the simple-path searches `msep._paths` and `msep._path_checked` read
+        it, indexing by `head - tail` for the marks a path may leave the node
+        with: 0 for both, 1 for a head only, -1 for a tail only."""
         split = {}
         for n, f in self._flows.items():
             heads = tuple(x for x in f if x[1] == HEAD)

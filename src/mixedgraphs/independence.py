@@ -10,41 +10,46 @@ node k of the ground is bit k, A and B are masks with A the side whose
 sorted labels come first, and bit r of `sets` names the conditioning set
 `_cs[r]`, where `_cs` is the model's table of C masks in key order. There
 is one run per side pair, in key order, so runs over one table are
-canonical. `len`, equality, membership, `conforms` and `model_to_json`
-read the runs; `triples` (the canonical mask triples), `statements` and
+canonical. `len`, membership, `conforms` and `model_to_json` read the runs;
+`triples` (the canonical mask triples), `statements` and
 `sorted_statements` expand them in key order, and hashing, `model_diff`
-and equality across tables read the triples. `IndependenceStatement`
-objects are built only when `statements` or `sorted_statements` is read.
+and equality of models not both from graphs read the triples.
+`IndependenceStatement` objects are built only when `statements` or
+`sorted_statements` is read.
 
-`independence_model` returns a model that holds its graph and enumerates
-its runs when they are first read. `marginalise_condition` of such a model
-enumerates only the statements it keeps, directly over the smaller ground:
-the conditioning sets C ∪ D with A, B and D over the nodes outside M ∪ C.
-Both take `_rank_order(n)[0]`, the shared table of all masks over their n
-nodes, as `_cs`. A model from `model_from_json` or the constructor groups
-its triples into runs when it is built, over a table of only the Cs it
-names, so a wide ground needs no 2^n-bit int; it is marginalised by a mask
-filter and a bit-compress table, and the result is grouped likewise.
+A model of a graph is its separation sets. `independence_model` returns a
+model that holds only its source (g, fixed, drop): J_m(g) is (g, 0, 0).
+Its one table is `_pairs`, per pair of its nodes the set of Cs that
+m-separate them as one int, a bit per C, from one `msep._separation_sets`
+pass when it is first read. J_m(g) is a compositional graphoid, so C
+separates A and B exactly when it separates every pair across them: the
+pairs fix the model. Two models of graphs are equal when their `_pairs`
+are, and no statement is enumerated to tell. `_runs` is `_enumerate` of
+`_pairs`, which ANDs the pairs' sets as it grows A and B in lexicographic
+preorder, listing the side pairs in key order, and keeps each pair's sets
+whole as its run, so no model of a graph is sorted.
 
-The enumeration decides every conditioning set at once. Per non-adjacent
-pair, `_separation_sets` gives the set of Cs that separate it as one int,
-a bit per C: a bit-sliced separation set. It comes from one
-`msep._sliced_reach` per source and, on graphs that are not ribbonless,
-one simple-path search per pair whose walk reaches the other node
-(`_path_checked`), each path prefix carrying the Cs its inner nodes allow.
-`_enumerate` ANDs these sets as it grows A and B in lexicographic preorder,
-which lists the side pairs in key order, and keeps each pair's sets whole
-as its run, so no graph-backed model is sorted.
+Marginalising and conditioning compose: α(α(J; M1, C1); M2, C2) is
+α(J; M1 ∪ M2, C1 ∪ C2). So `marginalise_condition` of a model of a graph
+reads nothing: it ORs C into `fixed` and M ∪ C into `drop`, over g's
+bits, and the slice stays lazy. Its sets, over the conditioning sets
+fixed ∪ D with D over the nodes outside `drop`, already name the Cs of the
+slice. Every such model takes `_rank_order(f)[0]`, the shared table of all
+masks over its f nodes, as `_cs`. A model from `model_from_json` or the
+constructor groups its triples into runs when it is built, over a table of
+only the Cs it names, so a wide ground needs no 2^n-bit int; it is
+marginalised by a mask filter and a bit-compress table, and the result is
+grouped likewise.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .core import HEAD, MixedGraph, MixedGraphError, _node_set
-from .msep import NotDisjoint, _sliced_reach
+from .core import _LABEL_RE, MixedGraph, MixedGraphError, _node_set
+from .msep import NotDisjoint, _bits, _mask, _rank_order, _separation_sets
 from .textfmt import ParseError, _json_field, _json_payload
 
 
@@ -120,14 +125,6 @@ class IndependenceStatement:
         return f"{left} | {' '.join(kc)}" if kc else left
 
 
-def _bits(mask):
-    """The indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class IndependenceModel:
     """A finite set of independence statements over a ground node set.
 
@@ -135,12 +132,14 @@ class IndependenceModel:
     (A, B, sets), one per side pair in statement key order: A and B are
     masks over `nodes`, and bit r of `sets` names the conditioning set
     `_cs[r]`, `_cs` being the model's table of C masks in key order. A
-    model from `independence_model` enumerates its runs (`_enumerate`) on
-    first use, and it and its marginals share the table
-    `_rank_order(n)[0]`; a model from statements groups them into runs
-    over the Cs they name when it is built. `triples` is the frozenset of
-    canonical (A, B, C) mask triples and `statements` the statements, both
-    built on first use."""
+    model of a graph, or a slice of one, holds its source
+    `_source = (g, fixed, drop)` and reads it lazily: its separation sets
+    `_pairs` first, then the runs `_enumerate` builds from them, over the
+    table `_rank_order(f)[0]` of every C over its f nodes. A model from
+    statements has no source and groups them into runs over the Cs they
+    name when it is built. `triples` is the frozenset of canonical
+    (A, B, C) mask triples and `statements` the statements, both built on
+    first use."""
 
     def __init__(self, ground, statements=()):
         ground = frozenset(ground)
@@ -153,8 +152,8 @@ class IndependenceModel:
         )
         self._hold(map(self._triple, statements))
 
-    # the graph a model from `independence_model` enumerates its runs from
-    _graph = None
+    # (g, fixed, drop) for a model of a graph, or a slice of one
+    _source = None
 
     @classmethod
     def _from_masks(cls, nodes, triples):
@@ -166,19 +165,14 @@ class IndependenceModel:
         return model
 
     @classmethod
-    def _of_graph(cls, g):
-        """J_m(g), enumerated when its statements are first read."""
+    def _of_graph(cls, g, fixed=0, drop=0):
+        """The slice of J_m(g) that conditions on the nodes of `fixed` and
+        drops those of `drop` (which holds `fixed`), both masks over g's
+        nodes; J_m(g) itself by default. Nothing is read until it is used."""
+        nodes = tuple(v for k, v in enumerate(g.nodes) if not drop >> k & 1)
+        ground = frozenset(nodes) if drop else g.node_set
         model = cls.__new__(cls)
-        model.__dict__.update(ground=g.node_set, nodes=g.nodes, _graph=g)
-        return model
-
-    @classmethod
-    def _of_runs(cls, nodes, runs):
-        """The model over the sorted ground `nodes` holding the runs `runs`
-        of `_enumerate`, over all of its nodes and the table of every C,
-        unchecked."""
-        model = cls.__new__(cls)
-        model.__dict__.update(ground=frozenset(nodes), nodes=nodes, _runs=runs)
+        model.__dict__.update(ground=ground, nodes=nodes, _source=(g, fixed, drop))
         return model
 
     def _hold(self, triples):
@@ -198,13 +192,24 @@ class IndependenceModel:
         raise AttributeError("IndependenceModel is immutable")
 
     @cached_property
+    def _pairs(self):
+        """Per pair of nodes, the Cs that m-separate them, a bit per C of
+        `_cs`: one `_separation_sets` pass over the source. Only a model
+        with a source gets here."""
+        f = len(self.nodes)
+        sep = [[0] * f for _ in range(f)]
+        for p, q, s in _separation_sets(*self._source):
+            sep[p][q] = sep[q][p] = s
+        return sep
+
+    @cached_property
     def _runs(self):
-        # only a model from a graph gets here
-        return _enumerate(self._graph, 0, 0)[1]
+        # only a model with a source gets here
+        return _enumerate(self._pairs)
 
     @cached_property
     def _cs(self):
-        # only a model from a graph, or a marginal of one, gets here
+        # only a model with a source gets here
         return _rank_order(len(self.nodes))[0]
 
     @cached_property
@@ -297,138 +302,15 @@ def _side_key(run):
     return _indices(run[0]), _indices(run[1])
 
 
-@lru_cache(maxsize=None)
-def _rank_order(n):
-    """The n-bit masks in the order of their ascending set-bit index tuples,
-    a mask's rank being its position, and per bit p the ranks of the masks
-    that hold p, as one 2^n-bit int. Built once per n. Each mask grows by
-    bits above its highest in preorder, pushed on a stack, which lists the
-    index tuples lexicographically."""
-    order = []
-    stack = [(0, 0)]
-    while stack:
-        mask, low = stack.pop()
-        order.append(mask)
-        stack.extend((mask | 1 << b, b + 1) for b in range(n - 1, low - 1, -1))
-    holding = [
-        int("".join("1" if m >> p & 1 else "0" for m in reversed(order)), 2)
-        for p in range(n)
-    ]
-    return order, holding
-
-
-def _separation_sets(g: MixedGraph, fixed, drop):
-    """The separation sets of the free nodes of g, those outside `drop`
-    (which holds `fixed`), over the conditioning sets C = fixed ∪ D for
-    every D over the f free nodes. D is named by its rank (`_rank_order(f)`)
-    and a set of Cs is a 2^f-bit int, bit r for the D of rank r. Yields
-    (p, q, s) per pair of non-adjacent free nodes at free positions p < q,
-    in increasing order of p, then q: s holds the Cs that miss both nodes
-    and m-separate them. An adjacent pair has no separating C.
-
-    Per node t: `inc[t]` holds the Cs with t in C (every C for a node of
-    `fixed`, none for a marginalised node), `out[t]` the others, and
-    `col[t]` the Cs with t in C ∪ an(C): the OR of `inc[d]` over d in
-    {t} ∪ de(t), read off the graph's `_ancestor_masks`. One
-    `msep._sliced_reach` per source settles every C at once, and is exact
-    on a ribbonless graph. On any other graph each pair's walk set is
-    re-checked by simple paths (`_path_checked`). The pairs come one source
-    at a time, so a reader may stop early.
-    """
-    n = len(g.nodes)
-    free = [k for k in range(n) if not drop >> k & 1]
-    holding = _rank_order(len(free))[1]
-    every = (1 << (1 << len(free))) - 1
-    inc = [every if fixed >> k & 1 else 0 for k in range(n)]
-    for p, k in enumerate(free):
-        inc[k] = holding[p]
-    out = [every ^ s for s in inc]
-    col = inc[:]
-    for d, mask in enumerate(g._ancestor_masks.values()):
-        for t in _bits(mask):
-            col[t] |= inc[d]
-    exits = g._exits
-    exact = g.is_ribbonless
-    for p, k in enumerate(free):
-        near = exits[2][k]
-        near |= near >> n
-        apart = [(q, j) for q, j in enumerate(free) if q > p and not near >> j & 1]
-        if not apart:
-            continue
-        reach = _sliced_reach(exits, out, col, exits[2][k], out[k])
-        for q, j in apart:
-            outside = out[k] & out[j]
-            joined = (reach[j] | reach[n + j]) & outside
-            if joined and not exact:
-                joined = _path_checked(g, k, j, joined, out, col)
-            yield p, q, outside & ~joined
-
-
-def _path_checked(g: MixedGraph, k, j, walked, out, col):
-    """The sets in `walked` under which a simple path m-connects nodes k
-    and j, from one depth-first simple-path search out of k.
-
-    Each path prefix carries the sets that its inner nodes allow so far:
-    leaving an inner node t by a head after arriving with a head makes t a
-    collider, which passes `col[t]`; every other exit passes `out[t]`, as in
-    `msep._sliced_reach`. A node is entered only when some carried set lets
-    the path leave it, and its exits are read off `g._split_flows` by which
-    of the two is non-empty. Each arrival at j joins the sets it carries,
-    and a prefix is extended only while it carries a set not joined yet.
-
-    Exact by definition: the result is the OR over simple k-j paths of
-    `walked` ANDed with their inner nodes' sets. A set r that some path P
-    carries to j is either joined before the search reaches P's prefixes,
-    or is carried along every one of them, none of which is pruned, and is
-    joined at j; a joined set was carried to j by a simple path."""
-    split, bit = g._split_flows, g._bit
-    target = g.nodes[j]
-    seen = 1 << k
-    path = [g.nodes[k]]
-    joined = 0
-    # per node on the path: the exits left to try, and the sets a path may
-    # leave it with by a head and by a tail
-    pending = [(iter(split[path[0]][0]), walked, walked)]
-    while True:
-        exits, by_head, by_tail = pending[-1]
-        for o, mh, mo, _e in exits:
-            sets = (by_head if mh == HEAD else by_tail) & ~joined
-            if not sets:
-                continue
-            if o == target:
-                joined |= sets
-                if joined == walked:
-                    return joined
-                continue
-            b = bit[o]
-            if seen & b:
-                continue
-            t = b.bit_length() - 1
-            on_tail = sets & out[t]
-            on_head = sets & col[t] if mo == HEAD else on_tail
-            if on_head or on_tail:
-                seen |= b
-                path.append(o)
-                # 0: it may leave by both marks, 1: a head only, -1: a tail only
-                which = bool(on_head) - bool(on_tail)
-                pending.append((iter(split[o][which]), on_head, on_tail))
-                break
-        else:
-            pending.pop()
-            if not pending:
-                return joined
-            seen ^= bit[path.pop()]
-
-
 def independence_model(
     g: MixedGraph, limit: int = MODEL_NODE_LIMIT
 ) -> IndependenceModel:
     """J_m(g): every triple <A,B|C> with A m-separated from B by C.
 
-    The model is enumerated (`_enumerate`) when its statements are first
-    read; `marginalise_condition` of it enumerates only the statements it
-    keeps. Exponential in the node count; refuses graphs
-    above `limit` nodes at once (pass a larger limit to override).
+    The model holds g and reads its separation sets when first used;
+    `marginalise_condition` of it is a slice that reads only its own.
+    Exponential in the node count; refuses graphs above `limit` nodes at
+    once (pass a larger limit to override).
     """
     n = len(g.nodes)
     if n > limit:
@@ -436,19 +318,18 @@ def independence_model(
     return IndependenceModel._of_graph(g)
 
 
-def _enumerate(g: MixedGraph, fixed, drop):
-    """The statements <A, B | fixed ∪ D> of J_m(g) with A, B and D over the
-    free nodes, those outside `drop` (which holds `fixed`), as (f, runs):
-    f is the number of free nodes, and each run (A, B, sets) holds masks A
-    and B over the free nodes alone and the non-empty set of the Ds, a bit
-    per D of rank r in `_rank_order(f)`, with <A, B | fixed ∪ D> in J_m(g).
-    There is one run per side pair, in statement key order. The whole of
-    J_m(g) is `_enumerate(g, 0, 0)`; `_expand(_rank_order(f)[0], runs)`
-    lists the mask triples.
+def _enumerate(sep):
+    """The runs of the model whose f × f matrix of separation sets is `sep`
+    (a model's `_pairs`): `sep[p][q]` holds the Cs separating nodes p and q,
+    a bit per C of rank r in `_rank_order(f)`, and 0 for an adjacent pair.
+    Each run (A, B, sets) holds masks A and B over the f nodes and the
+    non-empty set of the Cs that separate them. There is one run per side
+    pair, in statement key order; `_expand(_rank_order(f)[0], runs)` lists
+    the mask triples.
 
     m-separation models are compositional graphoids, so C separates A and
     B exactly when it separates every pair of a node of A and a node of B:
-    their separating sets are the AND of the pairs' `_separation_sets`. A
+    their separating sets are the AND of the pairs' sets. A
     grows from its lowest node p by nodes above its highest, carrying per
     node q the sets separating q from all of A; B grows likewise over the
     nodes above p outside A, carrying the sets separating it from A. Growth
@@ -462,12 +343,9 @@ def _enumerate(g: MixedGraph, fixed, drop):
     index tuples lexicographically. With min B > min A, A is the side that
     sorts first, so each side pair comes once and with its sides in key
     order. Within one run, the set bits read in rank order are the sorted
-    order of the D masks, which are the statements' C.
+    order of the C masks.
     """
-    f = len(g.nodes) - drop.bit_count()
-    sep = [[0] * f for _ in range(f)]
-    for p, q, s in _separation_sets(g, fixed, drop):
-        sep[p][q] = sep[q][p] = s
+    f = len(sep)
     runs = []
     append = runs.append
     for p in range(f):
@@ -491,7 +369,7 @@ def _enumerate(g: MixedGraph, fixed, drop):
                 grown = [(q, s & apart[q]) for q, s in row if s & apart[q]]
                 if grown:
                     stack.append((amask | 1 << x, x, grown))
-    return f, runs
+    return runs
 
 
 def _expand(cs, runs):
@@ -514,24 +392,26 @@ def marginalise_condition(J: IndependenceModel, M, C) -> IndependenceModel:
     """The model after marginalising over M and conditioning on C: keep
     <A,B|D> whenever <A,B|D ∪ C> is in J and A ∪ B ∪ D avoids M ∪ C.
 
-    On masks: keep (a, b, c) when a and b avoid M ∪ C and c meets M ∪ C in
-    exactly C, and compress a, b and c onto the remaining nodes. A model
-    from `independence_model` enumerates only those statements, as runs
-    over the remaining nodes (`_enumerate(g, C, M ∪ C)`); a model with no
-    graph is filtered, and the kept triples are grouped into runs anew.
-    Dropping nodes keeps every side's label order, so each kept triple stays
+    A model of a graph, or a slice of one, is sliced: the operator
+    composes, so the result is the slice of the same graph that also
+    conditions on C and drops M ∪ C, read when it is first used. A model
+    from statements is filtered on masks: keep (a, b, c) when a and b avoid
+    M ∪ C and c meets M ∪ C in exactly C, and compress a, b and c onto the
+    remaining nodes; the kept triples are grouped into runs anew. Dropping
+    nodes keeps every side's label order, so each kept triple stays
     canonical, but it can reorder the Cs, which are sorted again."""
     M, C = _node_set(M, "M"), _node_set(C, "C")
     if M & C:
         raise NotDisjoint("M and C must be disjoint")
     _check_ground(J.ground, M, C)
+    if J._source is not None:
+        g, fixed, drop = J._source
+        cmask = _mask(g, C)
+        return IndependenceModel._of_graph(g, fixed | cmask, drop | cmask | _mask(g, M))
     cmask = sum(J._bit[v] for v in C)
     drop = cmask | sum(J._bit[v] for v in M)
     kept = [k for k in range(len(J.nodes)) if not drop >> k & 1]
     nodes = tuple(J.nodes[k] for k in kept)
-    if J._graph is not None:
-        _f, runs = _enumerate(J._graph, cmask, drop)
-        return IndependenceModel._of_runs(nodes, runs)
     triples = [
         (a, b, c) for a, b, c in J.triples if not (a | b) & drop and c & drop == cmask
     ]
@@ -547,13 +427,10 @@ def marginalise_condition(J: IndependenceModel, M, C) -> IndependenceModel:
 
 def _same_statements(J1: IndependenceModel, J2: IndependenceModel) -> bool:
     """Whether two models over one ground hold the same statements: by their
-    runs when both read one table of Cs, as runs over a table are canonical
-    (key order, one per side pair), else by their triples. The table is
-    tested by identity, not by value: graph models over n nodes share
-    `_rank_order(n)[0]`, whose 2^n entries a value test would read on every
-    comparison."""
-    if J1._cs is J2._cs:
-        return J1._runs == J2._runs
+    separation sets when both have a source, as a model of a graph is fixed
+    by its pairs' sets, else by their triples."""
+    if J1._source and J2._source:
+        return J1._pairs == J2._pairs
     return J1.triples == J2.triples
 
 
@@ -628,13 +505,18 @@ def model_to_json(J: IndependenceModel) -> str:
 def model_from_json(text: str) -> IndependenceModel:
     payload = _json_payload(text)
     ground = _json_field(payload, "ground", "model", "labels")
+    bad = [v for v in ground if not _LABEL_RE.match(v)]
+    if bad:
+        raise ParseError(f"ground: bad node label {bad[0]!r}", 0)
     statements = []
     for k, s in enumerate(_json_field(payload, "statements", "model", "objects")):
         where = f"statements[{k}]"
         A, B = (_json_field(s, side, where, "labels") for side in "AB")
+        C = _json_field(s, "C", where, "labels", [])
         if not A or not B:
             raise ParseError(f"{where}: sides A and B must be nonempty", 0)
-        statements.append(
-            IndependenceStatement(A, B, _json_field(s, "C", where, "labels", []))
-        )
+        try:
+            statements.append(IndependenceStatement(A, B, C))
+        except NotDisjoint as exc:
+            raise ParseError(f"{where}: {exc}", 0) from None
     return IndependenceModel(ground, statements)

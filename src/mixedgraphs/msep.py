@@ -3,8 +3,8 @@
 A path m-connects given M and C when every collider inner node is in
 C ∪ an(C) and every non-collider inner node is in M (the `allowed` set).
 So a walk leaves an inner node t as a collider (heads on both sides of t)
-when t is in C ∪ an(C), and otherwise when t is in M. Every yes/no verdict
-runs on one kernel over that step rule:
+when t is in C ∪ an(C), and otherwise when t is in M. Every search under
+that step rule lives in this module:
 
 - `_walk_reach` searches walk states (node, arrived with a head) as
   bitsets over each graph's `_exits`. On ribbonless graphs a legal walk
@@ -13,22 +13,24 @@ runs on one kernel over that step rule:
   endpoint-identical edge), so the walk verdict is exact there, in time
   linear in the edges. It decides separation, the Lemma-1 signatures of
   `endpoint_identical_connection` and primitive inducing paths (`witness`).
-  `_sliced_reach` runs the same step rule under many conditioning sets at
-  once, a bit per set: the separation sets of `independence`.
 - `_paths` enumerates simple paths depth-first. On other graphs walks can
   over-connect — e.g. a->t<-b with a line t--x admits the walk
   a->t--x--t<-b but no connecting path — so `_connected` re-checks each
   walk hit with `_paths` before trusting it. It is also the exhaustive
   witness enumeration behind `msep --witness`. It takes a node's exit list
   as it enters the node from the graph's `_split_flows`, the `_flows`
-  exits split by their mark at the node. `independence._path_checked`,
-  the simple-path search of the model enumeration, reads the same lists
-  under many conditioning sets at once, as `_sliced_reach` runs the walk.
+  exits split by their mark at the node.
+- `_separation_sets` runs both under many conditioning sets at once, a bit
+  per set: `_sliced_reach` is the walk, and `_path_checked` the simple-path
+  search, reading the same split exit lists. Its bit-sliced separation
+  sets are what an `independence` model of a graph is built from, and what
+  `witness.is_maximal_literal` sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
@@ -171,6 +173,137 @@ def _sliced_reach(exits, out, col, start, live):
                         queue.append(o)
                     pending[o] |= gain
     return reach
+
+
+def _bits(mask):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@lru_cache(maxsize=None)
+def _rank_order(n):
+    """The n-bit masks in the order of their ascending set-bit index tuples,
+    a mask's rank being its position, and per bit p the ranks of the masks
+    that hold p, as one 2^n-bit int. Built once per n. Each mask grows by
+    bits above its highest in preorder, pushed on a stack, which lists the
+    index tuples lexicographically."""
+    order = []
+    stack = [(0, 0)]
+    while stack:
+        mask, low = stack.pop()
+        order.append(mask)
+        stack.extend((mask | 1 << b, b + 1) for b in range(n - 1, low - 1, -1))
+    holding = [
+        int("".join("1" if m >> p & 1 else "0" for m in reversed(order)), 2)
+        for p in range(n)
+    ]
+    return order, holding
+
+
+def _separation_sets(g: MixedGraph, fixed, drop):
+    """The separation sets of the free nodes of g, those outside `drop`
+    (which holds `fixed`), over the conditioning sets C = fixed ∪ D for
+    every D over the f free nodes. D is named by its rank (`_rank_order(f)`)
+    and a set of Cs is a 2^f-bit int, bit r for the D of rank r. Yields
+    (p, q, s) per pair of non-adjacent free nodes at free positions p < q,
+    in increasing order of p, then q: s holds the Cs that miss both nodes
+    and m-separate them. An adjacent pair has no separating C.
+
+    Per node t: `inc[t]` holds the Cs with t in C (every C for a node of
+    `fixed`, none for a marginalised node), `out[t]` the others, and
+    `col[t]` the Cs with t in C ∪ an(C): the OR of `inc[d]` over d in
+    {t} ∪ de(t), read off the graph's `_ancestor_masks`. One
+    `_sliced_reach` per source settles every C at once, and is exact
+    on a ribbonless graph. On any other graph each pair's walk set is
+    re-checked by simple paths (`_path_checked`). The pairs come one source
+    at a time, so a reader may stop early.
+    """
+    n = len(g.nodes)
+    free = [k for k in range(n) if not drop >> k & 1]
+    holding = _rank_order(len(free))[1]
+    every = (1 << (1 << len(free))) - 1
+    inc = [every if fixed >> k & 1 else 0 for k in range(n)]
+    for p, k in enumerate(free):
+        inc[k] = holding[p]
+    out = [every ^ s for s in inc]
+    col = inc[:]
+    for d, mask in enumerate(g._ancestor_masks.values()):
+        for t in _bits(mask):
+            col[t] |= inc[d]
+    exits = g._exits
+    exact = g.is_ribbonless
+    for p, k in enumerate(free):
+        near = exits[2][k]
+        near |= near >> n
+        apart = [(q, j) for q, j in enumerate(free) if q > p and not near >> j & 1]
+        if not apart:
+            continue
+        reach = _sliced_reach(exits, out, col, exits[2][k], out[k])
+        for q, j in apart:
+            outside = out[k] & out[j]
+            joined = (reach[j] | reach[n + j]) & outside
+            if joined and not exact:
+                joined = _path_checked(g, k, j, joined, out, col)
+            yield p, q, outside & ~joined
+
+
+def _path_checked(g: MixedGraph, k, j, walked, out, col):
+    """The sets in `walked` under which a simple path m-connects nodes k
+    and j, from one depth-first simple-path search out of k.
+
+    Each path prefix carries the sets that its inner nodes allow so far:
+    leaving an inner node t by a head after arriving with a head makes t a
+    collider, which passes `col[t]`; every other exit passes `out[t]`, as in
+    `_sliced_reach`. A node is entered only when some carried set lets
+    the path leave it, and its exits are read off `g._split_flows` by which
+    of the two is non-empty. Each arrival at j joins the sets it carries,
+    and a prefix is extended only while it carries a set not joined yet.
+
+    Exact by definition: the result is the OR over simple k-j paths of
+    `walked` ANDed with their inner nodes' sets. A set r that some path P
+    carries to j is either joined before the search reaches P's prefixes,
+    or is carried along every one of them, none of which is pruned, and is
+    joined at j; a joined set was carried to j by a simple path."""
+    split, bit = g._split_flows, g._bit
+    target = g.nodes[j]
+    seen = 1 << k
+    path = [g.nodes[k]]
+    joined = 0
+    # per node on the path: the exits left to try, and the sets a path may
+    # leave it with by a head and by a tail
+    pending = [(iter(split[path[0]][0]), walked, walked)]
+    while True:
+        exits, by_head, by_tail = pending[-1]
+        for o, mh, mo, _e in exits:
+            sets = (by_head if mh == HEAD else by_tail) & ~joined
+            if not sets:
+                continue
+            if o == target:
+                joined |= sets
+                if joined == walked:
+                    return joined
+                continue
+            b = bit[o]
+            if seen & b:
+                continue
+            t = b.bit_length() - 1
+            on_tail = sets & out[t]
+            on_head = sets & col[t] if mo == HEAD else on_tail
+            if on_head or on_tail:
+                seen |= b
+                path.append(o)
+                # 0: it may leave by both marks, 1: a head only, -1: a tail only
+                which = bool(on_head) - bool(on_tail)
+                pending.append((iter(split[o][which]), on_head, on_tail))
+                break
+        else:
+            pending.pop()
+            if not pending:
+                return joined
+            seen ^= bit[path.pop()]
 
 
 def _mask(g: MixedGraph, nodes):

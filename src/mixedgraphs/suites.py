@@ -3,9 +3,9 @@
 Each suite runs checks rooted at one input graph and reports a serialized
 reproducer for every counterexample it finds. The checks are randomized,
 except those of `maximality`, which compares the primitive-inducing-path
-criterion with the literal one read off separation sets, and enumerates
-models only when `maximalize` adds an edge, and then reads both literal
-verdicts off them.
+criterion with the literal one. Every model check compares models of
+graphs, so it reads their separation sets and enumerates no statement
+unless it fails and the difference is reported.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .independence import (
 from .msep import endpoint_identical_connection, signature_edges
 from .project import PROJECTORS, ProjectionSpec, project_rg, table1_closure
 from .textfmt import document_for, serialize_graph
-from .witness import _separates_every_pair, _separates_every_pair_in, maximalize
+from .witness import is_maximal_literal, maximalize
 
 
 class UnsuitableGraph(MixedGraphError):
@@ -187,25 +187,21 @@ def maximality_suite(g: MixedGraph, seeds: int = 0) -> SuiteResult:
     `_pip_edges` yields nothing, which is what `is_maximal` tests, so the
     PIP verdict is `maximal is g`. A faulty `maximalize` can therefore fail
     the first check as well as its own.
-    Each graph's separation sets are read once. When maximalize adds no
-    edge, its output is g: the model is unchanged by identity and its
-    literal verdict is g's, from one pass over the sets that stops at the
-    first pair no set separates. When it adds edges, the models of g and of
-    its output are enumerated, compared by their runs, and both literal
-    verdicts are read off the runs of their singleton sides."""
+    The literal verdicts are `is_maximal_literal` of g and of its output,
+    each a sweep that stops at the first pair no set separates. When
+    maximalize adds no edge, its output is g: the model is unchanged by
+    identity and the output's verdict is g's. When it adds edges, the two
+    models are compared by their separation sets. No model is enumerated."""
     result = SuiteResult("maximality")
     _require("RG" in g.class_tags, "maximality needs a ribbonless input")
     _require_small(g, "maximality")
     maximal = maximalize(g)
     pip_maximal = maximal is g
-    if pip_maximal:
-        literal = _separates_every_pair(g)
-        same_model, pairwise = True, literal
-    else:
-        model, maximal_model = independence_model(g), independence_model(maximal)
-        literal = _separates_every_pair_in(model, g)
-        same_model = model_equal(model, maximal_model)
-        pairwise = _separates_every_pair_in(maximal_model, maximal)
+    literal = is_maximal_literal(g)
+    same_model, pairwise = True, literal
+    if not pip_maximal:
+        same_model = model_equal(independence_model(g), independence_model(maximal))
+        pairwise = is_maximal_literal(maximal)
     result.checked += 1
     if pip_maximal != literal:
         result.fail(

@@ -14,9 +14,9 @@ the `msep` bitset walk gives those per pair, over the graph's walk tables.
 maximalize() inserts the endpoint-identical edge of each such path in one
 sweep. The literal definition, that every non-adjacent pair is separated by
 some set, asks that each such pair's bit-sliced separation set
-(`independence._separation_sets`, every conditioning set at once) be
-non-empty. The sets come one source walk at a time, so the first pair that
-no set separates stops the check; no model is built.
+(`msep._separation_sets`, every conditioning set at once) be non-empty:
+`is_maximal_literal` reads them one source walk at a time, so the first
+pair that no set separates stops the check; no model is built.
 """
 
 from __future__ import annotations
@@ -38,13 +38,8 @@ from .core import (
     signature_edge,
 )
 from .core import MixedGraphError
-from .independence import (
-    MODEL_NODE_LIMIT,
-    TooLarge,
-    _bits,
-    _separation_sets,
-)
-from .msep import _walk_reach
+from .independence import MODEL_NODE_LIMIT, TooLarge
+from .msep import _bits, _separation_sets, _walk_reach
 from .project import NotRibbonless, ProjectionSpec
 
 
@@ -200,12 +195,14 @@ def is_maximal(g: MixedGraph) -> bool:
 
 
 def is_maximal_literal(g: MixedGraph, limit: int = MODEL_NODE_LIMIT) -> bool:
-    """Direct check: every non-adjacent pair admits some separating set.
-    Raises `TooLarge` above `limit` nodes, as `independence_model` does."""
+    """Direct check: every non-adjacent pair has a non-empty separation set.
+    `_separation_sets` yields the pairs one source walk at a time, so the
+    first pair that no C separates ends the search. Raises `TooLarge` above
+    `limit` nodes, as `independence_model` does."""
     n = len(g.nodes)
     if n > limit:
         raise TooLarge(f"{n} nodes exceeds enumeration limit {limit}")
-    return _separates_every_pair(g)
+    return all(sets for _p, _q, sets in _separation_sets(g, 0, 0))
 
 
 def _unadjacent_above(g: MixedGraph) -> list:
@@ -214,26 +211,6 @@ def _unadjacent_above(g: MixedGraph) -> list:
     n = len(g.nodes)
     full = (1 << n) - 1
     return [full & ~(s | s >> n | (2 << k) - 1) for k, s in enumerate(g._exits[2])]
-
-
-def _separates_every_pair(g: MixedGraph) -> bool:
-    """The literal maximality verdict: every non-adjacent pair has a
-    non-empty separation set. `_separation_sets` yields the pairs one
-    source walk at a time, so the first pair that no C separates ends the
-    search."""
-    return all(sets for _p, _q, sets in _separation_sets(g, 0, 0))
-
-
-def _separates_every_pair_in(model, g: MixedGraph) -> bool:
-    """The literal maximality verdict read off J_m(g), whose masks are over
-    g's nodes: every non-adjacent pair i < j has a statement <{i}, {j} | C>,
-    a run with the side pair (bit i, bit j)."""
-    separated = {(a, b) for a, b, _sets in model._runs}
-    return all(
-        (1 << k, 1 << j) in separated
-        for k, above in enumerate(_unadjacent_above(g))
-        for j in _bits(above)
-    )
 
 
 def maximalize(g: MixedGraph) -> MixedGraph:

@@ -348,7 +348,7 @@ def filtering_paths_oracle(g, source, target, collider_set, allowed):
 
 
 def path_checked_oracle(g, k, j, walked, out, col):
-    """The per-set oracle of `independence._path_checked`: the sets in
+    """The per-set oracle of `msep._path_checked`: the sets in
     `walked` under which a simple path m-connects nodes k and j, one
     `msep._paths` search per set not yet settled. With no path the set is
     dropped; a path P found settles every set left whose C ∪ an(C) holds

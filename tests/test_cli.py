@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -511,3 +512,16 @@ def test_long_paths_give_verdicts_without_a_traceback(tmp_path, capsys):
     assert code == 1
     assert out == "connected\n" + " -> ".join(f"a{k}" for k in range(1201)) + "\n"
     assert "Traceback" not in err
+
+
+def test_every_cli_option_has_help():
+    # every optional argument of every subcommand prints a line of help
+    parser = cli.build_parser()
+    (commands,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert set(commands.choices) >= {"project", "msep", "model", "marginalise", "check"}
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            if action.option_strings:
+                assert action.help, (name, action.option_strings)

@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 import re
 from unittest import mock
@@ -15,7 +14,6 @@ from mixedgraphs.independence import (
     IndependenceStatement,
     NotInGround,
     TooLarge,
-    _path_checked,
     conforms,
     independence_model,
     marginalise_condition,
@@ -24,7 +22,7 @@ from mixedgraphs.independence import (
     model_from_json,
     model_to_json,
 )
-from mixedgraphs.msep import NotDisjoint, m_separated
+from mixedgraphs.msep import NotDisjoint, _path_checked, _rank_order, m_separated
 from mixedgraphs.textfmt import ParseError
 from mixedgraphs.witness import maximalize
 
@@ -219,21 +217,22 @@ def test_sliced_marginals_match_the_filter_and_the_oracle():
 
 
 def test_graph_models_enumerate_on_first_read(monkeypatch):
+    # a model from a graph, and a slice of one, reads its separation sets
+    # once, when it is first read, and a slice reads only its own
     calls = []
-    enumerate_triples = independence._enumerate
+    separation_sets = independence._separation_sets
 
     def counting(g, fixed, drop):
         calls.append((fixed, drop))
-        return enumerate_triples(g, fixed, drop)
+        return separation_sets(g, fixed, drop)
 
-    monkeypatch.setattr(independence, "_enumerate", counting)
+    monkeypatch.setattr(independence, "_separation_sets", counting)
     g = mk("a -> c\nb -> c\nc -> d")
     J = independence_model(g)
-    assert calls == []
-    # a model from a graph is sliced, and not built, whether read or not
     sliced = marginalise_condition(J, {"d"}, {"c"})
-    assert calls == [(0b0100, 0b1100)]
+    assert calls == []
     assert sliced.statements == frozenset()
+    assert calls == [(0b0100, 0b1100)]
     assert len(J) == len(J.triples) and calls[1:] == [(0, 0)]
     assert marginalise_condition(J, {"d"}, {"c"}) == sliced
     assert calls[2:] == [(0b0100, 0b1100)]
@@ -248,8 +247,10 @@ def test_graph_walk_tables_are_built_once():
         MixedGraph, "ancestors", autospec=True, side_effect=walk
     ) as anc:
         first = marginalise_condition(J, {"e"}, {"c"})
+        len(first)
         calls = anc.call_count
         second = marginalise_condition(J, {"a"}, {"d"})
+        len(second)
     assert calls > 0 and anc.call_count == calls
     assert first == marginalise_oracle(J, {"e"}, {"c"})
     assert second == marginalise_oracle(J, {"a"}, {"d"})
@@ -322,12 +323,13 @@ def _mutant(rng, g):
     return MixedGraph(g.nodes, edges)
 
 
-def test_equality_by_runs_agrees_with_equality_by_triples():
-    # graph models and their marginals share one table of Cs per node count
-    # and compare by their runs: on random graphs against their one-edge
-    # mutants, and on random RGs against their maximalizations, that agrees
-    # with comparing the triples, and with comparing each against the JSON
-    # round trip of the other, which holds a table of its own
+def test_equality_by_separation_sets_agrees_with_equality_by_triples():
+    # graph models and their slices share one table of Cs per node count
+    # and compare by their separation sets: on random graphs against their
+    # one-edge mutants, and on random RGs against their maximalizations,
+    # that agrees with comparing the triples, and with comparing each
+    # against the JSON round trip of the other, which holds a table of its
+    # own and compares by triples
     rng = random.Random(103)
     pairs = []
     for _ in range(120):
@@ -356,6 +358,76 @@ def test_equality_by_runs_agrees_with_equality_by_triples():
             assert (round_trip == K1) == by_runs, (g, h)
             verdicts.append(by_runs)
     assert 50 < sum(verdicts) < len(verdicts) - 50
+    # the models of every three-node multigraph and one random slice of
+    # each: grouping them by their separation sets and by their triples
+    # gives one partition; each model equals the first of its group, and
+    # the firsts differ
+    models = []
+    for g in all_mixed_graphs(("a", "b", "c")):
+        J = independence_model(g)
+        spec = random_spec(rng, g)
+        models += [J, marginalise_condition(J, spec.marg, spec.cond)]
+    by_sets, by_triples = {}, {}
+    for k, J in enumerate(models):
+        by_sets.setdefault((J.ground, tuple(map(tuple, J._pairs))), []).append(k)
+        by_triples.setdefault((J.ground, J.triples), []).append(k)
+    assert sorted(by_sets.values()) == sorted(by_triples.values())
+    firsts = [models[group[0]] for group in by_triples.values()]
+    assert len(firsts) > 10
+    for first, group in zip(firsts, by_triples.values()):
+        assert all(models[k] == first for k in group)
+    assert not any(J == K for J, K in itertools.combinations(firsts, 2))
+
+
+def _split_of(rng, nodes):
+    """A random disjoint (M, C) over the nodes."""
+    roles = {v: rng.randrange(3) for v in nodes}
+    return (
+        {v for v, r in roles.items() if r == 1},
+        {v for v, r in roles.items() if r == 2},
+    )
+
+
+def test_slices_of_slices_are_one_lazy_slice(monkeypatch):
+    # the operator composes, so a slice of a slice of a graph model is one
+    # slice of the graph: reading it makes one `_separation_sets` call with
+    # the composed masks, and nothing is filtered. It equals the one-step
+    # marginal and the statement-by-statement oracle applied twice
+    calls = []
+    separation_sets = independence._separation_sets
+
+    def counting(g, fixed, drop):
+        calls.append((fixed, drop))
+        return separation_sets(g, fixed, drop)
+
+    def refuse(*_args):
+        raise AssertionError("a slice was filtered")
+
+    rng = random.Random(109)
+    graphs = itertools.chain(
+        all_mixed_graphs(("a", "b", "c")),
+        (
+            random_lmg(rng, rng.randint(4, 7), p=rng.uniform(0.05, 0.35))
+            for _ in range(60)
+        ),
+    )
+    for g in graphs:
+        M1, C1 = _split_of(rng, g.nodes)
+        M2, C2 = _split_of(rng, sorted(g.node_set - M1 - C1))
+        J = independence_model(g)
+        with monkeypatch.context() as patch:
+            patch.setattr(independence, "_separation_sets", counting)
+            patch.setattr(IndependenceModel, "_from_masks", refuse)
+            calls.clear()
+            twice = marginalise_condition(marginalise_condition(J, M1, C1), M2, C2)
+            assert calls == []
+            len(twice)
+        fixed = sum(g._bit[v] for v in C1 | C2)
+        assert calls == [(fixed, fixed | sum(g._bit[v] for v in M1 | M2))], g
+        once = marginalise_condition(J, M1 | M2, C1 | C2)
+        oracle = marginalise_oracle(marginalise_oracle(J, M1, C1), M2, C2)
+        assert twice == once == oracle and twice.nodes == oracle.nodes, g
+        assert twice.triples == once.triples == oracle.triples, g
 
 
 def test_membership_reads_one_run(monkeypatch):
@@ -513,6 +585,15 @@ def test_json_round_trip_and_stability():
             "statements[0]: sides A and B must be nonempty",
         ),
         ('{"ground": [', "line 1, col 13"),
+        (
+            '{"ground": ["a b", "c"], "statements": [{"A": ["a b"], "B": ["c"]}]}',
+            "ground: bad node label 'a b'",
+        ),
+        (
+            '{"ground": ["a", "b"], "statements": ['
+            '{"A": ["a"], "B": ["b"]}, {"A": ["a"], "B": ["b"], "C": ["a"]}]}',
+            "statements[1]: statement sides must be pairwise disjoint",
+        ),
     ],
 )
 def test_malformed_model_json_names_the_field(text, field):
@@ -524,10 +605,10 @@ def test_enumeration_matches_the_per_assignment_oracle(monkeypatch):
     emitted = []
     enumerate_triples = independence._enumerate
 
-    def capturing(g, fixed, drop):
-        f, runs = enumerate_triples(g, fixed, drop)
-        emitted.append((f, list(runs)))
-        return f, runs
+    def capturing(sep):
+        runs = enumerate_triples(sep)
+        emitted.append((len(sep), list(runs)))
+        return runs
 
     monkeypatch.setattr(independence, "_enumerate", capturing)
     # multi-edge and non-ribbonless graphs included: the random draws fill
@@ -547,7 +628,7 @@ def test_enumeration_matches_the_per_assignment_oracle(monkeypatch):
         ((f, runs),) = emitted
         assert f == len(g.nodes) and all(sets for _a, _b, sets in runs), g
         assert len({(a, b) for a, b, _sets in runs}) == len(runs), g
-        triples = independence._expand(independence._rank_order(f)[0], runs)
+        triples = independence._expand(_rank_order(f)[0], runs)
         # each statement is found once: no triple repeats, with A and B taken
         # either way round
         found = {(frozenset((a, b)), c) for a, b, c in triples}
@@ -590,16 +671,11 @@ def test_graph_models_and_marginals_come_out_in_key_order(monkeypatch):
 
 def test_model_json_matches_the_stdlib_layout():
     rng = random.Random(67)
-    escaped = model_from_json(
-        json.dumps(
-            {
-                "ground": ["\u00e9", 'a"b', "x\ny", "z"],
-                "statements": [
-                    {"A": ["\u00e9", "z"], "B": ['a"b'], "C": ["x\ny"]},
-                    {"A": ["x\ny"], "B": ["z"], "C": []},
-                ],
-            }
-        )
+    # labels the graph grammar, and so `model_from_json`, rejects still
+    # write as the stdlib writes them
+    escaped = IndependenceModel(
+        ["\u00e9", 'a"b', "x\ny", "z"],
+        [S({"\u00e9", "z"}, {'a"b'}, {"x\ny"}), S({"x\ny"}, {"z"})],
     )
     graphs = [
         random_lmg(rng, rng.randint(6, 8), p=rng.uniform(0.1, 0.4))

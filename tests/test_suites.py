@@ -2,7 +2,7 @@ from unittest import mock
 
 import pytest
 
-from mixedgraphs import independence, suites, witness
+from mixedgraphs import independence, msep, suites, witness
 from mixedgraphs.core import MixedGraph, arc, arrow
 from mixedgraphs.independence import (
     independence_model,
@@ -95,10 +95,11 @@ def test_maximality_suite_reads_the_literal_verdict_off_the_rows():
 
 def test_maximality_suite_enumerates_models_only_when_maximalize_adds_edges():
     # a maximal RG is its own maximalization, so its two model checks hold
-    # by identity; a graph that gains an edge has both models enumerated
+    # by identity; a graph that gains an edge has its model compared with
+    # its output's by their separation sets: no model is enumerated
     for text, added, enumerations in (
         ("a -> c\nb -> c\nc -> d\nd <-> e", False, 0),
-        ("a <-> q\nq <-> b\nq -> c\nc -> a", True, 2),
+        ("a <-> q\nq <-> b\nq -> c\nc -> a", True, 0),
     ):
         g = mk(text)
         assert (maximalize(g) != g) == added
@@ -134,25 +135,26 @@ def test_graph_models_count_and_compare_by_their_runs(monkeypatch):
 
 
 def test_maximality_suite_reads_each_graphs_rows_once():
-    # maximalize adds an edge here, so the suite enumerates the models of the
-    # 4-node input and of its output, reading each one's separation sets
-    # once, and reads both literal verdicts off their singleton statements
-    # with no sweep of its own: one bit-sliced walk per node with a later
-    # non-adjacent node, a (for b) and b (for c) in the input, b alone in
-    # the output, which joins a and b
+    # maximalize adds an edge here, so the suite compares the models of the
+    # 4-node input and of its output by their separation sets, one pass
+    # each, and sweeps each for its literal verdict. A pass runs one
+    # bit-sliced walk per node with a later non-adjacent node: a (for b)
+    # and b (for c) in the input, b alone in the output, which joins a and
+    # b. The input's sweep stops at its first inseparable pair, a and b,
+    # after one walk; the output's sweep runs its one walk
     g = mk("a <-> q\nq <-> b\nq -> c\nc -> a")
-    real = independence._separation_sets
+    real = msep._separation_sets
     with mock.patch.object(
         independence, "_separation_sets", wraps=real
     ) as model_sets, mock.patch.object(
         witness, "_separation_sets", wraps=real
     ) as sweep_sets, mock.patch.object(
-        independence, "_sliced_reach", wraps=independence._sliced_reach
+        msep, "_sliced_reach", wraps=msep._sliced_reach
     ) as walks:
         result = maximality_suite(g)
     assert result.ok and result.checked == 3, result.failures
-    assert model_sets.call_count == 2 and sweep_sets.call_count == 0
-    assert walks.call_count == 3
+    assert model_sets.call_count == 2 and sweep_sets.call_count == 2
+    assert walks.call_count == 5
 
 
 def test_maximality_suite_reports_a_maximalize_that_adds_no_edge():
