@@ -21,7 +21,12 @@ from .independence import (
     marginalise_condition,
     model_to_json,
 )
-from .msep import ConnectionQuery, enumerate_connecting_paths, m_separated
+from .msep import (
+    ConnectionQuery,
+    connecting_path_exists,
+    enumerate_connecting_paths,
+    m_separated,
+)
 from .project import PROJECTORS_TRACED, ProjectionSpec, render_trace
 from .suites import SUITES
 from .textfmt import (
@@ -130,11 +135,10 @@ def _cmd_msep(doc, args):
     if not separated and args.witness:
         allowed = graph.node_set - A - B - C
         for a, b in itertools.product(sorted(A), sorted(B)):
-            paths = enumerate_connecting_paths(
-                graph, ConnectionQuery(a, b, allowed, C), limit=1
-            )
-            if paths:
-                print(paths[0].render())
+            # a separated pair would be enumerated in full, so test it first
+            query = ConnectionQuery(a, b, allowed, C)
+            if connecting_path_exists(graph, query):
+                print(enumerate_connecting_paths(graph, query, limit=1)[0].render())
                 break
     return 0 if separated else 1
 

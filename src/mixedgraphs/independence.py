@@ -142,7 +142,7 @@ class IndependenceModel:
     first use."""
 
     def __init__(self, ground, statements=()):
-        ground = frozenset(ground)
+        ground = _node_set(ground, "ground")
         statements = frozenset(statements)
         for s in statements:
             if not (s.A | s.B | s.C) <= ground:

@@ -40,12 +40,12 @@ marks and is a single edge or passes a third node. So the survivors' edges in
 the input, and one predecessor walk search per survivor and first mark, yield
 the surviving edges, the survivors in an(C) and, for the trace, the Table-1
 step behind each generated edge; `_signature_projection` states the rules
-that keep the search to the work it uses, and hands its graph over in
-canonical order, so neither the summary-graph strip nor the writer sorts it.
-`table1_closure`, the fixpoint itself, is the route for forced inputs that
-are not ribbonless, where walks and the closure can differ, and for the
-rare ribbonless input whose search cannot show a third node for some edge.
-It is also the tests' oracle.
+that keep the search to the work it uses and why it is exact on every
+ribbonless input, and hands its graph over in canonical order, so neither
+the summary-graph strip nor the writer sorts it. `table1_closure`, the
+fixpoint itself, is the route only for forced inputs that are not
+ribbonless, where walks and the closure can differ. It is also the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -250,8 +250,8 @@ def _gate(h, tag, exc, what, force):
 
 
 def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
-    """Stage one on a ribbonless h by Lemma 1, or None when the searches
-    leave some generated edge without a witness V.
+    """Stage one on a ribbonless h by Lemma 1: (the generated graph on the
+    survivors, the survivors in an(C) of the closed graph, trace steps).
 
     One walk search per survivor i and first mark gives every survivor edge
     and every arrow from a survivor into C; the survivors in an(C) of the
@@ -259,15 +259,16 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
     and the mark the walk entered it with; leaving an inner node t is legal
     through a collider when t is in C ∪ an(C), and otherwise when t is in M.
     A walk that only bounces along parallel edges between its ends
-    (i -> j <-> i <- j) carries a signature the closure cannot generate, and
-    such an edge has no witness V.
+    (i -> j <-> i <- j) carries a signature the closure need not generate:
+    such an edge is kept only when another walk with its end marks passes a
+    third node.
 
     Every single edge is a connecting walk, so the result starts from h's
     edges between survivors, and a hit that carries an h edge's signature
     adds nothing. Three rules keep the search to the work whose result it
     keeps. None of them changes the depth-first order among the states a
-    walk can leave, so the graph, the survivors in an(C), the steps and the
-    fallback are those of a search that pushes and tests every state.
+    walk can leave, so the graph, the survivors in an(C) and the steps are
+    those of a search that pushes and tests every state.
 
     1. A reached state goes on the stack only if the walk can leave it: a
        node of M, or a node of C ∪ an(C) entered with a head. Any other
@@ -281,15 +282,43 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
     2. A hit on a survivor j < i builds no edge. Read backwards, a
        connecting walk from i to j connects j to i with the end marks
        swapped, and a generated edge is never a seed. So each generated edge
-       is hit exactly once from each end, and first by its smaller end's
-       search, which gives it its step. The exception is a walk that
-       stepped from the smaller end itself: its edge is left pending, keyed
-       by both ends and marks, and the larger end's hit gives the step. The
-       fallback fires exactly when an edge is still pending at the end.
+       is hit from each end, and first by its smaller end's search, which
+       gives it its step. The exception is a walk that stepped from the
+       smaller end itself: its edge is left pending, keyed by both ends and
+       marks. While an edge is pending, the larger end's search reads every
+       arrival at a smaller end, not only the first, and the first that did
+       not step from the larger end itself closes the edge and gives its
+       step. An edge still pending at the end is not in the closure (below)
+       and is dropped.
     3. The step's second edge is the exit just taken, except when a head
        exit left a node of M. Only then is `flows[t]` read again, for a
        tail exit into j, which wins, being legal whenever t is in M. The
        step's row is `_STEP_RULE` at the marks of its two edges.
+
+    Dropping is exact. Let e be an edge with marks (a, b) between survivors
+    i < j, not in h.
+    1. e is left pending only when i first reached (j, b) by a step from i
+       along an edge f of h with mark b at j and a head at i, since i, a
+       survivor, is left only as a collider.
+    2. If the closure has e, Lemma 1 gives an (a, b)-walk W from i to j
+       that passes a third node, as e is not in h.
+    3. If W's second node x is a third node, W read backwards is a walk of
+       j's search, first mark b, that enters (i, a) from x. Reading later
+       arrivals, that search closes e.
+    4. Otherwise W's second node is j, an inner node and a survivor, so a
+       collider: W's first edge g has mark a at i and a head at j. Were a a
+       head, f would be e; were a a tail and b a head, g would be e. Neither
+       is in h, so a = b = tail: h holds i -> j (g) and j -> i (f), and e
+       is i -- j.
+    5. So i and j lie on a directed cycle, and as h is ribbonless, every
+       collider V at i or j with distinct ends has its endpoint-identical
+       edge in h.
+    6. W's inner nodes before its first third node x are i and j, all
+       colliders. Replacing the last of them, with its two edges, by the
+       endpoint-identical edge of its V keeps every mark on the rest of W.
+       Done again and again, that yields an (a, b)-walk whose second node
+       is x, which step 3 closes. So an edge still pending after the larger
+       end's search is not in the closure, and dropping it is exact.
 
     The projected graph takes sorted node and edge tuples as its orders: h's
     edges between survivors, read in order from `h._sorted_edges`, and the
@@ -299,13 +328,14 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
     closing the first walk to j of i's search, where t is the state that
     walk stepped from: its first edge carries the signature of the walk's
     prefix to t and its second edge is in h. i is the smaller end, unless
-    that end's walk stepped from itself. A walk reduces to one closure edge
-    exactly when it is a single edge or passes a node other than its ends,
-    since Table 1 never joins a node to itself. The walk to j passes t, so
-    it shows a V unless t is i. The prefix to t is the search's first route
-    there, so it is a single edge or passes a third node: a route that
-    bounces from t through i back to t reaches no state that t's first
-    visit did not."""
+    that end's walk stepped from itself; then it is the larger end, and its
+    walk the first one to the smaller end that did not step from the larger
+    end. A walk reduces to one closure edge exactly when it is a single edge
+    or passes a node other than its ends, since Table 1 never joins a node
+    to itself. The walk to j passes t, so it shows a V unless t is i. The
+    prefix to t is the search's first route there, so it is a single edge or
+    passes a third node: a route that bounces from t through i back to t
+    reaches no state that t's first visit did not."""
     marg, cond = spec.marg, spec.cond
     collider_set = cond | h.ancestors(cond)
     flows, own = h._flows, h.edges
@@ -332,14 +362,17 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
                         continue
                     state = (j, at_j)
                     if state in reached:
-                        continue
-                    reached.add(state)
-                    # rule 1: push only what the walk can leave
-                    if j in marg:
-                        stack.append(state)
-                        continue
-                    if at_j == HEAD and j in collider_set:
-                        stack.append(state)
+                        # rule 2: a later arrival may close a pending edge
+                        if not pending or j > i:
+                            continue
+                    else:
+                        reached.add(state)
+                        # rule 1: push only what the walk can leave
+                        if j in marg:
+                            stack.append(state)
+                            continue
+                        if at_j == HEAD and j in collider_set:
+                            stack.append(state)
                     if j in cond or j == i:
                         continue
                     # rule 2: j's search, earlier, built this edge
@@ -363,8 +396,6 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
                             last = TAIL
                     rule = _STEP_RULE[t_mark, first, last, at_j]
                     steps[gen] = TraceStep(rule, t, gen)
-    if pending:
-        return None
     kept = [e for e in h._sorted_edges if e.a in survivors and e.b in survivors]
     edges = tuple(sorted(kept + list(steps), key=edge_sort_key))
     projected = MixedGraph._trusted(order, edges, ordered=True)
@@ -375,17 +406,14 @@ def _signature_projection(h: MixedGraph, spec: ProjectionSpec, survivors):
 
 def _generate(h: MixedGraph, spec: ProjectionSpec):
     """Stage one of every projection: (the generated graph on the survivors,
-    the survivors in an(C) of the closed graph, trace). Inputs whose class
-    tags, which the entry point's gate read, hold RG go through the Lemma-1
-    signatures. Forced other inputs, where walks and the closure can differ,
-    and the rare ribbonless input with an edge that no witness V shows, go
-    through the closure itself."""
+    the survivors in an(C) of the closed graph, trace). Every input whose
+    class tags, which the entry point's gate read, hold RG goes through the
+    Lemma-1 signatures. Forced other inputs, where walks and the closure can
+    differ, go through the closure itself."""
     spec.validate_for(h)
     survivors = h.node_set - spec.removed
     if "RG" in h.class_tags:
-        result = _signature_projection(h, spec, survivors)
-        if result is not None:
-            return result
+        return _signature_projection(h, spec, survivors)
     closed, trace = table1_closure(h, spec)
     anc_c = closed.ancestors(spec.cond) & survivors
     return closed.induced_subgraph(survivors), anc_c, trace

@@ -145,6 +145,27 @@ def test_project_trace_goes_to_stderr(capsys):
     assert "rule=4 inner=3 generated=1 <-> 2" in err
 
 
+def test_project_trace_of_edges_left_pending(tmp_path, capsys):
+    # b's search first reaches c, tails at both ends, by a step from b
+    # itself. With b -> a, c's search later enters b from a, and the V
+    # b -> a <- c keeps b -- c; without it every such walk bounces between b
+    # and c, and no b -- c is generated
+    runs = (
+        (
+            "b -> a\nb -> c\nb <-> c\nc -> a\nc -> b\n",
+            "b -- c\n",
+            "rule=10 inner=a generated=b -- c\n",
+        ),
+        ("b -> c\nb <-> c\nc -> a\nc -> b\n", "", ""),
+    )
+    for text, kept, trace in runs:
+        f = tmp_path / "g.mg"
+        f.write_text(text + "cond: a\n", encoding="utf-8")
+        code, out, err = run(capsys, "project", f, "--type", "rg", "--trace")
+        assert (code, err) == (0, trace)
+        assert out == f"nodes: b c\n{kept}b <-> c\nb -> c\nc -> b\n"
+
+
 def test_project_dot_output(capsys):
     code, out, _ = run(
         capsys, "project", fixture("chain.mg"), "--type", "rg", "--dot"
@@ -193,6 +214,28 @@ def test_msep_witness_renders_arcs_and_lines(tmp_path, capsys):
     f.write_text("a <-> m\nm -- b\n", encoding="utf-8")
     code, out, _ = run(capsys, "msep", f, "--A", "a", "--B", "b", "--witness")
     assert (code, out) == (1, "connected\na <-> m -- b\n")
+
+
+def test_msep_witness_skips_separated_pairs(tmp_path):
+    # a1 reaches only a 40-rung line ladder, which holds no path to b, so
+    # the witness search must not enumerate a1's paths before trying a2
+    k = 40
+    lines = ["a1 -- u0", "a2 -- b"]
+    lines += [f"{r}{i} -- {r}{i + 1}" for r in "uv" for i in range(k - 1)]
+    lines += [f"u{i} -- v{i}" for i in range(k)]
+    f = tmp_path / "ladder.mg"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    src = Path(mixedgraphs.__file__).resolve().parent.parent
+    argv = ["msep", str(f), "--A", "a1,a2", "--B", "b", "--witness"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixedgraphs", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "connected\na2 -- b\n")
+    assert "Traceback" not in proc.stderr
 
 
 def test_model_text_and_json(capsys):

@@ -69,6 +69,14 @@ def test_statement_refuses_a_bare_string(side):
         S(*sides)
 
 
+def test_model_refuses_a_bare_string_ground():
+    # "ab" would name the nodes a and b
+    assert IndependenceModel({"ab"}, []).ground == {"ab"}
+    assert IndependenceModel(("a", "b"), []).ground == {"a", "b"}
+    with pytest.raises(InvalidLabel, match="ground takes a collection"):
+        IndependenceModel("ab", [])
+
+
 def test_model_of_two_isolated_nodes():
     g = MixedGraph({"a", "b"})
     assert independence_model(g).statements == {S({"a"}, {"b"})}
